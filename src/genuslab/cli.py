@@ -30,7 +30,7 @@ from .genus import (
     GenusSpec,
     genus_value,
     loop_sign_series,
-    phi0_series,
+    phi0_from_raw,
     pole_order,
     raw_ahat_series,
 )
@@ -237,8 +237,8 @@ def cmd_expand(args) -> dict:
     model = resolve_manifold(args.manifold)
     qorder = args.qorder
     if args.cusp == AHAT_CUSP:
-        ix = phi0_series(model, qorder)
         raw = raw_ahat_series(model, qorder)
+        ix = phi0_from_raw(raw)
     else:
         ix = loop_sign_series(model, qorder)
         raw = ix
@@ -341,8 +341,11 @@ def cmd_obstruct(args) -> dict:
             )
         return payload
     if args.matrix_file:
-        with open(args.matrix_file, "r", encoding="utf-8") as fh:
-            matrix = json.load(fh)
+        try:
+            with open(args.matrix_file, "r", encoding="utf-8") as fh:
+                matrix = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable file, bad encoding or bad JSON
+            raise ValidationError(f"cannot read matrix file: {exc}", code="invalid") from exc
         result = lattice_normal_form(matrix, args.p)
         audit = code_audit(matrix)
         payload.update(

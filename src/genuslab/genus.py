@@ -441,11 +441,12 @@ def _strip_t(p: TruncPoly, power: int, target: PolyRing) -> TruncPoly:
 
 def phi0_series(model: ManifoldModel, qorder: int = DEFAULT_QORDER) -> IndexSeries:
     """q^{-k/2} times the A-hat-cusp word series (s-shift by -k)."""
-    raw = twisted_index("ahat", model, PHI0_WORD, qorder)
-    if model.dim_real % 4:
-        return IndexSeries(raw.series, "phi0", 0, model.name)
-    k = model.dim_real // 4
-    return IndexSeries(raw.series.shift(-k), "phi0", k, model.name)
+    return phi0_from_raw(raw_ahat_series(model, qorder))
+
+
+def phi0_from_raw(raw: IndexSeries) -> IndexSeries:
+    """The phi0 series of an already computed raw A-hat-cusp series."""
+    return IndexSeries(raw.series.shift(-raw.k), "phi0", raw.k, raw.manifold)
 
 
 def raw_ahat_series(model: ManifoldModel, qorder: int = DEFAULT_QORDER) -> IndexSeries:

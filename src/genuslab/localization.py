@@ -170,7 +170,7 @@ def equivariant_series(action: CircleActionData, lam, qorder: int = DEFAULT_QORD
 
 def _promote_to_gaussian(series: QSeries) -> QSeries:
     ring = SeriesRing(QI, series.ring.order)
-    return QSeries(ring, series.lo, [QI.from_fraction(c) for c in series.coeffs], series.order)
+    return QSeries(ring, series.lo, series.coeffs, series.order)
 
 
 # -- rigidity -------------------------------------------------------------------
@@ -457,6 +457,8 @@ def load_action(source) -> CircleActionData:
     if not isinstance(doc["components"], list) or not doc["components"]:
         raise ValidationError("components must be a non-empty list", code="schema")
     for c in doc["components"]:
+        if not isinstance(c, dict) or not isinstance(c.get("normal", []), list):
+            raise ValidationError(f"malformed component {c!r}", code="schema")
         model = _resolve_model_ref(c.get("model", "point"))
         normal = []
         for s in c.get("normal", []):

@@ -384,20 +384,21 @@ def _build(key: str) -> ManifoldModel:
         factors = [builtin(p) for p in key.split("x")]
         return _self_check(product(factors), "product", factors)
     if key.startswith("CP"):
-        return _self_check(complex_projective_space(_int_suffix(key, "CP")), "cp")
+        return _self_check(complex_projective_space(_int_arg(key[2:], key)), "cp")
     if key.startswith("HP"):
-        return _self_check(quaternionic_projective_space(_int_suffix(key, "HP")), "hp")
+        return _self_check(quaternionic_projective_space(_int_arg(key[2:], key)), "hp")
     if key.startswith("V(") and key.endswith(")"):
         args = _split_args(key[2:-1])
         if len(args) != 2:
             raise ValidationError(f"V takes two arguments, got {key!r}", code="invalid")
-        return _self_check(hypersurface(int(args[0]), int(args[1])), "v")
+        return _self_check(hypersurface(_int_arg(args[0], key), _int_arg(args[1], key)), "v")
     raise ValidationError(f"unknown builtin manifold {key!r}", code="invalid")
 
 
-def _int_suffix(key: str, prefix: str) -> int:
+def _int_arg(text: str, key: str) -> int:
+    """An integer argument of the builtin name `key`."""
     try:
-        return int(key[len(prefix) :])
+        return int(text)
     except ValueError:
         raise ValidationError(f"malformed builtin name {key!r}", code="invalid") from None
 
@@ -520,8 +521,11 @@ def _read_json(source):
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read {source}: {exc}", code="invalid") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

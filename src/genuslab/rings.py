@@ -7,8 +7,10 @@ describes how to construct and invert elements of one coefficient domain; the
 elements themselves are plain values combined with the usual operators.
 
 The four rings used throughout are Q, Q(i), the bigraded polynomial ring
-Q[delta, epsilon] (a `PolyRing`) and truncated Laurent q-series over Q
-(a `SeriesRing`).
+Q[delta, epsilon] (a `PolyRing`) and truncated Laurent q-series over Q or
+Q(i) (a `SeriesRing`, which accepts no other base).  Q-series keep their
+coefficients as integer numerators over a common denominator and convert to
+these scalar types only at their boundary.
 """
 
 from __future__ import annotations

@@ -8,10 +8,22 @@ Two generic containers over a `CoefficientRing`:
   `StructuralError`, never a silent min.
 
 * `QSeries` — truncated Laurent series in s, where s^2 = q, so half-integer
-  q-exponents are integer s-exponents.  Every series carries `order`, the
+  q-exponents are integer s-exponents, with coefficients in Q or Q(i) (a
+  `SeriesRing` accepts no other base).  Every series carries `order`, the
   first s-exponent it does NOT know; arithmetic propagates the guarantee
-  (product order = min(a.order + lo_b, b.order + lo_a)) and coefficient
-  extraction beyond the guarantee raises.
+  (sum order = min(a.order, b.order), product order =
+  min(a.order + lo_b, b.order + lo_a), inverse order = a.order - 2 lo_a, where
+  a known-zero series has lo = order) and coefficient extraction beyond the
+  guarantee raises.
+
+A `QSeries` stores Python-int numerators over one positive common
+denominator, in lowest terms: one numerator list over Q, a real and an
+imaginary list sharing the denominator over Q(i).  Sums bring both operands
+to the lcm of their denominators, products are truncated schoolbook
+convolutions of the integer lists (four of them over Q(i)), and inverses use
+an integer recurrence (over Q(i) through the rational series a * conj(a)).
+`Fraction` and `GaussianRational` appear only at the boundary: constructors
+take them, and `coefficient`, `coeffs` and `repr` return them, canonical.
 
 Values are immutable after construction and operations are pure, so they can
 be shared freely across threads.  Pipelines should fix one working order per
@@ -21,10 +33,20 @@ computation; all constructors take it explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import repeat, zip_longest
+from math import factorial, gcd, lcm
+from operator import add, mul
 
 from .errors import NotInvertibleError, StructuralError
-from .rings import CoefficientRing, QQ, as_fraction, rational_sqrt
+from .rings import (
+    QQ,
+    CoefficientRing,
+    GaussianField,
+    GaussianRational,
+    RationalField,
+    as_fraction,
+    rational_sqrt,
+)
 
 
 class PolyRing(CoefficientRing):
@@ -143,9 +165,6 @@ class TruncPoly:
     def coefficient_of(self, **symbol_exps):
         exps = tuple(symbol_exps.get(v, 0) for v in self.ring.variables)
         return self.coefficient(exps)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
 
     # -- ring operations ------------------------------------------------
 
@@ -311,10 +330,6 @@ class TruncPoly:
             out = out + term * binom
         return out
 
-    def sqrt_inverse(self) -> "TruncPoly":
-        """(self)^(-1/2); the common case of the elliptic integrand."""
-        return self.rational_pow(Fraction(-1, 2))
-
     def exp(self) -> "TruncPoly":
         """exp of a polynomial with zero constant term (nilpotent under caps)."""
         if not self.ring.base.is_zero(self.constant_term()):
@@ -453,7 +468,7 @@ def _in_base(ring: PolyRing, value) -> bool:
 
 
 class SeriesRing(CoefficientRing):
-    """Descriptor for QSeries coefficients over a base ring.
+    """Descriptor for QSeries coefficients over Q or Q(i).
 
     `order` is the default construction guarantee (first unknown s-exponent)
     for constants made through the ring protocol; element guarantees evolve
@@ -461,7 +476,10 @@ class SeriesRing(CoefficientRing):
     """
 
     def __init__(self, base=QQ, order=12):
+        if not isinstance(base, (RationalField, GaussianField)):
+            raise StructuralError(f"q-series coefficients must be in Q or Q(i), not {base!r}")
         self.base = base
+        self.gaussian = isinstance(base, GaussianField)
         self.order = int(order)
         self.name = f"{base.name}[[s;{self.order}]]"
 
@@ -482,29 +500,27 @@ class SeriesRing(CoefficientRing):
         return self.from_fraction(1)
 
     def from_fraction(self, a):
-        return QSeries(self, 0, [self.base.from_fraction(a)], self.order)
+        """The constant `a`: an int or Fraction, or over Q(i) a GaussianRational."""
+        return QSeries(self, 0, [a], self.order)
 
-    def const(self, c):
-        return QSeries(self, 0, [c], self.order)
+    const = from_fraction
 
     def monomial(self, s_exp: int, c=1):
         """c * s^s_exp, known to the ring's default order past the exponent."""
-        return QSeries(self, s_exp, [self.base.from_fraction(c) if isinstance(c, (int, Fraction)) else c], self.order + s_exp)
+        return QSeries(self, s_exp, [c], self.order + s_exp)
 
     def q_monomial(self, q_exp: int, c=1):
         return self.monomial(2 * q_exp, c)
 
     def from_q_coeffs(self, coeffs, lo_q=0):
         """Embed a q-power-series (integer q-exponents) via s^2 = q."""
-        out = self.zero()
-        for j, c in enumerate(coeffs):
-            if isinstance(c, (int, Fraction)):
-                c = self.base.from_fraction(c)
-            out = out + QSeries(self, 2 * (lo_q + j), [c], self.order)
-        return out
+        spread = []
+        for c in coeffs:
+            spread += [c, 0]
+        return QSeries(self, 2 * lo_q, spread, self.order)
 
     def is_zero(self, x) -> bool:
-        return not x.coeffs
+        return x.is_zero()
 
     def invert(self, x):
         return x.inverse()
@@ -514,40 +530,43 @@ class SeriesRing(CoefficientRing):
 
 
 class QSeries:
-    """Laurent series in s (s^2 = q) with coefficients in a base ring.
+    """Laurent series in s (s^2 = q) with coefficients in Q or Q(i).
 
     `lo` is the exponent of the first stored coefficient, `order` the first
     unknown exponent.  The leading stored coefficient is nonzero unless the
     series is (known-)zero, in which case `lo == order` and nothing is stored.
+
+    The stored coefficients are integer numerators over one positive common
+    denominator, in lowest terms: `_re[i] / _den` (plus `i * _im[i] / _den`
+    over Q(i); `_im` is None over Q).  `coeffs` is the read-only exact view.
     """
 
-    __slots__ = ("ring", "lo", "coeffs", "order")
+    __slots__ = ("ring", "lo", "order", "_den", "_re", "_im", "_coeffs")
 
     def __init__(self, ring: SeriesRing, lo: int, coeffs, order: int):
-        base = ring.base
-        coeffs = list(coeffs)
-        # strip leading zeros (normalizes lo), then trailing stored zeros
-        while coeffs and base.is_zero(coeffs[0]):
-            coeffs.pop(0)
-            lo += 1
-        while coeffs and base.is_zero(coeffs[-1]):
-            coeffs.pop()
-        if lo + len(coeffs) > order:
-            coeffs = coeffs[: max(0, order - lo)]
-            while coeffs and base.is_zero(coeffs[-1]):
-                coeffs.pop()
-        if not coeffs:
-            lo = order
-        self.ring = ring
-        self.lo = lo
-        self.coeffs = coeffs
-        self.order = order
+        pairs = [_parts(ring, c) for c in coeffs]
+        den = lcm(*(x.denominator for pair in pairs for x in pair))
+        re = [r.numerator * (den // r.denominator) for r, _ in pairs]
+        im = [i.numerator * (den // i.denominator) for _, i in pairs] if ring.gaussian else None
+        _store(self, ring, lo, den, re, im, order)
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """Stored coefficients from `lo` on, as Fractions or GaussianRationals."""
+        if self._coeffs is None:
+            self._coeffs = tuple(self._value(i) for i in range(len(self._re)))
+        return self._coeffs
+
+    def _value(self, i: int):
+        if self._im is None:
+            return Fraction(self._re[i], self._den)
+        return GaussianRational(Fraction(self._re[i], self._den), Fraction(self._im[i], self._den))
+
     def is_zero(self) -> bool:
         """True when every KNOWN coefficient is zero."""
-        return not self.coeffs
+        return not self._re
 
     def coefficient(self, s_exp: int):
         """Coefficient of s^s_exp; asking at or beyond `order` raises."""
@@ -555,9 +574,9 @@ class QSeries:
             raise StructuralError(
                 f"coefficient of s^{s_exp} requested but series is only known below s^{self.order}"
             )
-        if s_exp < self.lo or s_exp >= self.lo + len(self.coeffs):
+        if s_exp < self.lo or s_exp >= self.lo + len(self._re):
             return self.ring.base.zero()
-        return self.coeffs[s_exp - self.lo]
+        return self._value(s_exp - self.lo)
 
     def q_coefficient(self, q_exp):
         """Coefficient of q^q_exp where q_exp may be a half-integer Fraction."""
@@ -568,16 +587,11 @@ class QSeries:
 
     def support(self):
         """Sorted s-exponents with nonzero stored coefficients."""
-        base = self.ring.base
-        return [self.lo + i for i, c in enumerate(self.coeffs) if not base.is_zero(c)]
+        return [self.lo + i for i, x in enumerate(_nonzero(self._re, self._im)) if x]
 
     def lowest_exponent(self):
         """s-exponent of the first nonzero coefficient, or None if zero so far."""
-        sup = self.support()
-        return sup[0] if sup else None
-
-    def _lo_eff(self) -> int:
-        return self.lo if self.coeffs else self.order
+        return self.lo if self._re else None
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -588,10 +602,7 @@ class QSeries:
                     f"incompatible series rings {self.ring.name} vs {other.ring.name}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
-            return QSeries(self.ring, 0, [self.ring.base.from_fraction(other)], self.ring.order)
-        contains = getattr(self.ring.base, "contains", None)
-        if contains is not None and contains(other):
+        if self.ring.base.contains(other):
             return QSeries(self.ring, 0, [other], self.ring.order)
         return None
 
@@ -600,23 +611,25 @@ class QSeries:
         if o is None:
             return NotImplemented
         order = min(self.order, o.order)
-        if self.is_zero() and o.is_zero():
-            return QSeries(self.ring, order, [], order)
-        lo = min(self._lo_eff(), o._lo_eff(), order)
-        hi = order
-        zero = self.ring.base.zero()
-        out = [zero] * (hi - lo)
+        lo = min(self.lo, o.lo, order)
+        den = lcm(self._den, o._den)
+        re = [0] * (order - lo)
+        im = None if self._im is None else [0] * (order - lo)
         for src in (self, o):
-            for i, c in enumerate(src.coeffs):
-                e = src.lo + i
-                if lo <= e < hi:
-                    out[e - lo] = out[e - lo] + c
-        return QSeries(self.ring, lo, out, order)
+            f = den // src._den
+            start = src.lo - lo
+            n = min(len(src._re), order - src.lo)
+            if n > 0:
+                for out, part in ((re, src._re), (im, src._im)):
+                    if out is not None:
+                        out[start:start + n] = [x + f * y for x, y in zip(out[start:start + n], part)]
+        return _series(self.ring, lo, den, re, im, order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(self.ring, self.lo, [-c for c in self.coeffs], self.order)
+        im = None if self._im is None else [-x for x in self._im]
+        return _series(self.ring, self.lo, self._den, [-x for x in self._re], im, self.order)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -630,35 +643,24 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, QSeries):
             o = self._coerce(other)
-            order = min(self.order + o._lo_eff(), o.order + self._lo_eff())
-            if self.is_zero() or o.is_zero():
-                return QSeries(self.ring, order, [], order)
+            order = min(self.order + o.lo, o.order + self.lo)
             lo = self.lo + o.lo
             n = order - lo
-            if n <= 0:
+            if self.is_zero() or o.is_zero() or n <= 0:
                 return QSeries(self.ring, order, [], order)
-            zero = self.ring.base.zero()
-            out = [zero] * n
-            for i, a in enumerate(self.coeffs):
-                if self.ring.base.is_zero(a):
-                    continue
-                for j, b in enumerate(o.coeffs):
-                    k = i + j
-                    if k >= n:
-                        break
-                    out[k] = out[k] + a * b
-            return QSeries(self.ring, lo, out, order)
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.base.from_fraction(other)
-        return QSeries(
-            self.ring, self.lo, [c * other for c in self.coeffs], self.order
-        )
+            re, im = _mul_parts(self._re, self._im, o._re, o._im, n)
+            return _series(self.ring, lo, self._den * o._den, re, im, order)
+        if not self.ring.base.contains(other):
+            return NotImplemented
+        c = QSeries(self.ring, 0, [other], 1)  # the scalar as numerators over a denominator
+        re, im = _mul_parts(self._re, self._im, c._re, c._im, len(self._re))
+        return _series(self.ring, self.lo, self._den * c._den, re, im, self.order)
 
     __rmul__ = __mul__
 
     def shift(self, s_exp: int) -> "QSeries":
         """Multiply by the exact monomial s^s_exp."""
-        return QSeries(self.ring, self.lo + s_exp, list(self.coeffs), self.order + s_exp)
+        return _series(self.ring, self.lo + s_exp, self._den, self._re, self._im, self.order + s_exp)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -666,7 +668,7 @@ class QSeries:
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
-            return QSeries(self.ring, 0, [self.ring.base.one()], max(self.order, self.ring.order))
+            return QSeries(self.ring, 0, [1], max(self.order, self.ring.order))
         out = None
         base = self
         while n:
@@ -678,33 +680,20 @@ class QSeries:
         return out
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse; the leading coefficient must be a unit."""
+        """Multiplicative inverse; the leading coefficient must be nonzero."""
         if self.is_zero():
             raise NotInvertibleError("cannot invert a series with no known nonzero term")
-        base = self.ring.base
-        a0 = self.coeffs[0]
-        a0_inv = base.invert(a0)
         n = self.order - self.lo  # known unit-part length
-        zero = base.zero()
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = [zero] * n
-        b[0] = a0_inv
-        for m in range(1, n):
-            acc = None
-            for j in range(1, m + 1):
-                if base.is_zero(a[j]):
-                    continue
-                t = a[j] * b[m - j]
-                acc = t if acc is None else acc + t
-            if acc is not None:
-                b[m] = -(a0_inv * acc)
-        return QSeries(self.ring, -self.lo, b, self.order - 2 * self.lo)
-
-    def truncate(self, order: int) -> "QSeries":
-        """View with a (weaker or equal) guarantee."""
-        if order > self.order:
-            raise StructuralError("cannot strengthen a truncation guarantee")
-        return QSeries(self.ring, self.lo, list(self.coeffs), order)
+        lo, order = -self.lo, self.order - 2 * self.lo
+        if self._im is None:
+            den, re = _inverse_ints(self._re, self._den, n)
+            return _series(self.ring, lo, den, re, None, order)
+        # a^-1 = conj(a) * (a * conj(a))^-1, and a * conj(a) has rational coefficients
+        conj = [-x for x in self._im]
+        norm, _ = _mul_parts(self._re, self._im, self._re, conj, n)
+        den, inv = _inverse_ints(norm, self._den * self._den, n)
+        re, im = _mul_parts(self._re, conj, inv, [], n)
+        return _series(self.ring, lo, self._den * den, re, im, order)
 
     def same_to(self, other, upto: int | None = None) -> bool:
         """Equality of coefficients below min(guarantees) (or below `upto`)."""
@@ -716,14 +705,17 @@ class QSeries:
                     f"comparison to s^{upto} requested but series only known below s^{hi}"
                 )
             hi = upto
-        base = self.ring.base
-        lo = min(self._lo_eff(), o._lo_eff())
-        for e in range(lo, hi):
-            a = self.coeffs[e - self.lo] if self.lo <= e < self.lo + len(self.coeffs) else base.zero()
-            b = o.coeffs[e - o.lo] if o.lo <= e < o.lo + len(o.coeffs) else base.zero()
-            if not (a == b):
-                return False
-        return True
+        lo = min(self.lo, o.lo)
+        return self._window(lo, hi, o._den) == o._window(lo, hi, self._den)
+
+    def _window(self, lo: int, hi: int, scale: int):
+        """Numerators times `scale` for exponents lo..hi-1, zero-padded."""
+        out = []
+        for part in (self._re,) if self._im is None else (self._re, self._im):
+            for e in range(lo, hi):
+                i = e - self.lo
+                out.append(part[i] * scale if 0 <= i < len(part) else 0)
+        return out
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -737,11 +729,8 @@ class QSeries:
         if self.is_zero():
             return f"O(s^{self.order})"
         parts = []
-        base = self.ring.base
-        for i, c in enumerate(self.coeffs):
-            if base.is_zero(c):
-                continue
-            e = self.lo + i
+        for e in self.support():
+            c = self._value(e - self.lo)
             if e == 0:
                 parts.append(f"({c})")
             elif e % 2 == 0:
@@ -749,6 +738,104 @@ class QSeries:
             else:
                 parts.append(f"({c})*q^({e}/2)")
         return " + ".join(parts) + f" + O(s^{self.order})"
+
+
+_ZERO = Fraction(0)
+
+
+def _parts(ring: SeriesRing, c):
+    """(real part, imaginary part) of a coefficient as Fractions."""
+    if isinstance(c, GaussianRational) and ring.gaussian:
+        return c.re, c.im
+    return as_fraction(c), _ZERO
+
+
+def _nonzero(re, im):
+    """A list whose entries are truthy exactly where re[i] + i*im[i] is nonzero."""
+    return re if im is None else [r or j for r, j in zip(re, im)]
+
+
+def _store(s: QSeries, ring, lo, den, re, im, order) -> QSeries:
+    """Fill `s` with the canonical form of the numerators re (+ i*im) over den > 0.
+
+    Leading zeros move `lo` up, coefficients at or past `order` and trailing
+    zeros are dropped, and numerators and denominator are divided by their gcd.
+    """
+    live = _nonzero(re, im)
+    start, stop = 0, len(live)
+    while start < stop and not live[start]:
+        start += 1
+    lo += start
+    stop = min(stop, start + order - lo)
+    while stop > start and not live[stop - 1]:
+        stop -= 1
+    if stop <= start:
+        lo, den, re, im = order, 1, [], None if im is None else []
+    else:
+        re = re[start:stop]
+        im = None if im is None else im[start:stop]
+        g = gcd(den, *re, *(im or ()))
+        if g > 1:
+            den //= g
+            re = [x // g for x in re]
+            im = None if im is None else [x // g for x in im]
+    s.ring, s.lo, s.order, s._den, s._re, s._im, s._coeffs = ring, lo, order, den, re, im, None
+    return s
+
+
+def _series(ring, lo, den, re, im, order) -> QSeries:
+    return _store(object.__new__(QSeries), ring, lo, den, re, im, order)
+
+
+def _conv(a, b, n):
+    """First n coefficients of the product of two integer coefficient lists."""
+    if len(a) > len(b):
+        a, b = b, a
+    la, lb = min(len(a), n), min(len(b), n)
+    if la == 1:
+        x = a[0]
+        return [x * y for y in b[:lb]]
+    out = [0] * min(n, la + lb - 1)
+    for i, x in enumerate(a[:la]):
+        if x:  # one row of the schoolbook product; zero rows are skipped
+            j = min(n, i + lb)
+            out[i:j] = map(add, out[i:j], map(mul, b, repeat(x, j - i)))
+    return out
+
+
+def _mul_parts(ar, ai, br, bi, n):
+    """(re, im) numerators of the product truncated to n terms; im is None over Q."""
+    if ai is None:
+        return _conv(ar, br, n), None
+    re = [x - y for x, y in zip_longest(_conv(ar, br, n), _conv(ai, bi, n), fillvalue=0)]
+    im = [x + y for x, y in zip_longest(_conv(ar, bi, n), _conv(ai, br, n), fillvalue=0)]
+    re += [0] * (len(im) - len(re))
+    im += [0] * (len(re) - len(im))
+    return re, im
+
+
+def _inverse_ints(a, den, n):
+    """(denominator, numerators) of the first n coefficients of 1/(sum a_j s^j / den).
+
+    With a0 = a[0], the integers C_0 = 1, C_m = -sum_j a_j a0^(j-1) C_(m-j)
+    give the inverse's coefficients den * C_m / a0^(m+1).
+    """
+    a0 = a[0]
+    w, p = [], 1
+    for aj in a[1:n]:
+        w.append(aj * p)
+        p *= a0
+    c = [1]
+    for m in range(1, n):
+        c.append(-sum(map(mul, w[:m], c[m - 1::-1])))
+    nums, p = [0] * n, den
+    for m in range(n - 1, -1, -1):
+        nums[m] = c[m] * p
+        p *= a0
+    d = a0 ** n
+    if d < 0:
+        return -d, [-x for x in nums]
+    return d, nums
 
 
 def geometric_series(ring: PolyRing, var: str):

@@ -231,3 +231,30 @@ def test_fabricated_spin_action_exits_3(tmp_path):
     r = run_cli("rigidity", "--action", f"file:{path}", "--lambda", "2,3", "--qorder", "3")
     assert r.returncode == 3
     assert json.loads(r.stdout)["code"] == "internal-inconsistency"
+
+
+def assert_validation_exit(r):
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "error" in json.loads(r.stdout)
+
+
+def test_non_integer_hypersurface_arguments_exit_2():
+    assert_validation_exit(run_cli("expand", "--manifold", "builtin:V(a,b)"))
+
+
+def test_missing_manifold_file_exits_2(tmp_path):
+    assert_validation_exit(run_cli("genus", "--manifold", f"file:{tmp_path / 'missing.json'}"))
+
+
+def test_missing_matrix_file_exits_2(tmp_path):
+    r = run_cli("obstruct", "--matrix-file", str(tmp_path / "missing.json"), "--p", "2")
+    assert_validation_exit(r)
+
+
+def test_action_component_not_an_object_exits_2(tmp_path):
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({"ambient": "builtin:HP2", "components": [["point"]]}))
+    r = run_cli("rigidity", "--action", f"file:{path}", "--lambda", "2,3")
+    assert_validation_exit(r)
+    assert json.loads(r.stdout)["code"] == "schema"

@@ -1,0 +1,48 @@
+"""Byte-identity of CLI output against the benchmark's recorded digests.
+
+`bench/golden.json` maps each benchmark job (a `genuslab` command line) to the
+exit code and stdout SHA-256 accepted as correct.  The cheap jobs -- every
+`expand` at q-order 16 and every `rigidity` at q-order 8 -- are replayed here
+in-process, so a change to any output byte fails tier-1 tests, not only the
+benchmark.  The file is only read.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from genuslab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+
+
+def cheap_jobs():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    return sorted(
+        (key, want["exit"], want["sha256"])
+        for key, want in golden.items()
+        if (key.startswith("expand ") and key.endswith(" --qorder 16"))
+        or (key.startswith("rigidity ") and key.endswith(" --qorder 8"))
+    )
+
+
+JOBS = cheap_jobs()
+
+
+def test_replay_covers_the_cheap_pool_jobs():
+    assert sum(key.startswith("expand ") for key, _, _ in JOBS) == 18
+    assert sum(key.startswith("rigidity ") for key, _, _ in JOBS) == 7
+
+
+@pytest.mark.parametrize("key,exit_code,sha256", JOBS, ids=[key for key, _, _ in JOBS])
+def test_output_matches_golden_digest(key, exit_code, sha256):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(key.split(" "))  # job keys are argv joined by single spaces
+    assert code == exit_code
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == sha256
