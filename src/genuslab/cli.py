@@ -87,32 +87,12 @@ def encode_series(series: QSeries) -> dict:
 
 
 def encode_poly(poly: TruncPoly) -> dict:
-    out = {}
-    for exps, c in sorted(poly.coeffs.items()):
-        mono = "*".join(
-            f"{v}^{e}" if e > 1 else v
-            for v, e in zip(poly.ring.variables, exps)
-            if e
-        ) or "1"
-        out[mono] = encode_value(c)
-    return out
+    return {mono or "1": encode_value(c) for mono, c in poly.terms()}
 
 
 def poly_text(poly: TruncPoly) -> str:
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for exps, c in sorted(poly.coeffs.items()):
-        mono = "*".join(
-            f"{v}^{e}" if e > 1 else v
-            for v, e in zip(poly.ring.variables, exps)
-            if e
-        )
-        if mono:
-            parts.append(mono if c == 1 else f"{c}*{mono}")
-        else:
-            parts.append(str(c))
-    return " + ".join(parts)
+    parts = [(mono if c == 1 else f"{c}*{mono}") if mono else str(c) for mono, c in poly.terms()]
+    return " + ".join(parts) or "0"
 
 
 def emit(payload: dict, fmt: str, out_path: str | None) -> None:

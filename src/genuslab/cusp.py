@@ -138,26 +138,17 @@ def normalized_phi(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QORDER
     """Index series divided by epsilon^{k/2} (squared identity for odd k)."""
     if model.dim_real % 4:
         raise StructuralError("normalization needs dim divisible by 4")
-    k = model.dim_real // 4
-    ix = index_series_at(model, cusp, qorder).series
-    expansion = generator_expansions(cusp, max(qorder, 2))
-    eps = expansion.epsilon_series
-    if eps.is_zero():
-        raise NotInvertibleError("epsilon series is zero to the computed order")
-    if k % 2 == 0:
-        series = ix * (eps ** (-(k // 2)) if k else eps ** 0)
-        return NormalizedPhi(series, 1, cusp, model.name)
-    series = (ix * ix) * eps ** (-k)
-    return NormalizedPhi(series, 2, cusp, model.name)
+    return normalized_from_index(index_series_at(model, cusp, qorder), cusp, qorder)
 
 
 def normalized_from_index(ix: IndexSeries, cusp: str, qorder: int = DEFAULT_QORDER) -> NormalizedPhi:
     """Normalize an already computed index series using its dimension tag."""
     k = ix.k
-    expansion = generator_expansions(cusp, max(qorder, 2))
-    eps = expansion.epsilon_series
+    eps = generator_expansions(cusp, max(qorder, 2)).epsilon_series
+    if eps.is_zero():
+        raise NotInvertibleError("epsilon series is zero to the computed order")
     if k % 2 == 0:
-        return NormalizedPhi(ix.series * eps ** (-(k // 2)) if k else ix.series * eps ** 0, 1, cusp, ix.manifold)
+        return NormalizedPhi(ix.series * eps ** (-(k // 2)), 1, cusp, ix.manifold)
     return NormalizedPhi((ix.series * ix.series) * eps ** (-k), 2, cusp, ix.manifold)
 
 

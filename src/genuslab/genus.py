@@ -22,9 +22,13 @@ and the two infinite loop-space words attach, per root pair and q-level n,
     A-hat-cusp word:              (1-q^n e^x)(1-q^n e^-x)  for odd n,
                                   its inverse               for even n.
 
-Virtual tangent data with trivial-rank correction delta is normalized by
-dividing the assembled product by the zero-root factor delta times; this is
-where stable bundle descriptions and actual bundles reconcile.
+`index_density` builds every density: over Q for single-bundle twists, over
+q-series for the words, whose per-level products come from `q_levels` (the
+localization N-factors reuse it with rotation weights).  `_tangent_product` is
+the one assembler composing a density, or Q, with each tangent root.  Virtual
+tangent data with trivial-rank correction delta is normalized there by dividing
+by the density's zero-root value delta times (Q(0) = 1); this is where stable
+bundle descriptions and actual bundles reconcile.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import InternalInconsistencyError, StructuralError
-from .manifolds import CHERN, PONTRYAGIN, ManifoldModel
+from .errors import InternalInconsistencyError, ResourceCapError, StructuralError
+from .manifolds import CHERN, ManifoldModel
 from .rings import QQ, CoefficientRing, as_fraction
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly
 
@@ -185,15 +189,14 @@ def genus_value(spec: GenusSpec, model: ManifoldModel):
         return spec.base_ring.zero() if isinstance(spec.delta, TruncPoly) else Fraction(0)
     if model.dim_real == 0:
         return GENERIC_RING.one() if isinstance(spec.delta, TruncPoly) else Fraction(1)
+    weight_cap = min(GENERIC_RING.caps[0], 2 * GENERIC_RING.caps[1])  # delta^k, epsilon^(k/2)
+    if isinstance(spec.delta, TruncPoly) and model.dim_real // 4 > weight_cap:
+        raise ResourceCapError(
+            f"the generic genus of {model.name} has weight {model.dim_real // 4}; the "
+            f"delta/epsilon ring holds weight <= {weight_cap} (real dimension <= {4 * weight_cap})"
+        )
     Q = char_series(spec, _density_limits(model))
-    Qv = even_part(Q)
-    ring = model.poly_ring(spec.base_ring)
-    total = ring.one()
-    for entry in model.tangent.entries:
-        form = entry.form_poly(ring)
-        factor = Q.compose(form) if entry.kind == CHERN else Qv.compose(form)
-        total = total * factor ** entry.mult
-    return model.integrate(total)
+    return model.integrate(_tangent_product(model, Q))
 
 
 def cp_generating_check(spec: GenusSpec, kmax: int) -> bool:
@@ -226,28 +229,44 @@ def _exp_x(ring: PolyRing, scale: Fraction) -> TruncPoly:
     scale = as_fraction(scale)
     coeffs = {}
     for j in range(cap + 1):
-        coeffs[(j,)] = _to_base(ring.base, scale ** j * Fraction(1, factorial(j)))
+        coeffs[(j,)] = ring.base.from_fraction(scale ** j * Fraction(1, factorial(j)))
     return TruncPoly(ring, coeffs)
 
 
-def _to_base(base: CoefficientRing, fr: Fraction):
-    return base.from_fraction(fr)
+def q_levels(ring: PolyRing, e_pos: TruncPoly, e_neg: TruncPoly, lw=1, lwi=1):
+    """Yield (n, plus, minus) for each q-level n with 2n below the series order.
+
+    plus = (1 + q^n lw e_pos)(1 + q^n lwi e_neg) and minus is the same with
+    minus signs; `ring` has q-series coefficients, and lw, lwi are the
+    rotation factors lambda^w, lambda^-w (1 for the plain loop words).
+    """
+    S = ring.base
+    one = ring.one()
+    n = 1
+    while 2 * n < S.order:
+        qp = ring.const(S.q_monomial(n, lw))
+        qm = ring.const(S.q_monomial(n, lwi))
+        plus = (one + qp * e_pos) * (one + qm * e_neg)
+        minus = (one - qp * e_pos) * (one - qm * e_neg)
+        yield n, plus, minus
+        n += 1
 
 
 _DENSITY_CACHE: dict = {}
 
 
-def index_density(kind: str, xmax: int, series_ring: SeriesRing) -> TruncPoly:
-    """Per-root-pair density as a univariate series in x over q-series.
+def index_density(kind: str, xmax: int, base) -> TruncPoly:
+    """Per-root-pair density as a univariate series in x over `base`.
 
-    kind: "signature-op" / "ahat-op" (no q-levels), "word-loop", "word-ahat-cusp".
+    kind: "signature-op" / "ahat-op" (no q-levels; any base, QQ for bundle
+    twists), "word-loop", "word-ahat-cusp" (base a SeriesRing).
     """
-    key = (kind, xmax, series_ring.base, series_ring.order)
+    key = (kind, xmax, base)
     hit = _DENSITY_CACHE.get(key)
     if hit is not None:
         return hit
     pad = xmax + 2  # headroom so divide-by-x keeps the top coefficients exact
-    X = PolyRing(("x",), (pad,), series_ring)
+    X = PolyRing(("x",), (pad,), base)
     one = X.one()
     e_pos = _exp_x(X, Fraction(1))
     e_neg = _exp_x(X, Fraction(-1))
@@ -262,18 +281,13 @@ def index_density(kind: str, xmax: int, series_ring: SeriesRing) -> TruncPoly:
     else:
         raise StructuralError(f"unknown density kind {kind!r}")
     if kind in ("word-loop", "word-ahat-cusp"):
-        n = 1
-        while 2 * n < series_ring.order:
-            qn = X.const(series_ring.q_monomial(n))
-            plus = (one + qn * e_pos) * (one + qn * e_neg)
-            minus = (one - qn * e_pos) * (one - qn * e_neg)
+        for n, plus, minus in q_levels(X, e_pos, e_neg):
             if kind == "word-loop":
                 dens = dens * plus * minus.inverse()
             elif n % 2 == 1:
                 dens = dens * minus
             else:
                 dens = dens * minus.inverse()
-            n += 1
     dens = _retruncate(dens, xmax if xmax % 2 == 0 else xmax + 1)
     _DENSITY_CACHE[key] = dens
     return dens
@@ -286,15 +300,14 @@ def _density_limits(model: ManifoldModel) -> int:
     return max(1, xc, 2 * vc)
 
 
-def word_factor_product(model: ManifoldModel, kind: str, series_ring: SeriesRing) -> TruncPoly:
-    """Product of per-entry density factors, trivial-rank corrected.
+def _tangent_product(model: ManifoldModel, dens: TruncPoly) -> TruncPoly:
+    """Product of `dens` over the tangent roots, trivial-rank corrected.
 
-    Returns a cohomology-ring polynomial with q-series coefficients.
+    Chern entries substitute their root into `dens`; Pontryagin entries know
+    only squared roots, so they substitute into `dens` rewritten in v = x^2.
     """
-    xmax = _density_limits(model)
-    dens = index_density(kind, xmax, series_ring)
+    ring = model.poly_ring(dens.ring.base)
     dens_v = None
-    ring = model.poly_ring(series_ring)
     total = ring.one()
     for entry in model.tangent.entries:
         form = entry.form_poly(ring)
@@ -307,9 +320,13 @@ def word_factor_product(model: ManifoldModel, kind: str, series_ring: SeriesRing
         total = total * factor ** entry.mult
     delta = model.tangent.delta
     if delta:
-        zero_factor = dens.constant_term()  # q-series value of the density at x = 0
-        total = total * (zero_factor ** (-delta))
+        total = total * (dens.constant_term() ** (-delta))  # the density at x = 0
     return total
+
+
+def word_factor_product(model: ManifoldModel, kind: str, base) -> TruncPoly:
+    """Tangent product of the `kind` density: a cohomology-ring polynomial over `base`."""
+    return _tangent_product(model, index_density(kind, _density_limits(model), base))
 
 
 # -- twisted indices -----------------------------------------------------------
@@ -344,34 +361,8 @@ def twisted_index(spec_name: str, model: ManifoldModel, word: TwistDescriptor, q
         paired = model.integrate(total)
         return IndexSeries(paired, f"{spec_name}:{word.kind}", k, model.name)
     # single-bundle twists: q-free, plain rational arithmetic
-    density_kind = _spec_density_kind(spec_name, word)
-    ring = model.poly_ring()
-    xmax = _density_limits(model)
-    pad = xmax + 2
-    X = PolyRing(("x",), (pad,), QQ)
-    one = X.one()
-    e_neg = _exp_x(X, Fraction(-1))
-    if density_kind == "signature-op":
-        dens = (one + e_neg) * _divide_by_var(one - e_neg, pad).inverse()
-    else:
-        diff = _exp_x(X, Fraction(1, 2)) - _exp_x(X, Fraction(-1, 2))
-        dens = _divide_by_var(diff, pad).inverse()
-    dens = _retruncate(dens, xmax if xmax % 2 == 0 else xmax + 1)
-    dens_v = None
-    total = ring.one()
-    for entry in model.tangent.entries:
-        form = entry.form_poly(ring)
-        if entry.kind == CHERN:
-            factor = dens.compose(form)
-        else:
-            if dens_v is None:
-                dens_v = even_part(dens)
-            factor = dens_v.compose(form)
-        total = total * factor ** entry.mult
-    if model.tangent.delta:
-        f0 = dens.constant_term()  # 2 for the signature density, 1 for A-hat
-        total = total * (QQ.invert(f0) ** model.tangent.delta)
-    ch = _bundle_character(model, word, ring)
+    total = word_factor_product(model, _spec_density_kind(spec_name, word), QQ)
+    ch = _bundle_character(model, word, total.ring)
     return model.integrate(total * ch)
 
 
@@ -467,18 +458,6 @@ def pole_order(ix: IndexSeries):
     if e is None:
         return None
     return Fraction(-e, 2)
-
-
-def leading_vanish_count(model: ManifoldModel, r: int, qorder: int | None = None) -> bool:
-    """True iff the coefficients of q^{-k/2+ j}, j = 0..r, all vanish."""
-    if qorder is None:
-        qorder = max(DEFAULT_QORDER, r + 1)
-    phi0 = phi0_series(model, qorder)
-    k = model.dim_real // 4
-    for j in range(r + 1):
-        if phi0.series.coefficient(-k + 2 * j) != 0:
-            return False
-    return True
 
 
 # -- hypersurface closed form ----------------------------------------------------

@@ -26,8 +26,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import StructuralError, ValidationError
-from .genus import DEFAULT_QORDER, loop_sign_series, word_factor_product
+from .errors import ValidationError
+from .genus import DEFAULT_QORDER, loop_sign_series, q_levels, word_factor_product
 from .manifolds import ManifoldModel, builtin, load_model
 from .rings import QI, QQ, GaussianRational, as_fraction
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly
@@ -121,40 +121,30 @@ def check_admissible(action: CircleActionData, lam) -> None:
 # -- local terms ----------------------------------------------------------------
 
 
-def _exp_of(form: TruncPoly) -> TruncPoly:
-    return form.exp()
+def normal_factor(ring: PolyRing, e_pos: TruncPoly, e_neg: TruncPoly, lam, weight: int) -> TruncPoly:
+    """N-factor of a normal summand with e^{+-y} = e_pos, e_neg and rotation weight at lam."""
+    lw = lam ** weight
+    lwi = lam ** (-weight)
+    if lw == ring.base.base.one():
+        raise ValidationError(f"sample inadmissible on weight {weight}", code="inadmissible")
+    one = ring.one()
+    factor = (one + e_neg * lwi) * (one - e_neg * lwi).inverse()
+    for _, plus, minus in q_levels(ring, e_pos, e_neg, lw, lwi):
+        factor = factor * plus * minus.inverse()
+    return factor
 
 
 def local_term(component: FixedComponent, lam, qorder: int = DEFAULT_QORDER) -> QSeries:
     """Equivariant local contribution of one fixed component at sample lam."""
     base = base_ring_for(lam)
     lam = base.from_fraction(lam)
-    sorder = 2 * qorder + 2
-    S = SeriesRing(base, sorder)
+    S = SeriesRing(base, 2 * qorder + 2)
     model = component.model
     ring = model.poly_ring(S)
     total = word_factor_product(model, "word-loop", S)
-    one = ring.one()
     for summand in component.normal:
-        lw = lam ** summand.weight
-        lwi = lam ** (-summand.weight)
-        if lw == base.one():
-            raise ValidationError(
-                f"sample inadmissible on weight {summand.weight}", code="inadmissible"
-            )
         y = ring.linear_form(summand.chern)
-        e_pos = _exp_of(y)
-        e_neg = _exp_of(-y)
-        factor = (one + e_neg * lwi) * (one - e_neg * lwi).inverse()
-        n = 1
-        while 2 * n < sorder:
-            qn_pos = ring.const(S.q_monomial(n, lw))
-            qn_neg = ring.const(S.q_monomial(n, lwi))
-            numer = (one + qn_pos * e_pos) * (one + qn_neg * e_neg)
-            denom = (one - qn_pos * e_pos) * (one - qn_neg * e_neg)
-            factor = factor * numer * denom.inverse()
-            n += 1
-        total = total * factor
+        total = total * normal_factor(ring, y.exp(), (-y).exp(), lam, summand.weight)
     return model.integrate(total)
 
 
@@ -255,26 +245,12 @@ def order4_local_identities(qorder: int = DEFAULT_QORDER) -> dict:
     """
     from .rings import I_UNIT
 
-    sorder = 2 * qorder + 2
-    S = SeriesRing(QI, sorder)
+    S = SeriesRing(QI, 2 * qorder + 2)
     Y = PolyRing(("y",), (3,), S)
     one = Y.one()
     y = Y.gen("y")
     e_pos, e_neg = y.exp(), (-y).exp()
-
-    def n_factor(ep, em, w):
-        lw, lwi = I_UNIT ** w, I_UNIT ** (-w)
-        f = (one + em * lwi) * (one - em * lwi).inverse()
-        n = 1
-        while 2 * n < sorder:
-            qp = Y.const(S.q_monomial(n, lw))
-            qm = Y.const(S.q_monomial(n, lwi))
-            f = f * (one + qp * ep) * (one + qm * em)
-            f = f * ((one - qp * ep) * (one - qm * em)).inverse()
-            n += 1
-        return f
-
-    pair_product = n_factor(e_pos, e_neg, 1) * n_factor(e_neg, e_pos, 1)
+    pair_product = normal_factor(Y, e_pos, e_neg, I_UNIT, 1) * normal_factor(Y, e_neg, e_pos, I_UNIT, 1)
     pair_is_minus_one = pair_product == -one
 
     point = FixedComponent(builtin("pt"), tuple(NormalSummand({}, 1) for _ in range(4)))

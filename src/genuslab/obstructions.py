@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .errors import ResourceCapError, StructuralError, ValidationError
@@ -161,20 +162,32 @@ def cross_check_prediction(model, action, order: int, qorder: int = DEFAULT_QORD
 def rfpd_check(table) -> bool:
     """Every pair of distinct components must satisfy dim F1 + dim F2 < dim X.
 
-    `table` is an iterable of (dim_X, [component dims]) pairs (or mappings with
-    keys "dim" and "components").
+    `table` is a list of (dim_X, [component dims]) pairs (or mappings with
+    keys "dim" and "components") of integers; anything else is a
+    ValidationError.
     """
+    if not isinstance(table, (list, tuple)):
+        raise ValidationError("fixdim table must be a list of entries", code="invalid")
+    restricted = True
     for entry in table:
-        if isinstance(entry, dict):
+        if isinstance(entry, dict) and {"dim", "components"} <= entry.keys():
             dim_x, dims = entry["dim"], entry["components"]
-        else:
+        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
             dim_x, dims = entry
-        dims = list(dims)
-        for i in range(len(dims)):
-            for j in range(i + 1, len(dims)):
-                if dims[i] + dims[j] >= dim_x:
-                    return False
-    return True
+        else:
+            dim_x, dims = None, None
+        if not (
+            isinstance(dim_x, int)
+            and isinstance(dims, (list, tuple))
+            and all(isinstance(d, int) for d in dims)
+        ):
+            raise ValidationError(
+                f"fixdim entry {entry!r} is not a (dim, [int, ...]) pair or dim/components mapping",
+                code="invalid",
+            )
+        # every entry is validated, even after a violating one
+        restricted = restricted and all(a + b < dim_x for a, b in combinations(dims, 2))
+    return restricted
 
 
 # -- lattice normal form ---------------------------------------------------------------

@@ -105,9 +105,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 

@@ -162,10 +162,6 @@ class TruncPoly:
             raise StructuralError(f"exponents {exps} exceed caps {self.ring.caps}")
         return self.coeffs.get(exps, self.ring.base.zero())
 
-    def coefficient_of(self, **symbol_exps):
-        exps = tuple(symbol_exps.get(v, 0) for v in self.ring.variables)
-        return self.coefficient(exps)
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
@@ -438,18 +434,15 @@ class TruncPoly:
             raise StructuralError("cannot evaluate the zero polynomial without a target ring")
         return result
 
+    def terms(self) -> list:
+        """(monomial text, coefficient) pairs in exponent order; "" is the constant monomial."""
+        return [
+            ("*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(self.ring.variables, exps) if e), c)
+            for exps, c in sorted(self.coeffs.items())
+        ]
+
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for exps, c in sorted(self.coeffs.items()):
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.ring.variables, exps)
-                if e
-            )
-            parts.append(f"({c})*{mono}" if mono else f"({c})")
-        return " + ".join(parts)
+        return " + ".join(f"({c})*{mono}" if mono else f"({c})" for mono, c in self.terms()) or "0"
 
 
 def _lift(target: PolyRing, coefficient):

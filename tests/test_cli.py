@@ -25,6 +25,24 @@ def test_genus_hp2_generic():
     assert payload["value"] == {"epsilon": "1"}
 
 
+def test_genus_cp8_generic_non_unit_coefficients():
+    r = run_cli("genus", "--manifold", "builtin:CP8", "--spec", "generic")
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    assert payload["value"] == {"epsilon^2": "3/8", "delta^2*epsilon": "-15/4", "delta^4": "35/8"}
+    assert payload["value_text"] == "3/8*epsilon^2 + -15/4*delta^2*epsilon + 35/8*delta^4"
+
+
+def test_generic_genus_above_the_ring_caps_exits_4():
+    # weight 13 needs delta^13, beyond the delta/epsilon caps (12, 6)
+    r = run_cli("genus", "--manifold", "builtin:CP26", "--spec", "generic")
+    assert r.returncode == 4
+    assert json.loads(r.stdout)["code"] == "resource-cap"
+    r = run_cli("genus", "--manifold", "builtin:CP24", "--spec", "generic")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["value"]["delta^12"] == "676039/1024"
+
+
 def test_genus_cp3_ahat_is_zero():
     r = run_cli("genus", "--manifold", "builtin:CP3", "--spec", "ahat")
     assert r.returncode == 0
@@ -120,6 +138,11 @@ def test_obstruct_fixdim():
     assert json.loads(r.stdout)["restricted"] is True
     r = run_cli("obstruct", "--fixdim", "[[8,[4,4]]]")
     assert json.loads(r.stdout)["restricted"] is False
+
+
+def test_malformed_fixdim_tables_exit_2():
+    for table in ("[1]", "5", '"x"', "[[4,2]]", '[[4,[2,"a"]]]', "[[4,[2,2],7]]", '[{"dim":4}]'):
+        assert_validation_exit(run_cli("obstruct", "--fixdim", table))
 
 
 def test_obstruct_matrix_file(tmp_path):

@@ -22,7 +22,6 @@ from genuslab.genus import (
     genus_value,
     hypersurface_index_closed,
     hypersurface_index_closed_form_value,
-    leading_vanish_count,
     loop_sign_series,
     phi0_series,
     pole_order,
@@ -146,6 +145,16 @@ def test_untwisted_indices_match_genus_values():
     assert twisted_index("ahat", builtin("CP2"), TRIVIAL) == Fraction(-1, 8)
     assert twisted_index("signature", builtin("HP2"), TRIVIAL) == 1
     assert twisted_index("ahat", builtin("V(4,4)"), TRIVIAL) == 0
+    # the bundle path divides by the density's zero-root value (2 for the
+    # signature density) delta times: delta = 1 on CPn, HPn and V(n,l), 2 on products
+    names = ("pt", "CP2", "CP4", "CP6", "CP8", "HP1", "HP2", "HP3", "HP4",
+             "V(2,2)", "V(2,3)", "V(4,3)", "V(4,4)", "V(6,2)",
+             "product(CP2,CP2)", "product(HP2,HP2)", "product(CP2,HP2)", "product(CP1,CP1)")
+    for name in names:
+        m = builtin(name)
+        assert m.dim_real % 4 == 0 and m.dim_real <= 16
+        for spec in ("signature", "ahat"):
+            assert twisted_index(spec, m, TRIVIAL) == genus_value(GenusSpec.named(spec), m), (name, spec)
 
 
 def test_loop_series_q0_is_signature():
@@ -288,8 +297,6 @@ def test_pole_order_hp2_and_vanish_counts():
     p = phi0_series(builtin("HP2"), 4)
     assert p.series.coefficient(-2) == 0      # A-hat(HP2) = 0
     assert p.series.coefficient(0) != 0       # tangent twist survives
-    assert leading_vanish_count(builtin("HP2"), 0)
-    assert not leading_vanish_count(builtin("HP2"), 1)
 
 
 def test_pole_order_zero_series_is_indeterminate():

@@ -2,9 +2,9 @@
 
 `bench/golden.json` maps each benchmark job (a `genuslab` command line) to the
 exit code and stdout SHA-256 accepted as correct.  The cheap jobs -- every
-`expand` at q-order 16 and every `rigidity` at q-order 8 -- are replayed here
-in-process, so a change to any output byte fails tier-1 tests, not only the
-benchmark.  The file is only read.
+`expand` at q-order 16, every `rigidity` at q-order 8 and `verify --suite all`
+at q-order 4 -- are replayed here in-process, so a change to any output byte
+fails tier-1 tests, not only the benchmark.  The file is only read.
 """
 
 import contextlib
@@ -28,6 +28,7 @@ def cheap_jobs():
         for key, want in golden.items()
         if (key.startswith("expand ") and key.endswith(" --qorder 16"))
         or (key.startswith("rigidity ") and key.endswith(" --qorder 8"))
+        or key == "verify --suite all --qorder 4"
     )
 
 
@@ -37,6 +38,7 @@ JOBS = cheap_jobs()
 def test_replay_covers_the_cheap_pool_jobs():
     assert sum(key.startswith("expand ") for key, _, _ in JOBS) == 18
     assert sum(key.startswith("rigidity ") for key, _, _ in JOBS) == 7
+    assert sum(key.startswith("verify ") for key, _, _ in JOBS) == 1
 
 
 @pytest.mark.parametrize("key,exit_code,sha256", JOBS, ids=[key for key, _, _ in JOBS])

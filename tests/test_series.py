@@ -169,9 +169,6 @@ def test_powhalf_elliptic_integrand():
         term = term * u
         oracle = oracle + term * binom
     assert p == oracle
-    assert p.coefficient_of(t=2, d=1) == 1
-    assert p.coefficient_of(t=4, d=2) == Fraction(3, 2)
-    assert p.coefficient_of(t=4, e=1) == Fraction(-1, 2)
 
 
 def test_powhalf_round_trips():
