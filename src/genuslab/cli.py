@@ -285,8 +285,8 @@ def cmd_obstruct(args) -> dict:
             weights = json.loads(args.weights)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"bad weights list: {exc}", code="invalid") from exc
-        if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
-            raise ValidationError("weights must be a JSON list of integers", code="invalid")
+        if not isinstance(weights, list) or not all(isinstance(w, int) and w != 0 for w in weights):
+            raise ValidationError("weights must be a JSON list of nonzero integers", code="invalid")
         if args.order is None:
             raise ValidationError("--order is required with --weights", code="invalid")
         m = m_invariant(weights, args.order)
@@ -300,6 +300,8 @@ def cmd_obstruct(args) -> dict:
         )
         return payload
     if args.codim is not None:
+        if args.codim < 0:
+            raise ValidationError("--codim must be >= 0", code="invalid")
         if args.order is None:
             payload.update(
                 {

@@ -106,7 +106,7 @@ def substituted_series(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QO
         {"delta": expansion.delta_series, "epsilon": expansion.epsilon_series}
     )
     if isinstance(result, (int, Fraction)):
-        result = ring.from_fraction(result)
+        result = ring.const(result)
     return result
 
 

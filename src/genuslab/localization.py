@@ -107,7 +107,7 @@ def base_ring_for(lam):
 def check_admissible(action: CircleActionData, lam) -> None:
     """No lambda^w may equal 1 for any occurring weight w."""
     base = base_ring_for(lam)
-    lam = base.from_fraction(lam) if not isinstance(lam, GaussianRational) else lam
+    lam = base.const(lam)
     one = base.one()
     if lam == one or base.is_zero(lam):
         raise ValidationError(f"sample {lam} is not admissible", code="inadmissible")
@@ -137,7 +137,7 @@ def normal_factor(ring: PolyRing, e_pos: TruncPoly, e_neg: TruncPoly, lam, weigh
 def local_term(component: FixedComponent, lam, qorder: int = DEFAULT_QORDER) -> QSeries:
     """Equivariant local contribution of one fixed component at sample lam."""
     base = base_ring_for(lam)
-    lam = base.from_fraction(lam)
+    lam = base.const(lam)
     S = SeriesRing(base, 2 * qorder + 2)
     model = component.model
     ring = model.poly_ring(S)
@@ -390,18 +390,6 @@ def hpn_diagonal_action(weights, name="") -> CircleActionData:
         ambient_spin=True,
         ambient_model=ambient,
         name=name or f"HP{n}_diagonal({','.join(map(str, weights))})",
-    ).validate()
-
-
-def trivial_action(model: ManifoldModel) -> CircleActionData:
-    """The trivial action: one fixed component, the manifold itself."""
-    return CircleActionData(
-        ambient_dim=model.dim_real,
-        components=(FixedComponent(model, ()),),
-        provenance=f"trivial action on {model.name}",
-        ambient_spin=model.spin,
-        ambient_model=model,
-        name=f"trivial({model.name})",
     ).validate()
 
 

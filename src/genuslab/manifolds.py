@@ -150,17 +150,6 @@ def total_chern_class(model: ManifoldModel) -> TruncPoly:
     return total
 
 
-def total_pontryagin_class(model: ManifoldModel) -> TruncPoly:
-    """prod (1 + squared root)^mult; for Chern entries the square of the form."""
-    ring = model.poly_ring()
-    total = ring.one()
-    for entry in model.tangent.entries:
-        form = entry.form_poly(ring)
-        sq = form * form if entry.kind == CHERN else form
-        total = total * (ring.one() + sq) ** entry.mult
-    return total
-
-
 def euler_characteristic(model: ManifoldModel) -> Fraction:
     """Top Chern number; requires Chern-style tangent data."""
     if model.dim_real == 0:

@@ -163,8 +163,8 @@ def rfpd_check(table) -> bool:
     """Every pair of distinct components must satisfy dim F1 + dim F2 < dim X.
 
     `table` is a list of (dim_X, [component dims]) pairs (or mappings with
-    keys "dim" and "components") of integers; anything else is a
-    ValidationError.
+    keys "dim" and "components") of integers with 0 <= dim F <= dim X;
+    anything else is a ValidationError.
     """
     if not isinstance(table, (list, tuple)):
         raise ValidationError("fixdim table must be a list of entries", code="invalid")
@@ -185,6 +185,10 @@ def rfpd_check(table) -> bool:
                 f"fixdim entry {entry!r} is not a (dim, [int, ...]) pair or dim/components mapping",
                 code="invalid",
             )
+        if dim_x < 0 or not all(0 <= d <= dim_x for d in dims):
+            raise ValidationError(
+                f"fixdim entry {entry!r} needs 0 <= component dim <= ambient dim", code="invalid"
+            )
         # every entry is validated, even after a violating one
         restricted = restricted and all(a + b < dim_x for a, b in combinations(dims, 2))
     return restricted
@@ -200,10 +204,6 @@ class NormalFormResult:
     transform: list           # integer row-transformation T with A' = (T A) permuted
     covering_degree: int      # |det T|, coprime to p
     ops: list = field(default_factory=list)  # op log; see audit_ops
-
-    def left_block(self):
-        r = len(self.matrix)
-        return [row[:r] for row in self.matrix]
 
     def to_dict(self) -> dict:
         return {

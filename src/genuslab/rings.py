@@ -1,16 +1,21 @@
-"""Exact scalars and coefficient-ring descriptors.
+"""Exact scalars and the two scalar fields.
 
 All arithmetic in the package is exact.  Scalars are `fractions.Fraction`
 (rationals) or `GaussianRational` (Q(i)); composite coefficients (truncated
-polynomials, q-series) are defined in `series`.  A `CoefficientRing` object
-describes how to construct and invert elements of one coefficient domain; the
-elements themselves are plain values combined with the usual operators.
+polynomials, q-series) are defined in `series`.
+
+A ring object (`QQ` and `QI` here, `PolyRing` and `SeriesRing` in `series`)
+is a small descriptor: `zero`, `one`, the one constant constructor `const`,
+`is_zero` and, where an algorithm needs it, `invert`.  The elements are plain
+values combined with the usual operators; no abstract base class ties the
+four descriptors together.
 
 The four rings used throughout are Q, Q(i), the bigraded polynomial ring
 Q[delta, epsilon] (a `PolyRing`) and truncated Laurent q-series over Q or
 Q(i) (a `SeriesRing`, which accepts no other base).  Q-series keep their
 coefficients as integer numerators over a common denominator and convert to
-these scalar types only at their boundary.
+these scalar types only at their boundary, where `contains` tells them which
+scalars a field accepts.
 """
 
 from __future__ import annotations
@@ -169,34 +174,9 @@ class GaussianRational:
 I_UNIT = GaussianRational(0, 1)
 
 
-class CoefficientRing:
-    """Construction/inversion protocol for one coefficient domain."""
+class RationalField:
+    """The field Q; its elements are Fractions (ints are accepted as input)."""
 
-    name = "ring"
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_fraction(self, a):
-        raise NotImplementedError
-
-    def is_zero(self, x) -> bool:
-        raise NotImplementedError
-
-    def invert(self, x):
-        raise NotImplementedError
-
-    def contains(self, x) -> bool:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return self.name
-
-
-class RationalField(CoefficientRing):
     name = "Q"
 
     def zero(self):
@@ -205,8 +185,8 @@ class RationalField(CoefficientRing):
     def one(self):
         return Fraction(1)
 
-    def from_fraction(self, a):
-        return as_fraction(a)
+    def const(self, c):
+        return as_fraction(c)
 
     def is_zero(self, x) -> bool:
         return x == 0
@@ -226,7 +206,9 @@ class RationalField(CoefficientRing):
         return hash("Q")
 
 
-class GaussianField(CoefficientRing):
+class GaussianField:
+    """The field Q(i); its elements are GaussianRationals."""
+
     name = "Q(i)"
 
     def zero(self):
@@ -235,16 +217,13 @@ class GaussianField(CoefficientRing):
     def one(self):
         return GaussianRational(1)
 
-    def from_fraction(self, a):
-        if isinstance(a, GaussianRational):
-            return a
-        return GaussianRational(as_fraction(a))
+    def const(self, c):
+        if isinstance(c, GaussianRational):
+            return c
+        return GaussianRational(as_fraction(c))
 
     def is_zero(self, x) -> bool:
         return not x
-
-    def invert(self, x):
-        return self.from_fraction(x).inverse()
 
     def contains(self, x) -> bool:
         return isinstance(x, (int, Fraction, GaussianRational))

@@ -1,11 +1,14 @@
 """Truncated polynomials and half-integer-graded Laurent q-series.
 
-Two generic containers over a `CoefficientRing`:
+Two containers, each described by a ring object (`PolyRing`, `SeriesRing`)
+whose `const` is the one way to make a constant:
 
-* `TruncPoly` — sparse multivariate polynomial with per-variable exponent
-  caps carried in the data.  A monomial whose exponent exceeds any cap is
-  discarded; mixing different (variables, caps, ring) triples is a hard
-  `StructuralError`, never a silent min.
+* `TruncPoly` — sparse multivariate polynomial over Q, Q(i), a `SeriesRing`
+  or another `PolyRing`, with per-variable exponent caps carried in the data.
+  A monomial whose exponent exceeds any cap is discarded.  Every operator
+  takes its operand through `TruncPoly._coerce`: scalars and elements of the
+  base ring become constants, and mixing different (variables, caps, ring)
+  triples is a hard `StructuralError`, never a silent min.
 
 * `QSeries` — truncated Laurent series in s, where s^2 = q, so half-integer
   q-exponents are integer s-exponents, with coefficients in Q or Q(i) (a
@@ -40,7 +43,6 @@ from operator import add, mul
 from .errors import NotInvertibleError, StructuralError
 from .rings import (
     QQ,
-    CoefficientRing,
     GaussianField,
     GaussianRational,
     RationalField,
@@ -49,7 +51,7 @@ from .rings import (
 )
 
 
-class PolyRing(CoefficientRing):
+class PolyRing:
     """Descriptor for TruncPoly values with fixed variables, caps and base ring."""
 
     def __init__(self, variables, caps, base=QQ):
@@ -84,11 +86,10 @@ class PolyRing(CoefficientRing):
         return TruncPoly(self, {(0,) * len(self.variables): self.base.one()})
 
     def const(self, c):
-        """Constant polynomial with an element of the base ring."""
+        """The constant polynomial `c`, an element of the base ring or a scalar it takes."""
+        if isinstance(c, (int, Fraction, GaussianRational)):
+            c = self.base.const(c)
         return TruncPoly(self, {(0,) * len(self.variables): c})
-
-    def from_fraction(self, a):
-        return self.const(self.base.from_fraction(a))
 
     def gen(self, symbol):
         """The generator `symbol` as a polynomial."""
@@ -112,9 +113,6 @@ class PolyRing(CoefficientRing):
 
     def invert(self, x):
         return x.inverse()
-
-    def contains(self, x) -> bool:
-        return isinstance(x, TruncPoly) and x.ring == self
 
 
 class TruncPoly:
@@ -143,11 +141,21 @@ class TruncPoly:
 
     # -- helpers -------------------------------------------------------
 
-    def _check(self, other: "TruncPoly"):
-        if self.ring != other.ring:
-            raise StructuralError(
-                f"incompatible polynomial rings {self.ring.name} vs {other.ring.name}"
-            )
+    def _coerce(self, other):
+        """`other` as a polynomial of this ring, or None when it is no ring value.
+
+        Scalars and elements of the base ring become constants; a polynomial
+        or q-series of any other ring is a StructuralError.
+        """
+        ring = self.ring
+        if isinstance(other, TruncPoly) and other.ring == ring:
+            return other
+        if isinstance(other, (TruncPoly, QSeries)):
+            if other.ring != ring.base:
+                raise StructuralError(f"incompatible rings {ring.name} vs {other.ring.name}")
+        elif not isinstance(other, (int, Fraction, GaussianRational)):
+            return None
+        return ring.const(other)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -165,14 +173,9 @@ class TruncPoly:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.from_fraction(other)
-        elif not (isinstance(other, TruncPoly) and other.ring == self.ring):
-            if _in_base(self.ring, other):
-                other = self.ring.const(other)
-        if not isinstance(other, TruncPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         base = self.ring.base
         out = dict(self.coeffs)
         for exps, c in other.coeffs.items():
@@ -190,12 +193,8 @@ class TruncPoly:
         return TruncPoly(self.ring, {e: -c for e, c in self.coeffs.items()}, _clean=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.from_fraction(other)
-        elif not (isinstance(other, TruncPoly) and other.ring == self.ring):
-            if _in_base(self.ring, other):
-                other = self.ring.const(other)
-        if not isinstance(other, TruncPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -203,36 +202,24 @@ class TruncPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, TruncPoly) and other.ring == self.ring:
-            caps = self.ring.caps
-            base = self.ring.base
-            out = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    exps = tuple(a + b for a, b in zip(e1, e2))
-                    if any(e > cap for e, cap in zip(exps, caps)):
-                        continue
-                    s = out.get(exps)
-                    p = c1 * c2
-                    s = p if s is None else s + p
-                    if base.is_zero(s):
-                        out.pop(exps, None)
-                    else:
-                        out[exps] = s
-            return TruncPoly(self.ring, out, _clean=True)
-        if isinstance(other, TruncPoly) and not _in_base(self.ring, other):
-            raise StructuralError(
-                f"incompatible polynomial rings {self.ring.name} vs {other.ring.name}"
-            )
-        # scalar: int/Fraction or a bare element of the base ring
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.base.from_fraction(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        caps = self.ring.caps
         base = self.ring.base
         out = {}
-        for e, c in self.coeffs.items():
-            p = c * other
-            if not base.is_zero(p):
-                out[e] = p
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                exps = tuple(a + b for a, b in zip(e1, e2))
+                if any(e > cap for e, cap in zip(exps, caps)):
+                    continue
+                s = out.get(exps)
+                p = c1 * c2
+                s = p if s is None else s + p
+                if base.is_zero(s):
+                    out.pop(exps, None)
+                else:
+                    out[exps] = s
         return TruncPoly(self.ring, out, _clean=True)
 
     __rmul__ = __mul__
@@ -252,11 +239,10 @@ class TruncPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.from_fraction(other)
-        if not isinstance(other, TruncPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.coeffs.items())))
@@ -299,16 +285,14 @@ class TruncPoly:
         if e.denominator == 1:
             return self ** int(e)
         c0 = self.constant_term()
-        scale = None
         if e.denominator == 2 and isinstance(c0, Fraction) and c0 != 1:
             root = rational_sqrt(c0)
             if root is None:
                 raise NotInvertibleError(
                     f"leading coefficient {c0} has no exact square root"
                 )
-            scale = root ** e.numerator
-            c0_inv = self.ring.base.invert(c0)
-            return (self * c0_inv).rational_pow(e) * scale
+            c0_inv = self.ring.base.invert(c0)  # first: root ** e.numerator divides by zero at c0 = 0
+            return (self * c0_inv).rational_pow(e) * root ** e.numerator
         if not (c0 == self.ring.base.one()):
             raise NotInvertibleError(
                 f"fractional power needs constant term 1, got {c0!r}"
@@ -373,7 +357,7 @@ class TruncPoly:
         out = target.zero()
         # Horner from the top coefficient down
         for c in reversed(self.univar_coeffs()):
-            out = out * value + _lift(target, c)
+            out = out * value + c
         return out
 
     def integrate(self) -> "TruncPoly":
@@ -445,22 +429,7 @@ class TruncPoly:
         return " + ".join(f"({c})*{mono}" if mono else f"({c})" for mono, c in self.terms()) or "0"
 
 
-def _lift(target: PolyRing, coefficient):
-    """Lift a coefficient into a polynomial ring as a constant."""
-    if isinstance(coefficient, (int, Fraction)):
-        return target.from_fraction(coefficient)
-    return target.const(coefficient)
-
-
-def _in_base(ring: PolyRing, value) -> bool:
-    """True when `value` is an element of the ring's coefficient domain."""
-    contains = getattr(ring.base, "contains", None)
-    if contains is not None:
-        return contains(value)
-    return False
-
-
-class SeriesRing(CoefficientRing):
+class SeriesRing:
     """Descriptor for QSeries coefficients over Q or Q(i).
 
     `order` is the default construction guarantee (first unknown s-exponent)
@@ -490,13 +459,11 @@ class SeriesRing(CoefficientRing):
         return QSeries(self, self.order, [], self.order)
 
     def one(self):
-        return self.from_fraction(1)
+        return self.const(1)
 
-    def from_fraction(self, a):
-        """The constant `a`: an int or Fraction, or over Q(i) a GaussianRational."""
-        return QSeries(self, 0, [a], self.order)
-
-    const = from_fraction
+    def const(self, c):
+        """The constant `c`: an int or Fraction, or over Q(i) a GaussianRational."""
+        return QSeries(self, 0, [c], self.order)
 
     def monomial(self, s_exp: int, c=1):
         """c * s^s_exp, known to the ring's default order past the exponent."""
@@ -505,21 +472,11 @@ class SeriesRing(CoefficientRing):
     def q_monomial(self, q_exp: int, c=1):
         return self.monomial(2 * q_exp, c)
 
-    def from_q_coeffs(self, coeffs, lo_q=0):
-        """Embed a q-power-series (integer q-exponents) via s^2 = q."""
-        spread = []
-        for c in coeffs:
-            spread += [c, 0]
-        return QSeries(self, 2 * lo_q, spread, self.order)
-
     def is_zero(self, x) -> bool:
         return x.is_zero()
 
     def invert(self, x):
         return x.inverse()
-
-    def contains(self, x) -> bool:
-        return isinstance(x, QSeries) and x.ring.base == self.base
 
 
 class QSeries:
@@ -829,8 +786,3 @@ def _inverse_ints(a, den, n):
     if d < 0:
         return -d, [-x for x in nums]
     return d, nums
-
-
-def geometric_series(ring: PolyRing, var: str):
-    """1/(1 - var) expanded to the cap."""
-    return (ring.one() - ring.gen(var)).inverse()

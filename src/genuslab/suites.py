@@ -96,13 +96,13 @@ def suite_normalization(qorder: int) -> list:
         )
     )
     n = normalized_phi(builtin("HP2"), SIGNATURE_CUSP, qorder)
-    ok = n.power == 1 and n.series.same_to(n.series.ring.from_fraction(1))
+    ok = n.power == 1 and n.series.same_to(n.series.ring.one())
     out.append(_check("hp2-normalized-is-one", ok, f"to q-order {qorder}"))
     n2 = normalized_phi(builtin("product(HP2,HP2)"), SIGNATURE_CUSP, max(2, qorder - 1))
     out.append(
         _check(
             "hp2xhp2-normalized-is-one",
-            n2.series.same_to(n2.series.ring.from_fraction(1)),
+            n2.series.same_to(n2.series.ring.one()),
             "normalized genus is multiplicative",
         )
     )

@@ -281,3 +281,24 @@ def test_action_component_not_an_object_exits_2(tmp_path):
     r = run_cli("rigidity", "--action", f"file:{path}", "--lambda", "2,3")
     assert_validation_exit(r)
     assert json.loads(r.stdout)["code"] == "schema"
+
+
+def test_out_of_range_fixdim_tables_exit_2():
+    # negative or oversized component dimensions and a negative ambient dimension
+    for table in ("[[4,[-3,-5]]]", "[[4,[9]]]", "[[-4,[]]]", '[{"dim":8,"components":[4,10]}]'):
+        assert_validation_exit(run_cli("obstruct", "--fixdim", table))
+    for table in ("[[8,[4,0]]]", "[[4,[0,4]]]"):  # the bounds themselves are allowed
+        assert run_cli("obstruct", "--fixdim", table).returncode == 0
+
+
+def test_non_geometric_obstruct_inputs_exit_2():
+    for args in (
+        ("--codim", "-8"),
+        ("--codim", "-2", "--order", "3"),
+        ("--weights", "[0,0]", "--order", "2"),
+        ("--weights", "[1,0,3]", "--order", "5"),
+    ):
+        r = run_cli("obstruct", *args)
+        assert_validation_exit(r)
+        assert json.loads(r.stdout)["code"] == "invalid"
+    assert run_cli("obstruct", "--codim", "0").returncode == 0

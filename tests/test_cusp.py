@@ -54,7 +54,7 @@ def test_signature_cusp_epsilon_is_constant_one():
     # so the Jacobian independence test is vacuous at this cusp; delta carries
     # all the q-dependence there.
     e = generator_expansions(SIGNATURE_CUSP, 4)
-    assert e.epsilon_series.same_to(e.epsilon_series.ring.from_fraction(1))
+    assert e.epsilon_series.same_to(e.epsilon_series.ring.const(1))
     assert e.delta_series.q_coefficient(1) == 32  # 2*sign(CP2, complexified tangent)
 
 
@@ -89,7 +89,7 @@ def test_substitution_respects_products():
 def test_normalized_phi_hp2_is_one():
     n = normalized_phi(builtin("HP2"), SIGNATURE_CUSP, 6)
     assert n.power == 1
-    assert n.series.same_to(n.series.ring.from_fraction(1))
+    assert n.series.same_to(n.series.ring.const(1))
     assert n.series.q_coefficient(0) == 1
     for e in n.series.support():
         assert e == 0
@@ -98,7 +98,7 @@ def test_normalized_phi_hp2_is_one():
 def test_normalized_phi_products_of_hp2():
     n = normalized_phi(builtin("product(HP2,HP2)"), SIGNATURE_CUSP, 5)
     assert n.power == 1
-    assert n.series.same_to(n.series.ring.from_fraction(1))
+    assert n.series.same_to(n.series.ring.const(1))
 
 
 def test_normalized_phi_point():

@@ -19,7 +19,6 @@ from genuslab.localization import (
     local_term,
     odd_action_forces_zero,
     rigidity_check,
-    trivial_action,
 )
 from genuslab.manifolds import builtin
 from genuslab.rings import GaussianRational, I_UNIT, QI
@@ -85,8 +84,7 @@ def test_hp2_sum_equals_loop_series():
 def test_trivial_action_is_loop_series():
     for name in ("CP2", "HP2"):
         m = builtin(name)
-        a = trivial_action(m)
-        s = equivariant_series(a, Fraction(7), 4)
+        s = local_term(FixedComponent(m, ()), Fraction(7), 4)
         assert s.same_to(loop_sign_series(m, 4).series)
 
 

@@ -14,7 +14,6 @@ from genuslab.manifolds import (
     first_chern_class,
     load_model,
     total_chern_class,
-    total_pontryagin_class,
 )
 
 
@@ -31,17 +30,6 @@ def test_hypersurface_total_chern_and_pairing():
     h = ring.gen("h")
     assert total_chern_class(m) == (1 + h) ** 6 * (1 + 4 * h).inverse()
     assert m.integrate(h ** 4) == 4  # <h^4, [V]> = degree
-
-
-def test_hp2_total_pontryagin():
-    m = builtin("HP2")
-    ring = m.poly_ring()
-    u = ring.gen("u")
-    assert total_pontryagin_class(m) == (1 + u) ** 6 * (1 + 4 * u).inverse()
-    # classical values p_1 = 2u, p_2 = 7u^2
-    p = total_pontryagin_class(m)
-    assert p.coefficient((1,)) == 2
-    assert p.coefficient((2,)) == 7
 
 
 def test_euler_characteristics():

@@ -164,13 +164,13 @@ def rref_over_q(rows):
 def test_normal_form_already_normal():
     res = lattice_normal_form([[1, 0, 1, 1], [0, 1, 1, 1]], 2)
     assert res.covering_degree == 1
-    assert res.left_block() == [[1, 0], [0, 1]]
+    assert [row[:2] for row in res.matrix] == [[1, 0], [0, 1]]
     assert res.column_order == [0, 1, 2, 3]
 
 
 def test_normal_form_example_with_permutation():
     res = lattice_normal_form([[2, 1, 0, 1], [1, 1, 1, 0]], 2)
-    lb = res.left_block()
+    lb = [row[:2] for row in res.matrix]
     assert lb[0][1] == 0 and lb[1][0] == 0
     assert lb[0][0] % 2 == 1 and lb[1][1] % 2 == 1
     assert gcd(res.covering_degree, 2) == 1

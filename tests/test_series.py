@@ -13,7 +13,7 @@ import pytest
 
 from genuslab.errors import NotInvertibleError, StructuralError
 from genuslab.rings import QQ, QI, GaussianRational, I_UNIT, rational_sqrt
-from genuslab.series import PolyRing, QSeries, SeriesRing, TruncPoly, geometric_series
+from genuslab.series import PolyRing, QSeries, SeriesRing, TruncPoly
 
 
 def poly1(cap, var="t", base=QQ):
@@ -107,7 +107,6 @@ def test_inverse_round_trip():
     t = R.gen("t")
     inv = (1 - t).inverse()
     assert inv == 1 + t + t ** 2 + t ** 3  # geometric series
-    assert inv == geometric_series(R, "t")
     R2 = poly1(2, "u")
     u = R2.gen("u")
     g = (1 + 4 * u).inverse()
@@ -117,8 +116,8 @@ def test_inverse_round_trip():
 
 def test_inverse_of_constant():
     R = poly1(2)
-    two = R.from_fraction(2)
-    assert two.inverse() == R.from_fraction(Fraction(1, 2))
+    two = R.const(2)
+    assert two.inverse() == R.const(Fraction(1, 2))
 
 
 def test_inverse_random_round_trip():
@@ -284,9 +283,15 @@ def series_ring(order=12, base=QQ):
     return SeriesRing(base, order)
 
 
+def q_series(S, q_coeffs, lo_q=0):
+    """A q-power series (integer q-exponents) embedded via s^2 = q."""
+    spread = [x for c in q_coeffs for x in (c, 0)]
+    return QSeries(S, 2 * lo_q, spread, S.order)
+
+
 def test_qseries_square():
     S = series_ring(8)
-    one_plus_q = S.from_q_coeffs([1, 1])
+    one_plus_q = q_series(S, [1, 1])
     sq = one_plus_q * one_plus_q
     assert sq.q_coefficient(0) == 1
     assert sq.q_coefficient(1) == 2
@@ -304,16 +309,16 @@ def test_qseries_embedding_commutes_with_multiplication():
             sum(a_q[i] * b_q[n - i] for i in range(max(0, n - 4), min(n, 4) + 1))
             for n in range(8)
         ]
-        a, b = S.from_q_coeffs(a_q), S.from_q_coeffs(b_q)
-        embedded = S.from_q_coeffs(prod_q)
+        a, b = q_series(S, a_q), q_series(S, b_q)
+        embedded = q_series(S, prod_q)
         assert (a * b).same_to(embedded)
 
 
 def test_qseries_laurent_shift_and_inverse():
     S = series_ring(10)
     # q^{-1} * (q + q^2) = 1 + q
-    f = S.from_q_coeffs([1, 1], lo_q=1)
-    assert f.shift(-2).same_to(S.from_q_coeffs([1, 1]))
+    f = q_series(S, [1, 1], lo_q=1)
+    assert f.shift(-2).same_to(q_series(S, [1, 1]))
     inv = f.inverse()
     assert (f * inv).q_coefficient(0) == 1
     assert (f * inv).same_to(S.one())
@@ -322,7 +327,7 @@ def test_qseries_laurent_shift_and_inverse():
 
 def test_qseries_guarantee_tracking():
     S = series_ring(6)
-    a = S.from_q_coeffs([1, 1])
+    a = q_series(S, [1, 1])
     with pytest.raises(StructuralError):
         a.coefficient(6)
     shifted = a.shift(4)  # knows exponents < 10
@@ -339,7 +344,7 @@ def test_qseries_inverse_random_round_trip():
         coeffs = [Fraction(rng.choice([1, -1, 2]))] + [
             Fraction(rng.randint(-4, 4)) for _ in range(5)
         ]
-        a = S.from_q_coeffs(coeffs)
+        a = q_series(S, coeffs)
         assert (a * a.inverse()).same_to(S.one())
 
 
@@ -370,4 +375,4 @@ def test_poly_over_series_ring():
     g = f.inverse()
     assert (f * g) == R.one()
     c0 = g.constant_term()  # 1/(1-q) as a q-series
-    assert c0.same_to(S.from_q_coeffs([1, 1, 1, 1]))
+    assert c0.same_to(q_series(S, [1, 1, 1, 1]))

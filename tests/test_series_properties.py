@@ -16,17 +16,27 @@ only, following the guarantees of the `series` module docstring:
 Each case builds series through the public constructor from lists that may
 carry leading and trailing zeros, may start at a negative exponent, and may
 be zero, over Q and over Q(i).
+
+`TruncPoly` is checked the same way against {exponent vector: Fraction}
+dicts: monomials past a cap are dropped after the full product, powers are
+repeated products, and the inverse solves a * b = 1 monomial by monomial in
+lexicographic order (a recurrence, where `TruncPoly.inverse` sums a
+geometric series).  Operands of every coercible kind (int, Fraction, a
+polynomial of the base ring) must act as constants, and a polynomial or
+q-series of any other ring must raise StructuralError.
 """
 
+import operator
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genuslab.errors import StructuralError
+from genuslab.errors import NotInvertibleError, StructuralError
 from genuslab.rings import QI, QQ, GaussianRational
-from genuslab.series import PolyRing, QSeries, SeriesRing
+from genuslab.series import PolyRing, QSeries, SeriesRing, TruncPoly
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -200,3 +210,148 @@ def test_series_ring_base_must_be_q_or_gaussian():
         SeriesRing(PolyRing(("t",), (2,), QQ), 4)
     with pytest.raises(StructuralError):
         SeriesRing(SeriesRing(QQ, 4), 4)
+
+
+# -- TruncPoly -------------------------------------------------------------------
+
+
+def capped(terms, caps):
+    """The oracle's normal form: no zero coefficient, no monomial past a cap."""
+    return {e: c for e, c in terms.items() if c != 0 and all(x <= k for x, k in zip(e, caps))}
+
+
+def dense_add(a, b, caps):
+    return capped({e: a.get(e, 0) + b.get(e, 0) for e in set(a) | set(b)}, caps)
+
+
+def dense_mul(a, b, caps):
+    out = {}
+    for e, x in a.items():
+        for f, y in b.items():
+            g = tuple(map(operator.add, e, f))
+            out[g] = out.get(g, 0) + x * y
+    return capped(out, caps)
+
+
+def dense_pow(a, n, caps):
+    out = capped({(0,) * len(caps): Fraction(1)}, caps)
+    for _ in range(n):
+        out = dense_mul(out, a, caps)
+    return out
+
+
+def dense_inverse(a, caps):
+    """Solve a * b = 1: each b(m) from a(0) and the b(k) with k < m componentwise."""
+    zero = (0,) * len(caps)
+    b = {}
+    for m in sorted(product(*(range(k + 1) for k in caps))):
+        acc = Fraction(m == zero)
+        for k, y in b.items():
+            d = tuple(map(operator.sub, m, k))
+            if min(d) >= 0:
+                acc -= a.get(d, 0) * y
+        b[m] = acc / a[zero]
+    return capped(b, caps)
+
+
+FRACTION = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+
+
+@st.composite
+def poly_cases(draw):
+    """Two polynomials over Q[x, y] with small caps, from dicts that reach past the caps."""
+    caps = (draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+    ring = PolyRing(("x", "y"), caps, QQ)
+    monomial = st.tuples(st.integers(0, caps[0] + 2), st.integers(0, caps[1] + 2))
+    pairs = []
+    for _ in range(2):
+        terms = draw(st.dictionaries(monomial, FRACTION, max_size=6))
+        pairs.append((TruncPoly(ring, terms), capped(terms, caps)))
+    return ring, pairs
+
+
+@PROPERTY
+@given(poly_cases())
+def test_poly_ring_operations_respect_the_caps(case):
+    ring, ((a, da), (b, db)) = case
+    caps = ring.caps
+    assert a.coeffs == da and b.coeffs == db
+    assert (a + b).coeffs == dense_add(da, db, caps)
+    assert (a - b).coeffs == dense_add(da, {e: -c for e, c in db.items()}, caps)
+    assert (-a).coeffs == {e: -c for e, c in da.items()}
+    assert (a * b).coeffs == dense_mul(da, db, caps)
+    assert (b * a).coeffs == dense_mul(da, db, caps)
+
+
+@PROPERTY
+@given(poly_cases(), st.integers(-3, 4))
+def test_poly_inverse_and_powers(case, n):
+    ring, ((a, da), _) = case
+    caps = ring.caps
+    if a.constant_term() == 0:
+        for op in (a.inverse, lambda: a ** -1, lambda: a.rational_pow(Fraction(-1, 2))):
+            with pytest.raises(NotInvertibleError):
+                op()
+        if n >= 0:
+            assert (a ** n).coeffs == dense_pow(da, n, caps)
+        return
+    inv = dense_inverse(da, caps)
+    assert a.inverse().coeffs == inv
+    assert (a ** n).coeffs == (dense_pow(da, n, caps) if n >= 0 else dense_pow(inv, -n, caps))
+    assert (a * a.inverse()).coeffs == capped({(0, 0): Fraction(1)}, caps)
+
+
+@PROPERTY
+@given(poly_cases(), st.integers(-4, 4), FRACTION)
+def test_poly_coerces_scalars_to_constants(case, n, c):
+    ring, ((a, da), _) = case
+    caps = ring.caps
+    neg = {e: -x for e, x in da.items()}
+    for v in (n, c):
+        k = capped({(0, 0): Fraction(v)}, caps)
+        assert (a + v).coeffs == (v + a).coeffs == dense_add(da, k, caps)
+        assert (a - v).coeffs == dense_add(da, {e: -x for e, x in k.items()}, caps)
+        assert (v - a).coeffs == dense_add(neg, k, caps)
+        assert (a * v).coeffs == (v * a).coeffs == dense_mul(da, k, caps)
+        assert (a == v) == (da == k)
+        assert ring.const(v).coeffs == k
+
+
+BASE_TERMS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), FRACTION, max_size=3)
+
+
+@PROPERTY
+@given(poly_cases(), st.lists(BASE_TERMS, min_size=1, max_size=4))
+def test_poly_over_a_poly_ring_coerces_base_elements(case, raw):
+    # a polynomial in t whose coefficients lie in Q[x, y]: elements of Q[x, y] act as constants
+    base, ((b, _), _) = case
+    ring = PolyRing(("t",), (len(raw) - 1,), base)
+    p = TruncPoly(ring, {(j,): TruncPoly(base, terms) for j, terms in enumerate(raw)})
+    coeffs = [p.coefficient((j,)) for j in range(len(raw))]
+    assert [(p + b).coefficient((j,)) for j in range(len(raw))] == [coeffs[0] + b] + coeffs[1:]
+    assert [(p - b).coefficient((j,)) for j in range(len(raw))] == [coeffs[0] - b] + coeffs[1:]
+    assert [(p * b).coefficient((j,)) for j in range(len(raw))] == [x * b for x in coeffs]
+    assert ring.const(b) == b
+    assert ring.const(3) == ring.const(base.const(3)) == 3
+
+
+@PROPERTY
+@given(poly_cases())
+def test_poly_rejects_foreign_rings(case):
+    ring, ((a, _), _) = case
+    foreign = [
+        PolyRing(("x", "y"), (ring.caps[0] + 1, ring.caps[1]), QQ).one(),  # other caps
+        PolyRing(("x", "z"), ring.caps, QQ).one(),  # other variables
+        PolyRing(("x", "y"), ring.caps, QI).one(),  # other base ring
+        SeriesRing(QQ, 4).one(),  # a q-series, not an element of Q
+        GaussianRational(0, 1),  # not an element of Q
+    ]
+    ops = (operator.add, operator.sub, operator.mul, operator.eq)
+    for f in foreign:
+        for op in ops:
+            with pytest.raises(StructuralError):
+                op(a, f)
+            with pytest.raises(StructuralError):
+                op(f, a)
+    with pytest.raises(TypeError):
+        a + "x"
