@@ -23,12 +23,16 @@ and the two infinite loop-space words attach, per root pair and q-level n,
                                   its inverse               for even n.
 
 `index_density` builds every density: over Q for single-bundle twists, over
-q-series for the words, whose per-level products come from `q_levels` (the
-localization N-factors reuse it with rotation weights).  `_tangent_product` is
-the one assembler composing a density, or Q, with each tangent root.  Virtual
-tangent data with trivial-rank correction delta is normalized there by dividing
-by the density's zero-root value delta times (Q(0) = 1); this is where stable
-bundle descriptions and actual bundles reconcile.
+q-series for the words.  The log of a word's level product is a divisor sum
+(Zagier 1988), sum_{k even} x^k/k! sum_N c(k, N) q^N, where c(k, N) sums
+4 m^(k-1) over odd m | N (loop word) or -2 eps(N/m) m^(k-1) over m | N
+(A-hat-cusp word; eps is +1 on odd and -1 on even numbers).  `divisor_sum_exp`
+takes its exp with no inverse, for the densities and the localization
+N-factors.  `_tangent_product` is the one assembler composing a density, or
+Q, with each tangent root.  Virtual tangent data with trivial-rank correction
+delta is normalized there by dividing by the density's zero-root value delta
+times (Q(0) = 1); this is where stable bundle descriptions and actual bundles
+reconcile.
 """
 
 from __future__ import annotations
@@ -222,31 +226,27 @@ def cp_generating_check(spec: GenusSpec, kmax: int) -> bool:
 
 def _exp_x(ring: PolyRing, scale: Fraction) -> TruncPoly:
     """e^{scale*x} as a univariate polynomial with constant coefficients."""
-    cap = ring.caps[0]
     scale = as_fraction(scale)
-    coeffs = {}
-    for j in range(cap + 1):
-        coeffs[(j,)] = ring.base.const(scale ** j * Fraction(1, factorial(j)))
-    return TruncPoly(ring, coeffs)
+    coeffs = (scale ** j / factorial(j) for j in range(ring.caps[0] + 1))
+    return TruncPoly(ring, {(j,): ring.base.const(c) for j, c in enumerate(coeffs)})
 
 
-def q_levels(ring: PolyRing, e_pos: TruncPoly, e_neg: TruncPoly, lw=1, lwi=1):
-    """Yield (n, plus, minus) for each q-level n with 2n below the series order.
+def divisor_sum_exp(X: PolyRing, c) -> TruncPoly:
+    """exp(sum_k x^k/k! sum_N c(k, N) q^N) in X = S[x], to the q-order of S.
 
-    plus = (1 + q^n lw e_pos)(1 + q^n lwi e_neg) and minus is the same with
-    minus signs; `ring` has q-series coefficients, and lw, lwi are the
-    rotation factors lambda^w, lambda^-w (1 for the plain loop words).
+    With G_k the x^k coefficient of the exponent, E_0 = exp(G_0) and
+    n E_n = sum_j j G_j E_(n-j) (the x-derivative), so no inverse is taken.
     """
-    S = ring.base
-    one = ring.one()
-    n = 1
-    while 2 * n < S.order:
-        qp = ring.const(S.q_monomial(n, lw))
-        qm = ring.const(S.q_monomial(n, lwi))
-        plus = (one + qp * e_pos) * (one + qm * e_neg)
-        minus = (one - qp * e_pos) * (one - qm * e_neg)
-        yield n, plus, minus
-        n += 1
+    S, cap = X.base, X.caps[0]
+    levels = range(1, (S.order + 1) // 2)  # q^N = s^(2N)
+    jG = [  # k G_k for k >= 1, and G_0 itself at k = 0
+        QSeries(S, 2, [x for N in levels for x in (c(k, N), 0)], S.order) * Fraction(max(k, 1), factorial(k))
+        for k in range(cap + 1)
+    ]
+    E = [jG[0].exp()]
+    for n in range(1, cap + 1):
+        E.append(sum((jG[j] * E[n - j] for j in range(1, n + 1)), S.zero()) * Fraction(1, n))
+    return TruncPoly(X, {(n,): e for n, e in enumerate(E)})
 
 
 _DENSITY_CACHE: dict = {}
@@ -264,28 +264,27 @@ def index_density(kind: str, xmax: int, base) -> TruncPoly:
         return hit
     pad = xmax + 2  # headroom so divide-by-x keeps the top coefficients exact
     X = PolyRing(("x",), (pad,), base)
-    one = X.one()
-    e_pos = _exp_x(X, Fraction(1))
     e_neg = _exp_x(X, Fraction(-1))
     if kind in ("signature-op", "word-loop"):
         # x(1+e^{-x})/(1-e^{-x}); the 1-e^{-x} zero is cancelled against x
-        w = _divide_by_var((one - e_neg), pad)
-        dens = (one + e_neg) * w.inverse()
+        dens = (1 + e_neg) * _divide_by_var(1 - e_neg, pad).inverse()
     elif kind in ("ahat-op", "word-ahat-cusp"):
         # x/(e^{x/2}-e^{-x/2})
         diff = _exp_x(X, Fraction(1, 2)) - _exp_x(X, Fraction(-1, 2))
         dens = _divide_by_var(diff, pad).inverse()
     else:
         raise StructuralError(f"unknown density kind {kind!r}")
-    if kind in ("word-loop", "word-ahat-cusp"):
-        for n, plus, minus in q_levels(X, e_pos, e_neg):
-            if kind == "word-loop":
-                dens = dens * plus * minus.inverse()
-            elif n % 2 == 1:
-                dens = dens * minus
-            else:
-                dens = dens * minus.inverse()
     dens = _retruncate(dens, xmax if xmax % 2 == 0 else xmax + 1)
+    if kind in _WORDS:  # times the exp of the divisor sums c(k, N) in the module docstring
+        loop = kind == "word-loop"
+        dens = dens * divisor_sum_exp(
+            dens.ring,
+            lambda k, N: 0 if k % 2 else sum(
+                Fraction((4 if loop else 2 * (-1) ** (N // m)) * m ** k, m)
+                for m in range(1, N + 1, 2 if loop else 1)
+                if N % m == 0
+            ),
+        )
     _DENSITY_CACHE[key] = dens
     return dens
 
@@ -417,11 +416,7 @@ def _cosh2(X: PolyRing) -> TruncPoly:
 
 def _strip_t(p: TruncPoly, power: int, target: PolyRing) -> TruncPoly:
     """Coefficient of t^power as a polynomial in the remaining variables."""
-    out = {}
-    for exps, c in p.coeffs.items():
-        if exps[-1] == power:
-            out[exps[:-1]] = c
-    return TruncPoly(target, out)
+    return TruncPoly(target, {exps[:-1]: c for exps, c in p.coeffs.items() if exps[-1] == power})
 
 
 # -- cusp expansion series ------------------------------------------------------

@@ -15,6 +15,14 @@ with the loop-space signature density as T-factor and, per normal summand
         * prod_n (1 + q^n lam^w e^y)(1 + q^n lam^-w e^-y)
                 / ((1 - q^n lam^w e^y)(1 - q^n lam^-w e^-y)).
 
+Since log((1 + a)/(1 - a)) sums 2 a^m / m over odd m, the level product is
+exp(sum_k y^k/k! sum_N c(k, N) q^N) with the divisor sum (Bott-Taubes 1989)
+
+    c(k, N) = sum over odd m | N of (2/m) (lam^(wm) m^k + lam^(-wm) (-m)^k);
+
+`normal_factor` builds N once per (q-order, y-cap, lam, w) as a series in y,
+and `local_term` composes it with each summand's Chern form.
+
 Sample points are admissible when no lam^w = 1 for an occurring weight w;
 constancy of a character over three exact off-circle samples certifies it
 everywhere, which is how rigidity is checked.
@@ -27,9 +35,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .genus import DEFAULT_QORDER, loop_sign_series, q_levels, word_factor_product
+from .genus import DEFAULT_QORDER, _exp_x, divisor_sum_exp, loop_sign_series, word_factor_product
 from .manifolds import ManifoldModel, builtin, load_model
-from .rings import QI, QQ, GaussianRational, as_fraction
+from .rings import I_UNIT, QI, QQ, GaussianRational, as_fraction
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly
 
 
@@ -121,17 +129,29 @@ def check_admissible(action: CircleActionData, lam) -> None:
 # -- local terms ----------------------------------------------------------------
 
 
-def normal_factor(ring: PolyRing, e_pos: TruncPoly, e_neg: TruncPoly, lam, weight: int) -> TruncPoly:
-    """N-factor of a normal summand with e^{+-y} = e_pos, e_neg and rotation weight at lam."""
-    lw = lam ** weight
-    lwi = lam ** (-weight)
-    if lw == ring.base.base.one():
-        raise ValidationError(f"sample inadmissible on weight {weight}", code="inadmissible")
-    one = ring.one()
-    factor = (one + e_neg * lwi) * (one - e_neg * lwi).inverse()
-    for _, plus, minus in q_levels(ring, e_pos, e_neg, lw, lwi):
-        factor = factor * plus * minus.inverse()
-    return factor
+_N_FACTOR_CACHE: dict = {}
+
+
+def normal_factor(S: SeriesRing, cap: int, lam, weight: int) -> TruncPoly:
+    """N-factor of a normal summand of weight `weight` at lam, as a series in y over S to y^cap."""
+    key = (S, cap, lam, weight)
+    if key not in _N_FACTOR_CACHE:
+        lw, lwi = lam ** weight, lam ** (-weight)
+        if lw == S.base.one():
+            raise ValidationError(f"sample inadmissible on weight {weight}", code="inadmissible")
+        sums, u, d = [], lw, lwi  # lam^(wm) + lam^(-wm) and lam^(wm) - lam^(-wm) at index m // 2, m odd
+        while len(sums) <= S.order // 4:
+            sums.append((u + d, u - d))
+            u, d = u * lw * lw, d * lwi * lwi
+
+        def c(k, N):  # the divisor sum of the module docstring
+            odd = (m for m in range(1, N + 1, 2) if N % m == 0)
+            return sum(Fraction(2 * m ** k, m) * sums[m // 2][k % 2] for m in odd)
+
+        Y = PolyRing(("y",), (cap,), S)
+        one, e_neg = Y.one(), _exp_x(Y, -1) * lwi
+        _N_FACTOR_CACHE[key] = (one + e_neg) * (one - e_neg).inverse() * divisor_sum_exp(Y, c)
+    return _N_FACTOR_CACHE[key]
 
 
 def local_term(component: FixedComponent, lam, qorder: int = DEFAULT_QORDER) -> QSeries:
@@ -144,7 +164,7 @@ def local_term(component: FixedComponent, lam, qorder: int = DEFAULT_QORDER) -> 
     total = word_factor_product(model, "word-loop", S)
     for summand in component.normal:
         y = ring.linear_form(summand.chern)
-        total = total * normal_factor(ring, y.exp(), (-y).exp(), lam, summand.weight)
+        total = total * normal_factor(S, sum(ring.caps), lam, summand.weight).compose(y)
     return model.integrate(total)
 
 
@@ -152,10 +172,7 @@ def equivariant_series(action: CircleActionData, lam, qorder: int = DEFAULT_QORD
     """Sum of the local terms over all fixed components."""
     check_admissible(action, lam)
     terms = [local_term(comp, lam, qorder) for comp in action.components]
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    return sum(terms[1:], terms[0])
 
 
 def _promote_to_gaussian(series: QSeries) -> QSeries:
@@ -243,15 +260,9 @@ def order4_local_identities(qorder: int = DEFAULT_QORDER) -> dict:
     * an isolated point with all weights +-1 in ambient dimension 4k
       contributes exactly (-1)^k, again with all q-levels cancelling.
     """
-    from .rings import I_UNIT
-
-    S = SeriesRing(QI, 2 * qorder + 2)
-    Y = PolyRing(("y",), (3,), S)
-    one = Y.one()
-    y = Y.gen("y")
-    e_pos, e_neg = y.exp(), (-y).exp()
-    pair_product = normal_factor(Y, e_pos, e_neg, I_UNIT, 1) * normal_factor(Y, e_neg, e_pos, I_UNIT, 1)
-    pair_is_minus_one = pair_product == -one
+    factor = normal_factor(SeriesRing(QI, 2 * qorder + 2), 3, I_UNIT, 1)
+    pair_product = factor * factor.compose(-factor.ring.gen("y"))  # the second root is -y
+    pair_is_minus_one = pair_product == -factor.ring.one()
 
     point = FixedComponent(builtin("pt"), tuple(NormalSummand({}, 1) for _ in range(4)))
     term = local_term(point, I_UNIT, qorder)
@@ -284,12 +295,8 @@ def euler_fixed_check(action: CircleActionData):
             total += m.euler
         else:
             flagged = True
-    expected = None
-    if action.ambient_model is not None:
-        expected = action.ambient_model.euler
-    if expected is None:
-        return None, True
-    if flagged:
+    expected = action.ambient_model.euler if action.ambient_model is not None else None
+    if expected is None or flagged:
         return None, True
     return total == expected, False
 

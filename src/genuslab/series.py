@@ -23,8 +23,9 @@ A `QSeries` stores Python-int numerators over one positive common
 denominator, in lowest terms: one numerator list over Q, a real and an
 imaginary list sharing the denominator over Q(i).  Sums bring both operands
 to the lcm of their denominators, products are truncated schoolbook
-convolutions of the integer lists (four of them over Q(i)), and inverses use
-an integer recurrence (over Q(i) through the rational series a * conj(a)).
+convolutions of the integer lists (four of them over Q(i)), inverses use an
+integer recurrence (over Q(i) through the rational series a * conj(a)), as
+does `exp` of a series with lo >= 1 (m f_m = sum_j j g_j f_(m-j)).
 `Fraction` and `GaussianRational` appear only at the boundary: constructors
 take them, and `coefficient`, `coeffs` and `repr` return them, canonical.
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat, zip_longest
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul
 
 from .errors import NotInvertibleError, StructuralError
@@ -142,7 +143,7 @@ class TruncPoly:
     # -- helpers -------------------------------------------------------
 
     def _coerce(self, other):
-        """`other` as a polynomial of this ring, or None when it is no ring value.
+        """`other` as a polynomial of this ring, or None: no ring value, or a polynomial over this ring.
 
         Scalars and elements of the base ring become constants; a polynomial
         or q-series of any other ring is a StructuralError.
@@ -150,6 +151,8 @@ class TruncPoly:
         ring = self.ring
         if isinstance(other, TruncPoly) and other.ring == ring:
             return other
+        if isinstance(other, TruncPoly) and other.ring.base == ring:
+            return None
         if isinstance(other, (TruncPoly, QSeries)):
             if other.ring != ring.base:
                 raise StructuralError(f"incompatible rings {ring.name} vs {other.ring.name}")
@@ -173,12 +176,12 @@ class TruncPoly:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        o = self._coerce(other)
+        if o is None:  # not a ring value, or a polynomial over this ring: its own operator runs
+            return other.__radd__(self) if isinstance(other, TruncPoly) else NotImplemented
         base = self.ring.base
         out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
+        for exps, c in o.coeffs.items():
             s = out.get(exps)
             s = c if s is None else s + c
             if base.is_zero(s):
@@ -193,23 +196,23 @@ class TruncPoly:
         return TruncPoly(self.ring, {e: -c for e, c in self.coeffs.items()}, _clean=True)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        o = self._coerce(other)
+        if o is None:
+            return other.__rsub__(self) if isinstance(other, TruncPoly) else NotImplemented
+        return self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return other.__rmul__(self) if isinstance(other, TruncPoly) else NotImplemented
         caps = self.ring.caps
         base = self.ring.base
         out = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+            for e2, c2 in o.coeffs.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 if any(e > cap for e, cap in zip(exps, caps)):
                     continue
@@ -245,6 +248,8 @@ class TruncPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if set(self.coeffs) <= {(0,) * len(self.ring.variables)}:
+            return hash(self.constant_term())  # a constant equals its coefficient
         return hash((self.ring, frozenset(self.coeffs.items())))
 
     def __bool__(self):
@@ -310,20 +315,6 @@ class TruncPoly:
             out = out + term * binom
         return out
 
-    def exp(self) -> "TruncPoly":
-        """exp of a polynomial with zero constant term (nilpotent under caps)."""
-        if not self.ring.base.is_zero(self.constant_term()):
-            raise StructuralError("exp needs a zero constant term")
-        out = self.ring.one()
-        term = self.ring.one()
-        bound = sum(self.ring.caps)
-        for j in range(1, bound + 1):
-            term = term * self
-            if term.is_zero():
-                break
-            out = out + term * Fraction(1, factorial(j))
-        return out
-
     # -- univariate operations ---------------------------------------------
 
     def _univar(self) -> str:
@@ -334,12 +325,8 @@ class TruncPoly:
     def univar_coeffs(self):
         """Dense coefficient list [c0, c1, ...] of a univariate polynomial."""
         self._univar()
-        cap = self.ring.caps[0]
         zero = self.ring.base.zero()
-        out = [zero] * (cap + 1)
-        for (e,), c in self.coeffs.items():
-            out[e] = c
-        return out
+        return [self.coeffs.get((e,), zero) for e in range(self.ring.caps[0] + 1)]
 
     def compose(self, value):
         """Substitute `value` (zero constant term) for the variable.
@@ -364,10 +351,7 @@ class TruncPoly:
         """Termwise antiderivative with zero constant; extends the cap by one."""
         var = self._univar()
         ring = PolyRing((var,), (self.ring.caps[0] + 1,), self.ring.base)
-        out = {}
-        for (e,), c in self.coeffs.items():
-            out[(e + 1,)] = c * Fraction(1, e + 1)
-        return TruncPoly(ring, out)
+        return TruncPoly(ring, {(e + 1,): c * Fraction(1, e + 1) for (e,), c in self.coeffs.items()})
 
     def reversion(self) -> "TruncPoly":
         """Compositional inverse of a series with g(0)=0, g'(0)=1.
@@ -464,13 +448,6 @@ class SeriesRing:
     def const(self, c):
         """The constant `c`: an int or Fraction, or over Q(i) a GaussianRational."""
         return QSeries(self, 0, [c], self.order)
-
-    def monomial(self, s_exp: int, c=1):
-        """c * s^s_exp, known to the ring's default order past the exponent."""
-        return QSeries(self, s_exp, [c], self.order + s_exp)
-
-    def q_monomial(self, q_exp: int, c=1):
-        return self.monomial(2 * q_exp, c)
 
     def is_zero(self, x) -> bool:
         return x.is_zero()
@@ -645,6 +622,14 @@ class QSeries:
         re, im = _mul_parts(self._re, conj, inv, [], n)
         return _series(self.ring, lo, self._den * den, re, im, order)
 
+    def exp(self) -> "QSeries":
+        """exp of a series with lo >= 1, known to the same order."""
+        if self.lo < 1:
+            raise StructuralError(f"exp needs a series with lo >= 1, got lo = {self.lo}")
+        pad = [0] * self.lo
+        den, re, im = _exp_ints(pad + self._re, self._im and pad + self._im, self._den, self.order)
+        return _series(self.ring, 0, den, re, im, self.order)
+
     def same_to(self, other, upto: int | None = None) -> bool:
         """Equality of coefficients below min(guarantees) (or below `upto`)."""
         o = self._coerce(other)
@@ -786,3 +771,34 @@ def _inverse_ints(a, den, n):
     if d < 0:
         return -d, [-x for x in nums]
     return d, nums
+
+
+def _exp_ints(re, im, den, n):
+    """(denominator, re, im) of the first n coefficients of exp(sum (re_j + i im_j) s^j / den).
+
+    re_0 = im_0 = 0, and im is None over Q.  m f_m = sum_j j g_j f_(m-j) is
+    solved with each f_m = (R_m + i I_m) / d_m in lowest terms: one common
+    denominator for all m would grow like m! den^m, far past the true
+    denominators when those of g_j grow with j (lam^(-wm) in the N-factors).
+    """
+    g = []  # j g_j = (x + i y) / b, from g_j in lowest terms
+    for j, x, y in zip(range(1, n), re[1:], (im or [0] * len(re))[1:]):
+        c = gcd(den, x, y)
+        g.append((j * x // c, j * y // c, den // c))
+    R, I, d = [1], [0], [1]
+    for m in range(1, n):
+        terms = [(x, y, b, m - j) for j, (x, y, b) in enumerate(g[:m], 1) if x or y]
+        L = lcm(*(b * d[k] for _, _, b, k in terms))
+        r = i = 0
+        for x, y, b, k in terms:
+            s = L // (b * d[k])
+            u, v = s * R[k], s * I[k]
+            r += x * u - y * v
+            i += x * v + y * u
+        c = gcd(m * L, r, i)
+        R.append(r // c)
+        I.append(i // c)
+        d.append(m * L // c)
+    D = lcm(*d)
+    re = [x * (D // e) for x, e in zip(R, d)]
+    return D, re, None if im is None else [x * (D // e) for x, e in zip(I, d)]

@@ -11,7 +11,6 @@ from genuslab.cusp import (
     index_series_at,
     normalized_phi,
     self_intersection_compare,
-    substituted_series,
     verify_modularity,
 )
 from genuslab.errors import StructuralError

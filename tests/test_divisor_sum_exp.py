@@ -1,0 +1,104 @@
+"""The divisor-sum exp builder against the q-level product it replaces.
+
+`index_density` (cusp words) and `localization.normal_factor` take the exp of
+a closed-form divisor sum.  The oracle here is the infinite product itself,
+one q-level at a time with one polynomial inverse per level, written only
+with the public ring operations and test-local exponentials.  Both sides must
+agree exactly: the same ring, the same monomials, and for every coefficient
+the same q-series values, `lo` and `order`.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+import pytest
+
+from genuslab.genus import index_density
+from genuslab.localization import normal_factor
+from genuslab.rings import I_UNIT, QI, QQ, GaussianRational
+from genuslab.series import PolyRing, QSeries, SeriesRing, TruncPoly
+
+
+def exp_poly(ring, scale):
+    """e^(scale * x) in a univariate ring, from its power series."""
+    scale = Fraction(scale)
+    return TruncPoly(ring, {(j,): ring.base.const(scale ** j / factorial(j)) for j in range(ring.caps[0] + 1)})
+
+
+def divide_by_x(p):
+    return TruncPoly(p.ring, {(e - 1,): c for (e,), c in p.coeffs.items() if e >= 1})
+
+
+def q_levels(ring, e_pos, e_neg, lw=1, lwi=1):
+    """(n, plus, minus) for each q-level n with 2n below the series order.
+
+    plus = (1 + q^n lw e_pos)(1 + q^n lwi e_neg), minus the same with minus signs.
+    """
+    S = ring.base
+    one = ring.one()
+    n = 1
+    while 2 * n < S.order:
+        qp = ring.const(QSeries(S, 2 * n, [lw], S.order + 2 * n))
+        qm = ring.const(QSeries(S, 2 * n, [lwi], S.order + 2 * n))
+        yield n, (one + qp * e_pos) * (one + qm * e_neg), (one - qp * e_pos) * (one - qm * e_neg)
+        n += 1
+
+
+def density_oracle(kind, xmax, S):
+    pad = xmax + 2
+    X = PolyRing(("x",), (pad,), S)
+    one = X.one()
+    e_pos, e_neg = exp_poly(X, 1), exp_poly(X, -1)
+    if kind == "word-loop":
+        dens = (one + e_neg) * divide_by_x(one - e_neg).inverse()
+    else:
+        dens = divide_by_x(exp_poly(X, Fraction(1, 2)) - exp_poly(X, Fraction(-1, 2))).inverse()
+    for n, plus, minus in q_levels(X, e_pos, e_neg):
+        if kind == "word-loop":
+            dens = dens * plus * minus.inverse()
+        elif n % 2:
+            dens = dens * minus
+        else:
+            dens = dens * minus.inverse()
+    cap = xmax + xmax % 2
+    return TruncPoly(PolyRing(("x",), (cap,), S), {e: c for e, c in dens.coeffs.items() if e[0] <= cap})
+
+
+def n_factor_oracle(S, cap, lam, w):
+    Y = PolyRing(("y",), (cap,), S)
+    one = Y.one()
+    e_pos, e_neg = exp_poly(Y, 1), exp_poly(Y, -1)
+    lw, lwi = lam ** w, lam ** (-w)
+    factor = (one + e_neg * lwi) * (one - e_neg * lwi).inverse()
+    for _, plus, minus in q_levels(Y, e_pos, e_neg, lw, lwi):
+        factor = factor * plus * minus.inverse()
+    return factor
+
+
+def exactly(p):
+    """Ring and every coefficient's (lo, order, values)."""
+    return p.ring, {e: (c.lo, c.order, c.coeffs) for e, c in p.coeffs.items()}
+
+
+@pytest.mark.parametrize("qorder", [1, 4, 9])
+@pytest.mark.parametrize("xmax", [2, 8, 16])
+@pytest.mark.parametrize("kind", ["word-loop", "word-ahat-cusp"])
+def test_word_density_is_the_level_product(kind, xmax, qorder):
+    S = SeriesRing(QQ, 2 * qorder + 2)
+    assert exactly(index_density(kind, xmax, S)) == exactly(density_oracle(kind, xmax, S))
+
+
+@pytest.mark.parametrize("cap", [0, 3])
+@pytest.mark.parametrize("w", [1, -2, 3])
+@pytest.mark.parametrize(
+    "lam", [Fraction(2), Fraction(-1, 3), I_UNIT, GaussianRational(1, 1)], ids=["2", "-1/3", "i", "1+i"]
+)
+def test_normal_factor_is_the_level_product(lam, w, cap):
+    S = SeriesRing(QI if isinstance(lam, GaussianRational) else QQ, 12)
+    assert exactly(normal_factor(S, cap, lam, w)) == exactly(n_factor_oracle(S, cap, lam, w))
+
+
+def test_normal_factor_is_cached_per_ring_cap_sample_and_weight():
+    S = SeriesRing(QQ, 10)
+    assert normal_factor(S, 2, Fraction(3), 1) is normal_factor(SeriesRing(QQ, 10), 2, Fraction(3), 1)
+    assert normal_factor(S, 2, Fraction(3), 1) is not normal_factor(S, 2, Fraction(3), -1)

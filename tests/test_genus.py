@@ -1,6 +1,5 @@
 """Genus engine: logarithm, characteristic series, twisted words, closed forms."""
 
-import random
 from fractions import Fraction
 from math import comb
 
@@ -28,7 +27,7 @@ from genuslab.genus import (
     raw_ahat_series,
     twisted_index,
 )
-from genuslab.manifolds import builtin, euler_characteristic
+from genuslab.manifolds import builtin
 
 D = GENERIC_RING.gen("delta")
 E = GENERIC_RING.gen("epsilon")

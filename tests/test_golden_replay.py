@@ -1,10 +1,9 @@
 """Byte-identity of CLI output against the benchmark's recorded digests.
 
 `bench/golden.json` maps each benchmark job (a `genuslab` command line) to the
-exit code and stdout SHA-256 accepted as correct.  The cheap jobs -- every
-`expand` at q-order 16, every `rigidity` at q-order 8 and `verify --suite all`
-at q-order 4 -- are replayed here in-process, so a change to any output byte
-fails tier-1 tests, not only the benchmark.  The file is only read.
+exit code and stdout SHA-256 accepted as correct.  Every job of the three
+pools is replayed here in-process, so a change to any output byte fails
+tier-1 tests, not only the benchmark.  The file is only read.
 """
 
 import contextlib
@@ -20,25 +19,20 @@ from genuslab.cli import main
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
 
-def cheap_jobs():
+def pool_jobs():
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
-    return sorted(
-        (key, want["exit"], want["sha256"])
-        for key, want in golden.items()
-        if (key.startswith("expand ") and key.endswith(" --qorder 16"))
-        or (key.startswith("rigidity ") and key.endswith(" --qorder 8"))
-        or key == "verify --suite all --qorder 4"
-    )
+    return sorted((key, want["exit"], want["sha256"]) for key, want in golden.items())
 
 
-JOBS = cheap_jobs()
+JOBS = pool_jobs()
 
 
-def test_replay_covers_the_cheap_pool_jobs():
-    assert sum(key.startswith("expand ") for key, _, _ in JOBS) == 18
-    assert sum(key.startswith("rigidity ") for key, _, _ in JOBS) == 7
-    assert sum(key.startswith("verify ") for key, _, _ in JOBS) == 1
+def test_replay_covers_every_pool_job():
+    assert sum(key.startswith("expand ") for key, _, _ in JOBS) == 36
+    assert sum(key.startswith("rigidity ") for key, _, _ in JOBS) == 14
+    assert sum(key.startswith("verify ") for key, _, _ in JOBS) == 5
+    assert len(JOBS) == 55
 
 
 @pytest.mark.parametrize("key,exit_code,sha256", JOBS, ids=[key for key, _, _ in JOBS])

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from genuslab.errors import ResourceCapError, StructuralError, ValidationError
+from genuslab.errors import ResourceCapError, ValidationError
 from genuslab.localization import builtin_action
 from genuslab.manifolds import builtin
 from genuslab.obstructions import (
