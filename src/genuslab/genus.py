@@ -6,9 +6,14 @@ The genus is determined by its logarithm
 
 with the signature at (delta, epsilon) = (1, 1) and the A-hat genus at
 (-1/8, 0); the generic case keeps delta, epsilon as polynomial generators of
-weight 2 and 4.  The characteristic series is Q(x) = x / g^{-1}(x), an even
-series, so Pontryagin-style root data (which only knows squared roots) is
-served by rewriting Q in v = x^2.
+weight 2 and 4.  The characteristic series is Q(x) = x / f(x) with f = g^{-1}.
+From f'^2 = 1 - 2*delta*f^2 + epsilon*f^4, differentiating gives
+
+    f'' = -2*delta*f + 2*epsilon*f^3,    f(0) = 0, f'(0) = 1,
+
+so f = u + sum a_n u^n with (n+2)(n+1) a_(n+2) = -2*delta*a_n + 2*epsilon*[u^n] f^3.
+Q is even, so Pontryagin-style root data (which only knows squared roots)
+is served by rewriting Q in v = x^2.
 
 Twisted indices are Kronecker pairings < density(roots) * ch(word), [M] >.
 Index densities per root pair +-x:
@@ -77,10 +82,6 @@ class GenusSpec:
         return cls(Fraction(-1, 8), Fraction(0), "ahat")
 
     @classmethod
-    def custom(cls, delta, epsilon) -> "GenusSpec":
-        return cls(as_fraction(delta), as_fraction(epsilon), "custom")
-
-    @classmethod
     def named(cls, name: str) -> "GenusSpec":
         try:
             return {"generic": cls.generic, "signature": cls.signature, "ahat": cls.ahat}[name]()
@@ -97,9 +98,6 @@ class TwistDescriptor:
     """A twisting word: one of the two infinite cusp words or a single bundle."""
 
     kind: str
-
-    def __str__(self):
-        return self.kind
 
 
 PHI0_WORD = TwistDescriptor("word-ahat-cusp")
@@ -123,31 +121,20 @@ class IndexSeries:
     manifold: str = ""
 
 
-# -- logarithm and characteristic series -------------------------------------
-
-
-def genus_log(spec: GenusSpec, order: int) -> TruncPoly:
-    """g(u) to u-order `order` (odd series; g'(u) = integrand below)."""
-    if order < 1:
-        raise StructuralError("order must be >= 1")
-    integrand = _integrand(spec, order - 1)
-    return integrand.integrate()
-
-
-def _integrand(spec: GenusSpec, cap: int) -> TruncPoly:
-    """(1 - 2*delta*u^2 + epsilon*u^4)^(-1/2) to u-order `cap`."""
-    ring = PolyRing(("u",), (cap,), spec.base_ring)
-    u = ring.gen("u")
-    inner = ring.one() - (u * u) * (2 * spec.delta) + (u ** 4) * spec.epsilon
-    return inner.rational_pow(Fraction(-1, 2))
+# -- characteristic series ------------------------------------------------------
 
 
 def char_series(spec: GenusSpec, order: int) -> TruncPoly:
-    """Q(x) = x / g^{-1}(x) to x-order `order`; even in x."""
-    g = genus_log(spec, order + 1)
-    r = g.reversion()
-    v = _divide_by_var(r, order)  # r(x)/x, a unit series
-    return v.inverse()
+    """Q(x) = x / f(x) to x-order `order`; even in x.
+
+    f = g^{-1} comes from the recurrence in the module docstring, odd n < order.
+    """
+    ring = PolyRing(("u",), (order + 1,), spec.base_ring)
+    f = ring.gen("u")
+    for n in range(1, order, 2):
+        rhs = (f * f * f).coefficient((n,)) * (2 * spec.epsilon) - f.coefficient((n,)) * (2 * spec.delta)
+        f = f + TruncPoly(ring, {(n + 2,): rhs * Fraction(1, (n + 1) * (n + 2))})
+    return _divide_by_var(f, order).inverse()
 
 
 def even_part(p: TruncPoly, var: str = "v") -> TruncPoly:
@@ -203,20 +190,32 @@ def genus_value(spec: GenusSpec, model: ManifoldModel):
     return model.integrate(_tangent_product(model, Q))
 
 
+def legendre_coefficient(spec: GenusSpec, k: int):
+    """The t^{2k} coefficient of (1 - 2 delta t^2 + epsilon t^4)^(-1/2).
+
+    It is epsilon^(k/2) P_k(delta / sqrt(epsilon)) for the Legendre polynomial
+    P_k: the sum over j <= k/2 of
+    (-1)^j (2k-2j)! / (2^k j! (k-j)! (k-2j)!) delta^(k-2j) epsilon^j.
+    """
+    return sum(
+        (
+            spec.delta ** (k - 2 * j) * spec.epsilon ** j * Fraction(
+                (-1) ** j * factorial(2 * k - 2 * j),
+                2 ** k * factorial(j) * factorial(k - j) * factorial(k - 2 * j),
+            )
+            for j in range(k // 2 + 1)
+        ),
+        spec.base_ring.zero(),
+    )
+
+
 def cp_generating_check(spec: GenusSpec, kmax: int) -> bool:
     """Genus of CP^{2k} against the t^{2k} coefficient of the defining series."""
     from .manifolds import builtin
 
-    cap = 2 * kmax
-    ring = PolyRing(("t",), (cap,), spec.base_ring)
-    t = ring.gen("t")
-    gen_fn = (ring.one() - (t * t) * (2 * spec.delta) + (t ** 4) * spec.epsilon).rational_pow(
-        Fraction(-1, 2)
-    )
     for k in range(0, kmax + 1):
         model = builtin("pt") if k == 0 else builtin(f"CP{2 * k}")
-        expected = gen_fn.coefficient((2 * k,))
-        if genus_value(spec, model) != expected:
+        if genus_value(spec, model) != legendre_coefficient(spec, k):
             return False
     return True
 

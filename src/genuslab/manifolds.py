@@ -103,11 +103,6 @@ class ManifoldModel:
     orientation_note: str = ""
     euler: Fraction | None = field(default=None, compare=False)
 
-    @property
-    def k(self) -> int:
-        """dim = 4k when the dimension is divisible by four, else 0."""
-        return self.dim_real // 4 if self.dim_real % 4 == 0 else 0
-
     def poly_ring(self, base=QQ) -> PolyRing:
         return self.cohomology.poly_ring(base)
 
@@ -152,19 +147,7 @@ def total_chern_class(model: ManifoldModel) -> TruncPoly:
 
 def euler_characteristic(model: ManifoldModel) -> Fraction:
     """Top Chern number; requires Chern-style tangent data."""
-    if model.dim_real == 0:
-        return Fraction(1)
-    c = total_chern_class(model)
-    ring = model.poly_ring()
-    top = ring.zero()
-    half = model.dim_real // 2
-    for exps, coeff in c.coeffs.items():
-        degree = sum(
-            e * g.degree for e, g in zip(exps, model.cohomology.generators)
-        )
-        if degree == 2 * half:
-            top = top + TruncPoly(ring, {exps: coeff})
-    return model.integrate(top)
+    return model.integrate(total_chern_class(model))
 
 
 def first_chern_class(model: ManifoldModel) -> TruncPoly:

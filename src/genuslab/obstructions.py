@@ -373,9 +373,6 @@ class BinaryCode:
                 i += 1
             yield word
 
-    def weights(self):
-        return [w.bit_count() for w in self.words()]
-
 
 @dataclass(frozen=True)
 class CodeAuditReport:

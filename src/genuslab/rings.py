@@ -21,7 +21,6 @@ scalars a field accepts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .errors import NotInvertibleError, StructuralError
 
@@ -46,16 +45,6 @@ def parse_fraction(text: str) -> Fraction:
 def format_fraction(a: Fraction) -> str:
     """Canonical string form "p/q" (or "p" when the denominator is 1)."""
     return str(a)
-
-
-def rational_sqrt(a: Fraction):
-    """Exact square root of a rational, or None if `a` is not a square."""
-    if a < 0:
-        return None
-    pn, pd = isqrt(a.numerator), isqrt(a.denominator)
-    if pn * pn == a.numerator and pd * pd == a.denominator:
-        return Fraction(pn, pd)
-    return None
 
 
 class GaussianRational:
@@ -224,6 +213,9 @@ class GaussianField:
 
     def is_zero(self, x) -> bool:
         return not x
+
+    def invert(self, x):
+        return x.inverse()
 
     def contains(self, x) -> bool:
         return isinstance(x, (int, Fraction, GaussianRational))

@@ -42,14 +42,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .errors import NotInvertibleError, StructuralError
-from .rings import (
-    QQ,
-    GaussianField,
-    GaussianRational,
-    RationalField,
-    as_fraction,
-    rational_sqrt,
-)
+from .rings import QQ, GaussianField, GaussianRational, RationalField, as_fraction
 
 
 class PolyRing:
@@ -278,43 +271,6 @@ class TruncPoly:
             out = out + term
         return out * c0_inv
 
-    def rational_pow(self, e) -> "TruncPoly":
-        """Binomial-series power with an exact rational exponent.
-
-        Integer exponents work for any unit leading term.  For fractional
-        exponents the constant term must be 1, except over plain rationals
-        where an exact square root of the constant is factored out for
-        half-integer exponents (non-squares are rejected).
-        """
-        e = as_fraction(e)
-        if e.denominator == 1:
-            return self ** int(e)
-        c0 = self.constant_term()
-        if e.denominator == 2 and isinstance(c0, Fraction) and c0 != 1:
-            root = rational_sqrt(c0)
-            if root is None:
-                raise NotInvertibleError(
-                    f"leading coefficient {c0} has no exact square root"
-                )
-            c0_inv = self.ring.base.invert(c0)  # first: root ** e.numerator divides by zero at c0 = 0
-            return (self * c0_inv).rational_pow(e) * root ** e.numerator
-        if not (c0 == self.ring.base.one()):
-            raise NotInvertibleError(
-                f"fractional power needs constant term 1, got {c0!r}"
-            )
-        u = self - self.ring.one()
-        out = self.ring.one()
-        term = self.ring.one()
-        binom = Fraction(1)
-        bound = sum(self.ring.caps)
-        for j in range(1, bound + 1):
-            binom *= Fraction(e.numerator - (j - 1) * e.denominator, j * e.denominator)
-            term = term * u
-            if term.is_zero():
-                break
-            out = out + term * binom
-        return out
-
     # -- univariate operations ---------------------------------------------
 
     def _univar(self) -> str:
@@ -346,34 +302,6 @@ class TruncPoly:
         for c in reversed(self.univar_coeffs()):
             out = out * value + c
         return out
-
-    def integrate(self) -> "TruncPoly":
-        """Termwise antiderivative with zero constant; extends the cap by one."""
-        var = self._univar()
-        ring = PolyRing((var,), (self.ring.caps[0] + 1,), self.ring.base)
-        return TruncPoly(ring, {(e + 1,): c * Fraction(1, e + 1) for (e,), c in self.coeffs.items()})
-
-    def reversion(self) -> "TruncPoly":
-        """Compositional inverse of a series with g(0)=0, g'(0)=1.
-
-        Correcting degree by degree: if g(r) = x + e*x^d + O(x^{d+1}) then
-        replacing r by r - e*x^d cancels the degree-d error because g'(0)=1.
-        """
-        var = self._univar()
-        coeffs = self.univar_coeffs()
-        base = self.ring.base
-        if not base.is_zero(coeffs[0]):
-            raise StructuralError("reversion needs g(0) = 0")
-        if len(coeffs) < 2 or not (coeffs[1] == base.one()):
-            raise StructuralError("reversion needs g'(0) = 1")
-        cap = self.ring.caps[0]
-        x = self.ring.gen(var)
-        r = x
-        for d in range(2, cap + 1):
-            err = self.compose(r).coefficient((d,))
-            if not base.is_zero(err):
-                r = r - TruncPoly(self.ring, {(d,): err})
-        return r
 
     def evaluate(self, assignments: dict, target: PolyRing | None = None):
         """Evaluate at ring elements, one per variable.

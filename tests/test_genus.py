@@ -1,4 +1,4 @@
-"""Genus engine: logarithm, characteristic series, twisted words, closed forms."""
+"""Genus engine: characteristic series, twisted words, closed forms."""
 
 from fractions import Fraction
 from math import comb
@@ -17,7 +17,6 @@ from genuslab.genus import (
     TRIVIAL,
     char_series,
     cp_generating_check,
-    genus_log,
     genus_value,
     hypersurface_index_closed,
     hypersurface_index_closed_form_value,
@@ -28,6 +27,7 @@ from genuslab.genus import (
     twisted_index,
 )
 from genuslab.manifolds import builtin
+from genuslab.series import PolyRing, TruncPoly
 
 D = GENERIC_RING.gen("delta")
 E = GENERIC_RING.gen("epsilon")
@@ -36,19 +36,47 @@ E = GENERIC_RING.gen("epsilon")
 # -- logarithm / characteristic series -------------------------------------------
 
 
-def test_generic_log():
-    g = genus_log(GenusSpec.generic(), 5)
-    assert g.coefficient((1,)) == GENERIC_RING.one()
-    assert g.coefficient((3,)) == D * Fraction(1, 3)
-    assert g.coefficient((5,)) == (3 * D * D - E) * Fraction(1, 10)
-    assert all(e % 2 == 1 for (e,) in g.coeffs)  # odd series
+def chain_oracle(spec, order):
+    """Q = x / g^{-1}(x) by the integral route, from public TruncPoly operations.
+
+    Binomial integrand (1 - w)^(-1/2) = sum C(2j, j) (w/4)^j with
+    w = 2 delta u^2 - epsilon u^4, termwise integral g, degree-by-degree
+    reversion f of g (g'(0) = 1, so subtracting the degree-d error of g(f)
+    fixes degree d), then x/f.
+    """
+    base = spec.base_ring
+    U = PolyRing(("u",), (order + 1,), base)
+    u = U.gen("u")
+    w = (u * u) * (2 * spec.delta) - (u ** 4) * spec.epsilon
+    integrand = term = U.one()
+    for j in range(1, order + 1):
+        term = term * w * Fraction(2 * j - 1, 2 * j)
+        integrand = integrand + term
+    g = TruncPoly(U, {(e + 1,): c * Fraction(1, e + 1) for (e,), c in integrand.coeffs.items()})
+    f = u
+    for d in range(2, order + 2):
+        f = f - TruncPoly(U, {(d,): g.compose(f).coefficient((d,))})
+    x_over_f = TruncPoly(PolyRing(("u",), (order,), base), {(e - 1,): c for (e,), c in f.coeffs.items()})
+    return x_over_f.inverse()
 
 
-def test_signature_log_is_artanh():
-    g = genus_log(GenusSpec.signature(), 7)
-    # (1 - 2u^2 + u^4)^{-1/2} = (1-u^2)^{-1}, so g = u + u^3/3 + u^5/5 + u^7/7
-    for j in (1, 3, 5, 7):
-        assert g.coefficient((j,)) == Fraction(1, j)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GenusSpec.signature(),
+        GenusSpec.ahat(),
+        GenusSpec.generic(),
+        GenusSpec(Fraction(2), Fraction(-3, 7), "rational"),
+    ],
+    ids=["signature", "ahat", "generic", "rational"],
+)
+def test_char_series_matches_the_integral_chain(spec):
+    top = 16
+    oracle = chain_oracle(spec, top)
+    for order in range(1, top + 1):
+        Q = char_series(spec, order)
+        assert Q.ring == PolyRing(("u",), (order,), spec.base_ring)
+        assert Q.coeffs == {e: c for e, c in oracle.coeffs.items() if e[0] <= order}
 
 
 def test_ahat_char_series():

@@ -13,7 +13,7 @@ import pytest
 
 from genuslab.errors import NotInvertibleError, StructuralError
 from genuslab.genus import GENERIC_RING
-from genuslab.rings import QQ, QI, GaussianRational, I_UNIT, rational_sqrt
+from genuslab.rings import QQ, QI, GaussianRational, I_UNIT
 from genuslab.series import PolyRing, QSeries, SeriesRing, TruncPoly
 
 
@@ -47,12 +47,6 @@ def test_gaussian_powers_of_i():
     assert I_UNIT ** 3 == GaussianRational(0, -1)
     assert I_UNIT ** 4 == 1
     assert I_UNIT ** -1 == GaussianRational(0, -1)
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-1)) is None
 
 
 # -- polynomial arithmetic ---------------------------------------------------
@@ -165,62 +159,22 @@ def test_non_unit_constant_rejected():
         t.inverse()
 
 
-# -- rational powers ----------------------------------------------------------
-
-
-def test_powhalf_central_binomials():
-    # (1-4t)^{-1/2} = sum C(2j,j) t^j, by the binomial theorem oracle
-    R = poly1(3)
+def test_inverse_over_gaussian_rationals():
+    R = poly1(3, base=QI)
     t = R.gen("t")
-    p = (1 - 4 * t).rational_pow(Fraction(-1, 2))
-    expected = [comb(2 * j, j) for j in range(4)]
-    assert [p.coefficient((j,)) for j in range(4)] == expected
-    assert expected == [1, 2, 6, 20]
+    p = R.one() + t * I_UNIT
+    # geometric series oracle: 1/(1 + i t) = sum (-i t)^j, 1/(1 + i t)^2 = sum (j+1) (-i t)^j
+    assert p.inverse().univar_coeffs() == [1, -I_UNIT, -1, I_UNIT]
+    assert (p ** -2).univar_coeffs() == [1, -2 * I_UNIT, -3, 4 * I_UNIT]
+    assert p * p.inverse() == R.one()
+    for q in (t, t * I_UNIT + t ** 2):
+        with pytest.raises(NotInvertibleError):
+            q.inverse()
+        with pytest.raises(NotInvertibleError):
+            q ** -2
 
 
-def test_powhalf_elliptic_integrand():
-    # (1 - 2 d t^2 + e t^4)^{-1/2} over Q[d,e], binomial oracle with
-    # u = 2 d t^2 - e t^4: sum_j C(-1/2, j) (-u)^j
-    R = PolyRing(("t", "d", "e"), (4, 2, 1))
-    t, d, e = (R.gen(v) for v in ("t", "d", "e"))
-    p = (1 - 2 * d * t ** 2 + e * t ** 4).rational_pow(Fraction(-1, 2))
-    u = 2 * d * t ** 2 - e * t ** 4
-    oracle = R.one()
-    term = R.one()
-    binom = Fraction(1)
-    for j in range(1, 3):
-        binom *= Fraction(-1 - 2 * (j - 1), 2 * j) * Fraction(-1)
-        term = term * u
-        oracle = oracle + term * binom
-    assert p == oracle
-
-
-def test_powhalf_round_trips():
-    rng = random.Random(3)
-    R = poly1(5, "x")
-    x = R.gen("x")
-    for _ in range(100):
-        a = R.one()
-        for j in range(1, 6):
-            a = a + Fraction(rng.randint(-5, 5), rng.randint(1, 5)) * x ** j
-        r = a.rational_pow(Fraction(-1, 2))
-        assert r * r * a == R.one()
-        s = a.rational_pow(Fraction(1, 2))
-        assert s * s == a
-
-
-def test_powhalf_scalar_normalization():
-    R = poly1(2, "x")
-    x = R.gen("x")
-    p = (4 + 8 * x).rational_pow(Fraction(1, 2))
-    assert p * p == 4 + 8 * x
-    assert p.constant_term() == 2
-    assert R.one().rational_pow(Fraction(1, 2)) == R.one()
-    with pytest.raises(NotInvertibleError):
-        (2 + x).rational_pow(Fraction(1, 2))  # 2 is not a rational square
-
-
-# -- exp / compose / integrate / reversion -----------------------------------
+# -- compose -----------------------------------------------------------------
 
 
 def test_compose_exponential_change_of_variables():
@@ -246,52 +200,10 @@ def test_compose_at_zero_gives_constant_term():
     assert f.compose(z) == 5
 
 
-def test_integrate():
-    R = poly1(0, "u")
-    assert R.one().integrate() == poly1(1, "u").gen("u")
-    G = poly1(4, "u")
-    u = G.gen("u")
-    p = 1 + 3 * u ** 2
-    assert p.integrate() == poly1(5, "u").gen("u") + poly1(5, "u").gen("u") ** 3
-
-
 def test_coefficient_extraction():
     R = poly1(3, "q")
     q = R.gen("q")
     assert ((1 + q) ** 3).coefficient((2,)) == 3
-
-
-def test_reversion_identity_and_cubic():
-    R = poly1(5, "u")
-    u = R.gen("u")
-    assert u.reversion() == u
-    g = u + u ** 3
-    r = g.reversion()
-    assert r == u - u ** 3 + 3 * u ** 5
-    assert g.compose(r) == u  # compose-back oracle
-
-
-def test_reversion_round_trip_random_odd_series():
-    rng = random.Random(19)
-    R = poly1(7, "u")
-    u = R.gen("u")
-    for _ in range(25):
-        g = u
-        for j in (3, 5, 7):
-            g = g + Fraction(rng.randint(-4, 4), rng.randint(1, 4)) * u ** j
-        r = g.reversion()
-        assert g.compose(r) == u
-        # reversion of an odd series is odd
-        assert all(e % 2 == 1 for (e,) in r.coeffs)
-
-
-def test_reversion_rejects_bad_leading_terms():
-    R = poly1(4, "u")
-    u = R.gen("u")
-    with pytest.raises(StructuralError):
-        (2 * u).reversion()
-    with pytest.raises(StructuralError):
-        (1 + u).reversion()
 
 
 # -- q-series -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Characteristic series and q-free densities against sympy's series expansions.
+"""Characteristic series, q-free densities and the generating series against sympy.
 
 sympy is used only here, as an oracle that shares no code with `genuslab`:
 each closed form is expanded by sympy to x^16 and compared coefficient by
@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from genuslab.genus import GenusSpec, char_series, index_density
+from genuslab.genus import GENERIC_RING, GenusSpec, char_series, index_density, legendre_coefficient
 from genuslab.rings import QQ
 
 X = sympy.Symbol("x")
@@ -51,3 +51,15 @@ def test_q_free_densities_match_sympy(kind, closed_form):
     dens = index_density(kind, ORDER, QQ)
     assert dens.ring.caps == (ORDER,)
     assert coefficients(dens) == sympy_coefficients(closed_form)
+
+
+def test_legendre_coefficients_match_sympy():
+    t, d, e = sympy.symbols("t d e")
+    expansion = sympy.expand(sympy.series((1 - 2 * d * t**2 + e * t**4) ** sympy.Rational(-1, 2), t, 0, ORDER + 1).removeO())
+    D, E = GENERIC_RING.gen("delta"), GENERIC_RING.gen("epsilon")
+    for k in range(ORDER // 2 + 1):
+        terms = sympy.Poly(expansion.coeff(t, 2 * k), d, e).terms()
+        expected = sum(
+            (D ** i * E ** j * Fraction(int(c.p), int(c.q)) for (i, j), c in terms), GENERIC_RING.zero()
+        )
+        assert legendre_coefficient(GenusSpec.generic(), k) == expected, k
