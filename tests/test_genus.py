@@ -1,5 +1,6 @@
 """Genus engine: characteristic series, twisted words, closed forms."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -20,6 +21,7 @@ from genuslab.genus import (
     genus_value,
     hypersurface_index_closed,
     hypersurface_index_closed_form_value,
+    legendre_coefficient,
     loop_sign_series,
     phi0_series,
     pole_order,
@@ -92,6 +94,73 @@ def test_signature_char_series_is_x_over_tanh():
     assert Q.coefficient((2,)) == Fraction(1, 3)
     assert Q.coefficient((4,)) == Fraction(-1, 45)
     assert Q.coefficient((6,)) == Fraction(2, 945)
+
+
+def test_generic_char_series():
+    # by hand: f = u - (d/3) u^3 + (d^2/30 + e/10) u^5, so
+    # Q = 1/(f/u) = 1 + (d/3) x^2 + (7 d^2/90 - e/10) x^4
+    Q = char_series(GenusSpec.generic(), 5)
+    assert Q.coefficient((0,)) == GENERIC_RING.one()
+    assert Q.coefficient((2,)) == D * Fraction(1, 3)
+    assert Q.coefficient((4,)) == D * D * Fraction(7, 90) - E * Fraction(1, 10)
+    assert all(e % 2 == 0 for (e,) in Q.coeffs)  # even series
+
+
+def inverse_log(spec, order):
+    """f = x / Q(x), read back from char_series, in a ring of cap order + 1."""
+    Q = char_series(spec, order)
+    U = PolyRing(("u",), (order + 1,), spec.base_ring)
+    return U, TruncPoly(U, {(e + 1,): c for (e,), c in Q.inverse().coeffs.items()})
+
+
+def test_char_series_inverts_the_logarithm():
+    # compose-back oracle: g(f(u)) = u for g = sum L_k u^(2k+1) / (2k+1),
+    # the termwise integral of the Legendre generating series
+    spec = GenusSpec.generic()
+    U, f = inverse_log(spec, 12)
+    g = TruncPoly(U, {(2 * k + 1,): legendre_coefficient(spec, k) * Fraction(1, 2 * k + 1) for k in range(7)})
+    assert g.compose(f) == U.gen("u")
+    assert all(e % 2 == 1 for (e,) in f.coeffs)  # the inverse of an odd series is odd
+
+
+def test_char_series_satisfies_the_first_order_equation():
+    # the recurrence comes from f'' = -2 d f + 2 e f^3; check f'^2 = 1 - 2 d f^2 + e f^4
+    spec = GenusSpec.generic()
+    U, f = inverse_log(spec, 12)
+    df = TruncPoly(U, {(e - 1,): c * e for (e,), c in f.coeffs.items()})
+    lhs = df * df
+    rhs = U.one() - f * f * (2 * spec.delta) + f ** 4 * spec.epsilon
+    # f' is known to u-order 11 (one degree is lost by differentiating)
+    assert all(lhs.coefficient((n,)) == rhs.coefficient((n,)) for n in range(12))
+
+
+# -- Legendre coefficients of the generating series ------------------------------
+
+
+def test_legendre_central_binomials():
+    # (1 - 4t^2)^{-1/2} = sum C(2k, k) t^{2k}
+    spec = GenusSpec(Fraction(2), Fraction(0), "rational")
+    assert [legendre_coefficient(spec, k) for k in range(8)] == [comb(2 * k, k) for k in range(8)]
+
+
+def test_legendre_geometric_when_epsilon_is_delta_squared():
+    # (1 - 2 d t^2 + d^2 t^4)^{-1/2} = (1 - d t^2)^{-1}, i.e. P_k(1) = 1
+    assert [legendre_coefficient(GenusSpec.signature(), k) for k in range(8)] == [1] * 8
+    spec = GenusSpec(Fraction(-3, 5), Fraction(9, 25), "rational")
+    assert [legendre_coefficient(spec, k) for k in range(8)] == [Fraction(-3, 5) ** k for k in range(8)]
+
+
+def test_legendre_round_trips():
+    # S = sum L_k t^{2k} satisfies S^2 (1 - 2 d t^2 + e t^4) = 1
+    rng = random.Random(3)
+    R = PolyRing(("t",), (12,))
+    t = R.gen("t")
+    for _ in range(25):
+        spec = GenusSpec(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(rng.randint(-5, 5), rng.randint(1, 5)), "rational"
+        )
+        S = TruncPoly(R, {(2 * k,): legendre_coefficient(spec, k) for k in range(7)})
+        assert S * S * (1 - 2 * spec.delta * t ** 2 + spec.epsilon * t ** 4) == R.one()
 
 
 # -- genus values ----------------------------------------------------------------
