@@ -12,8 +12,8 @@ From f'^2 = 1 - 2*delta*f^2 + epsilon*f^4, differentiating gives
     f'' = -2*delta*f + 2*epsilon*f^3,    f(0) = 0, f'(0) = 1,
 
 so f = u + sum a_n u^n with (n+2)(n+1) a_(n+2) = -2*delta*a_n + 2*epsilon*[u^n] f^3.
-Q is even, so Pontryagin-style root data (which only knows squared roots)
-is served by rewriting Q in v = x^2.
+Q is even, so it also takes Pontryagin-style root data, which only knows
+squared roots, once rewritten in v = x^2.
 
 Twisted indices are Kronecker pairings < density(roots) * ch(word), [M] >.
 Index densities per root pair +-x:
@@ -33,11 +33,8 @@ q-series for the words.  The log of a word's level product is a divisor sum
 4 m^(k-1) over odd m | N (loop word) or -2 eps(N/m) m^(k-1) over m | N
 (A-hat-cusp word; eps is +1 on odd and -1 on even numbers).  `divisor_sum_exp`
 takes its exp with no inverse, for the densities and the localization
-N-factors.  `_tangent_product` is the one assembler composing a density, or
-Q, with each tangent root.  Virtual tangent data with trivial-rank correction
-delta is normalized there by dividing by the density's zero-root value delta
-times (Q(0) = 1); this is where stable bundle descriptions and actual bundles
-reconcile.
+N-factors.  Genus values, word densities and bundle characters all reach the
+tangent roots through `manifolds.root_product` and `manifolds.root_sum`.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import InternalInconsistencyError, ResourceCapError, StructuralError
-from .manifolds import CHERN, ManifoldModel
+from .manifolds import ManifoldModel, root_product, root_sum
 from .rings import QQ, as_fraction
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly
 
@@ -93,22 +90,17 @@ class GenusSpec:
         return GENERIC_RING if isinstance(self.delta, TruncPoly) else QQ
 
 
-@dataclass(frozen=True)
-class TwistDescriptor:
-    """A twisting word: one of the two infinite cusp words or a single bundle."""
+# Twisting words: the two infinite cusp words (each also names its density
+# kind) and four single bundles.
+PHI0_WORD = "word-ahat-cusp"
+LOOP_WORD = "word-loop"
+TANGENT = "tangent"                      # complexified real tangent bundle
+EXT2_PLUS_TANGENT = "ext2-plus-tangent"  # Lambda^2 TM + TM, complexified
+TANGENT_CHERN = "tangent-chern"          # virtual holomorphic tangent, ch = sum mult*e^form
+TRIVIAL = "trivial"
 
-    kind: str
-
-
-PHI0_WORD = TwistDescriptor("word-ahat-cusp")
-LOOP_WORD = TwistDescriptor("word-loop")
-TANGENT = TwistDescriptor("tangent")                    # complexified real tangent bundle
-EXT2_PLUS_TANGENT = TwistDescriptor("ext2-plus-tangent")  # Lambda^2 TM + TM, complexified
-TANGENT_CHERN = TwistDescriptor("tangent-chern")        # virtual holomorphic tangent, ch = sum mult*e^form
-TRIVIAL = TwistDescriptor("trivial")
-
-_WORDS = {PHI0_WORD.kind, LOOP_WORD.kind}
-_BUNDLES = {TANGENT.kind, EXT2_PLUS_TANGENT.kind, TANGENT_CHERN.kind, TRIVIAL.kind}
+_WORD_SPECS = {PHI0_WORD: "ahat", LOOP_WORD: "signature"}  # the spec each cusp word pairs with
+_BUNDLES = {TANGENT, EXT2_PLUS_TANGENT, TANGENT_CHERN, TRIVIAL}
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,6 @@ class IndexSeries:
     """A q-expansion of twisted indices with its provenance."""
 
     series: QSeries
-    tag: str
     k: int  # dim M = 4k
     manifold: str = ""
 
@@ -135,18 +126,6 @@ def char_series(spec: GenusSpec, order: int) -> TruncPoly:
         rhs = (f * f * f).coefficient((n,)) * (2 * spec.epsilon) - f.coefficient((n,)) * (2 * spec.delta)
         f = f + TruncPoly(ring, {(n + 2,): rhs * Fraction(1, (n + 1) * (n + 2))})
     return _divide_by_var(f, order).inverse()
-
-
-def even_part(p: TruncPoly, var: str = "v") -> TruncPoly:
-    """Rewrite an even univariate series in the squared variable."""
-    coeffs = {}
-    base = p.ring.base
-    for (e,), c in p.coeffs.items():
-        if e % 2:
-            raise StructuralError("series has an odd term; not even")
-        coeffs[(e // 2,)] = c
-    ring = PolyRing((var,), (p.ring.caps[0] // 2,), base)
-    return TruncPoly(ring, coeffs)
 
 
 def _divide_by_var(p: TruncPoly, new_cap: int) -> TruncPoly:
@@ -187,7 +166,7 @@ def genus_value(spec: GenusSpec, model: ManifoldModel):
             f"delta/epsilon ring holds weight <= {weight_cap} (real dimension <= {4 * weight_cap})"
         )
     Q = char_series(spec, _density_limits(model))
-    return model.integrate(_tangent_product(model, Q))
+    return model.integrate(root_product(model, Q))
 
 
 def legendre_coefficient(spec: GenusSpec, k: int):
@@ -274,8 +253,8 @@ def index_density(kind: str, xmax: int, base) -> TruncPoly:
     else:
         raise StructuralError(f"unknown density kind {kind!r}")
     dens = _retruncate(dens, xmax if xmax % 2 == 0 else xmax + 1)
-    if kind in _WORDS:  # times the exp of the divisor sums c(k, N) in the module docstring
-        loop = kind == "word-loop"
+    if kind in _WORD_SPECS:  # times the exp of the divisor sums c(k, N) in the module docstring
+        loop = kind == LOOP_WORD
         dens = dens * divisor_sum_exp(
             dens.ring,
             lambda k, N: 0 if k % 2 else sum(
@@ -295,127 +274,49 @@ def _density_limits(model: ManifoldModel) -> int:
     return max(1, xc, 2 * vc)
 
 
-def _tangent_product(model: ManifoldModel, dens: TruncPoly) -> TruncPoly:
-    """Product of `dens` over the tangent roots, trivial-rank corrected.
-
-    Chern entries substitute their root into `dens`; Pontryagin entries know
-    only squared roots, so they substitute into `dens` rewritten in v = x^2.
-    """
-    ring = model.poly_ring(dens.ring.base)
-    dens_v = None
-    total = ring.one()
-    for entry in model.tangent.entries:
-        form = entry.form_poly(ring)
-        if entry.kind == CHERN:
-            factor = dens.compose(form)
-        else:
-            if dens_v is None:
-                dens_v = even_part(dens)
-            factor = dens_v.compose(form)
-        total = total * factor ** entry.mult
-    delta = model.tangent.delta
-    if delta:
-        total = total * (dens.constant_term() ** (-delta))  # the density at x = 0
-    return total
-
-
 def word_factor_product(model: ManifoldModel, kind: str, base) -> TruncPoly:
     """Tangent product of the `kind` density: a cohomology-ring polynomial over `base`."""
-    return _tangent_product(model, index_density(kind, _density_limits(model), base))
+    return root_product(model, index_density(kind, _density_limits(model), base))
 
 
 # -- twisted indices -----------------------------------------------------------
 
 
-def _spec_density_kind(spec_name: str, word: TwistDescriptor) -> str:
-    if word.kind in _WORDS:
-        if word is PHI0_WORD or word.kind == PHI0_WORD.kind:
-            if spec_name != "ahat":
-                raise StructuralError("the A-hat-cusp word pairs with the A-hat density")
-            return "word-ahat-cusp"
-        if spec_name != "signature":
-            raise StructuralError("the loop word pairs with the signature density")
-        return "word-loop"
-    return {"ahat": "ahat-op", "signature": "signature-op"}[spec_name]
-
-
-def twisted_index(spec_name: str, model: ManifoldModel, word: TwistDescriptor, qorder: int = DEFAULT_QORDER):
+def twisted_index(spec_name: str, model: ManifoldModel, word: str, qorder: int = DEFAULT_QORDER):
     """< density * ch(word), [M] >: IndexSeries for cusp words, Fraction for bundles."""
     if spec_name not in ("ahat", "signature"):
         raise StructuralError("twisted indices are computed for 'ahat' or 'signature'")
-    if word.kind not in _WORDS | _BUNDLES:
-        raise StructuralError(f"unsupported twist descriptor {word.kind!r}")
-    k = model.dim_real // 4
-    if word.kind in _WORDS:
-        sorder = 2 * qorder + 2
-        S = SeriesRing(QQ, sorder)
+    if word in _WORD_SPECS:
+        S = SeriesRing(QQ, 2 * qorder + 2)
         if model.dim_real % 4:
-            zero = S.zero()
-            return IndexSeries(zero, word.kind, 0, model.name)
-        total = word_factor_product(model, _spec_density_kind(spec_name, word), S)
-        paired = model.integrate(total)
-        return IndexSeries(paired, f"{spec_name}:{word.kind}", k, model.name)
+            return IndexSeries(S.zero(), 0, model.name)
+        if spec_name != _WORD_SPECS[word]:
+            raise StructuralError(f"the {word} word pairs with the {_WORD_SPECS[word]} density")
+        paired = model.integrate(word_factor_product(model, word, S))
+        return IndexSeries(paired, model.dim_real // 4, model.name)
+    if word not in _BUNDLES:
+        raise StructuralError(f"unsupported twist word {word!r}")
     # single-bundle twists: q-free, plain rational arithmetic
-    total = word_factor_product(model, _spec_density_kind(spec_name, word), QQ)
-    ch = _bundle_character(model, word, total.ring)
-    return model.integrate(total * ch)
+    total = word_factor_product(model, f"{spec_name}-op", QQ)
+    return model.integrate(total * _bundle_character(model, word))
 
 
-def _bundle_character(model: ManifoldModel, word: TwistDescriptor, ring: PolyRing) -> TruncPoly:
-    xmax = _density_limits(model)
-    X = PolyRing(("x",), (xmax,), QQ)
-    if word.kind == TRIVIAL.kind:
-        return ring.one()
-    if word.kind == TANGENT_CHERN.kind:
-        ch = ring.zero()
-        for entry in model.tangent.entries:
-            if entry.kind != CHERN:
-                raise StructuralError("the holomorphic tangent twist needs Chern-style data")
-            ch = ch + _exp_x(X, 1).compose(entry.form_poly(ring)) * entry.mult
-        return ch
-    if word.kind == TANGENT.kind:
-        ch = ring.zero()
-        for entry in model.tangent.entries:
-            form = entry.form_poly(ring)
-            if entry.kind == CHERN:
-                pair = _exp_x(X, 1).compose(form) + _exp_x(X, -1).compose(form)
-            else:
-                pair = _cosh2(X).compose(form)
-            ch = ch + pair * entry.mult
-        return ch - 2 * model.tangent.delta
-    if word.kind == EXT2_PLUS_TANGENT.kind:
-        # Lambda_t(TM_C) to t^2: [t] = ch(TM_C), [t^2] = ch(Lambda^2 TM_C)
-        tring = PolyRing(ring.variables + ("t",), ring.caps + (2,), QQ)
-        t = tring.gen("t")
-        P = tring.one()
-        for entry in model.tangent.entries:
-            form = entry.form_poly(tring)
-            if entry.kind == CHERN:
-                ep = _exp_x(X, 1).compose(form)
-                em = _exp_x(X, -1).compose(form)
-                factor = (tring.one() + t * ep) * (tring.one() + t * em)
-            else:
-                factor = tring.one() + t * _cosh2(X).compose(form) + t * t
-            P = P * factor ** entry.mult
-        P = P * (tring.one() + t) ** (-2 * model.tangent.delta)
-        ch1 = _strip_t(P, 1, ring)
-        ch2 = _strip_t(P, 2, ring)
-        return ch1 + ch2
-    raise StructuralError(f"unsupported bundle descriptor {word.kind!r}")
-
-
-def _cosh2(X: PolyRing) -> TruncPoly:
-    """2*cosh(x) written in v = x^2: sum 2 v^j / (2j)!."""
-    cap = X.caps[0]
-    ring = PolyRing(("v",), (cap,), X.base)
+def _bundle_character(model: ManifoldModel, word: str):
+    """ch(word) from the tangent roots; the trivial bundle is the constant 1."""
+    if word == TRIVIAL:
+        return 1
+    X = PolyRing(("x",), (_density_limits(model),), QQ)
+    if word == TANGENT_CHERN:
+        return root_sum(model, _exp_x(X, 1))
+    if word == TANGENT:
+        return root_sum(model, _exp_x(X, 1) + _exp_x(X, -1)) - 2 * model.tangent.delta
+    # EXT2_PLUS_TANGENT: Lambda_t(TM_C) to t^2 has [t] = ch(TM_C), [t^2] = ch(Lambda^2 TM_C)
+    t = PolyRing(("t",), (2,), QQ).gen("t")
+    XT = PolyRing(("x",), X.caps, t.ring)
+    lam = root_product(model, (1 + t * _exp_x(XT, 1)) * (1 + t * _exp_x(XT, -1)))
     return TruncPoly(
-        ring, {(j,): Fraction(2, factorial(2 * j)) for j in range(cap + 1)}
+        model.poly_ring(), {e: c.coefficient((1,)) + c.coefficient((2,)) for e, c in lam.coeffs.items()}
     )
-
-
-def _strip_t(p: TruncPoly, power: int, target: PolyRing) -> TruncPoly:
-    """Coefficient of t^power as a polynomial in the remaining variables."""
-    return TruncPoly(target, {exps[:-1]: c for exps, c in p.coeffs.items() if exps[-1] == power})
 
 
 # -- cusp expansion series ------------------------------------------------------
@@ -428,19 +329,17 @@ def phi0_series(model: ManifoldModel, qorder: int = DEFAULT_QORDER) -> IndexSeri
 
 def phi0_from_raw(raw: IndexSeries) -> IndexSeries:
     """The phi0 series of an already computed raw A-hat-cusp series."""
-    return IndexSeries(raw.series.shift(-raw.k), "phi0", raw.k, raw.manifold)
+    return IndexSeries(raw.series.shift(-raw.k), raw.k, raw.manifold)
 
 
 def raw_ahat_series(model: ManifoldModel, qorder: int = DEFAULT_QORDER) -> IndexSeries:
     """The A-hat-cusp word series without the q^{-k/2} prefactor."""
-    raw = twisted_index("ahat", model, PHI0_WORD, qorder)
-    return IndexSeries(raw.series, "ahat-raw", raw.k, model.name)
+    return twisted_index("ahat", model, PHI0_WORD, qorder)
 
 
 def loop_sign_series(model: ManifoldModel, qorder: int = DEFAULT_QORDER) -> IndexSeries:
     """Twisted-signature series of the free loop space word."""
-    raw = twisted_index("signature", model, LOOP_WORD, qorder)
-    return IndexSeries(raw.series, "loop-sign", raw.k, model.name)
+    return twisted_index("signature", model, LOOP_WORD, qorder)
 
 
 def pole_order(ix: IndexSeries):

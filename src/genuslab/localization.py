@@ -287,9 +287,7 @@ def euler_fixed_check(action: CircleActionData):
     flagged = False
     for comp in action.components:
         m = comp.model
-        if m.dim_real == 0:
-            total += 1
-        elif m.tangent.style == "chern":
+        if m.tangent.style == "chern":
             total += euler_characteristic(m)
         elif m.euler is not None:
             total += m.euler

@@ -9,8 +9,11 @@ A model is the minimal exact data needed to evaluate characteristic numbers:
   (the form is a degree-4 squared root), plus a trivial-rank correction delta
   = (virtual rank) - (actual rank in root pairs).
 
-Consumers of twisted words must divide out delta copies of the zero-root
-factor; the plain genus never needs the correction since Q(0) = 1.
+`root_product` and `root_sum` are the one place where tangent entries become
+characteristic classes.  They put every root into a univariate series f
+(Pontryagin entries through f rewritten in v = x^2), and `root_product`
+divides by delta copies of f(0), so a virtual description and the actual
+bundle give the same characteristic numbers.
 
 Builtin catalog entries are validated at construction by two independent
 classical identities (signature/Euler characteristic/A-hat vanishing).
@@ -134,15 +137,57 @@ class ManifoldModel:
         return self
 
 
+def even_part(p: TruncPoly) -> TruncPoly:
+    """Rewrite an even univariate series in the squared variable."""
+    coeffs = {}
+    for (e,), c in p.coeffs.items():
+        if e % 2:
+            raise StructuralError("series has an odd term; not even")
+        coeffs[(e // 2,)] = c
+    return TruncPoly(PolyRing(("v",), (p.ring.caps[0] // 2,), p.ring.base), coeffs)
+
+
+def _root_values(model: ManifoldModel, f: TruncPoly):
+    """(f(root), mult) per tangent entry, in the cohomology ring over f's base.
+
+    Chern entries substitute their root into f; Pontryagin entries know only
+    the squared root, so they substitute into f rewritten in v = x^2.
+    """
+    ring = model.poly_ring(f.ring.base)
+    f_v = None
+    for entry in model.tangent.entries:
+        if entry.kind == CHERN:
+            yield f.compose(entry.form_poly(ring)), entry.mult
+        else:
+            if f_v is None:
+                f_v = even_part(f)
+            yield f_v.compose(entry.form_poly(ring)), entry.mult
+
+
+def root_product(model: ManifoldModel, f: TruncPoly) -> TruncPoly:
+    """prod f(root)^mult over the tangent entries, divided by f(0)^delta."""
+    total = model.poly_ring(f.ring.base).one()
+    for value, mult in _root_values(model, f):
+        total = total * value ** mult
+    if model.tangent.delta:
+        total = total * f.constant_term() ** (-model.tangent.delta)
+    return total
+
+
+def root_sum(model: ManifoldModel, f: TruncPoly) -> TruncPoly:
+    """sum mult * f(root) over the tangent entries; no delta correction."""
+    zero = model.poly_ring(f.ring.base).zero()
+    return sum((value * mult for value, mult in _root_values(model, f)), zero)
+
+
+_X = PolyRing(("x",), (1,), QQ)  # holds f = x and f = 1 + x
+
+
 def total_chern_class(model: ManifoldModel) -> TruncPoly:
     """prod (1 + root)^mult over Chern entries; trivial summands contribute 1."""
     if model.tangent.style != CHERN:
         raise StructuralError(f"{model.name} does not carry Chern-style tangent data")
-    ring = model.poly_ring()
-    total = ring.one()
-    for entry in model.tangent.entries:
-        total = total * (ring.one() + entry.form_poly(ring)) ** entry.mult
-    return total
+    return root_product(model, 1 + _X.gen("x"))
 
 
 def euler_characteristic(model: ManifoldModel) -> Fraction:
@@ -151,13 +196,9 @@ def euler_characteristic(model: ManifoldModel) -> Fraction:
 
 
 def first_chern_class(model: ManifoldModel) -> TruncPoly:
-    ring = model.poly_ring()
-    c1 = ring.zero()
-    for entry in model.tangent.entries:
-        if entry.kind != CHERN:
-            raise StructuralError(f"{model.name}: c_1 needs Chern-style data")
-        c1 = c1 + entry.form_poly(ring) * entry.mult
-    return c1
+    if model.tangent.style != CHERN:
+        raise StructuralError(f"{model.name}: c_1 needs Chern-style data")
+    return root_sum(model, _X.gen("x"))
 
 
 # -- builtin catalog ----------------------------------------------------------

@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .genus import DEFAULT_QORDER, phi0_series
 
-CODE_ENUM_CAP = 24  # hard cap on 2r for exhaustive word enumeration
+CODE_ENUM_CAP = 12  # hard cap on 2r for exhaustive word enumeration; the audit time grows ~4x per row
 
 
 def _ceil(x: Fraction) -> int:
@@ -112,17 +112,6 @@ class PredictionReport:
     spin: bool
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "manifold": self.manifold,
-            "order": self.order,
-            "m": str(self.m_value),
-            "predicted_vanishing": self.predicted_vanishing,
-            "first_nonzero_index": self.first_nonzero_index,
-            "spin": self.spin,
-            "status": "PASS" if self.passed else "FAIL",
-        }
-
 
 def cross_check_prediction(model, action, order: int, qorder: int = DEFAULT_QORDER) -> PredictionReport:
     """No computed nonzero coefficient may sit below the predicted vanish count.
@@ -203,7 +192,7 @@ class NormalFormResult:
     column_order: list        # new column order as indices into the original
     transform: list           # integer row-transformation T with A' = (T A) permuted
     covering_degree: int      # |det T|, coprime to p
-    ops: list = field(default_factory=list)  # op log; see audit_ops
+    ops: list = field(default_factory=list)  # op log
 
     def to_dict(self) -> dict:
         return {
@@ -212,6 +201,19 @@ class NormalFormResult:
             "transform": self.transform,
             "covering_degree": self.covering_degree,
         }
+
+
+def _integer_matrix(matrix) -> list:
+    """A copy of a non-empty rectangular matrix of integers; anything else is a ValidationError."""
+    if not isinstance(matrix, (list, tuple)) or not matrix:
+        raise ValidationError("matrix must be a non-empty list of rows", code="invalid")
+    if not all(isinstance(row, (list, tuple)) and row for row in matrix):
+        raise ValidationError("matrix rows must be non-empty lists", code="invalid")
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise ValidationError("ragged matrix", code="invalid")
+    if not all(type(x) is int for row in matrix for x in row):  # bools and floats are not entries
+        raise ValidationError("matrix entries must be integers", code="invalid")
+    return [list(row) for row in matrix]
 
 
 def _mod_rank(rows, p: int) -> int:
@@ -243,12 +245,10 @@ def lattice_normal_form(matrix, p: int = 2) -> NormalFormResult:
     b_i <- alpha b_i + beta b_j (i < j, alpha coprime to p, p | beta); these
     scale the lattice by alpha each, and the product is the covering degree.
     """
-    A = [list(map(int, row)) for row in matrix]
-    if not A or not A[0]:
-        raise ValidationError("matrix must be non-empty", code="invalid")
+    if not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValidationError(f"p must be a prime, got {p!r}", code="invalid")
+    A = _integer_matrix(matrix)
     nrows, ncols = len(A), len(A[0])
-    if any(len(row) != ncols for row in A):
-        raise ValidationError("ragged matrix", code="invalid")
     if nrows > ncols:
         raise ValidationError("more rows than columns", code="invalid")
     if _mod_rank(A, p) < nrows:
@@ -343,18 +343,12 @@ def lattice_normal_form(matrix, p: int = 2) -> NormalFormResult:
 class BinaryCode:
     """Mod-2 row code of an integer matrix, words enumerated as bitmasks."""
 
-    def __init__(self, matrix):
-        rows = [list(map(int, row)) for row in matrix]
-        if not rows or not rows[0]:
-            raise ValidationError("matrix must be non-empty", code="invalid")
-        self.length = len(rows[0])
-        if any(len(r) != self.length for r in rows):
-            raise ValidationError("ragged matrix", code="invalid")
+    def __init__(self, rows):
+        """`rows`: an integer matrix, as `_integer_matrix` returns it."""
         if len(rows) > CODE_ENUM_CAP:
             raise ResourceCapError(
                 f"enumeration cap exceeded: {len(rows)} generators > {CODE_ENUM_CAP}"
             )
-        self.generator_rows = rows
         self.masks = [
             sum((x % 2) << c for c, x in enumerate(row)) for row in rows
         ]
@@ -412,16 +406,14 @@ class CodeAuditReport:
 
 def code_audit(matrix, r: int | None = None, k: int | None = None) -> CodeAuditReport:
     """Exhaustive audit of the mod-2 row code of a 2r x 2k weight matrix."""
-    rows = [list(map(int, row)) for row in matrix]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    rows = _integer_matrix(matrix)
+    nrows, ncols = len(rows), len(rows[0])
     if nrows % 2 or ncols % 2:
         raise ValidationError("weight matrices have 2r rows and 2k columns", code="invalid")
     r = nrows // 2 if r is None else int(r)
     k = ncols // 2 if k is None else int(k)
     if 2 * r != nrows or 2 * k != ncols:
         raise ValidationError("given r,k do not match the matrix shape", code="invalid")
-    if 2 * r > CODE_ENUM_CAP:
-        raise ResourceCapError(f"enumeration cap exceeded: 2r = {2 * r} > {CODE_ENUM_CAP}")
     code = BinaryCode(rows)
     words = list(code.words())
     weights = [w.bit_count() for w in words]

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "genuslab.cli"]
 
 
@@ -153,6 +155,40 @@ def test_obstruct_matrix_file(tmp_path):
     payload = json.loads(r.stdout)
     assert payload["normal_form"]["covering_degree"] == 1
     assert payload["code_audit"]["sublinearity_holds"] is True
+
+
+NORMAL_FORM_SAMPLE = "[[1,0,1,1],[0,1,1,1]]"
+
+
+@pytest.mark.parametrize(
+    "text,p",
+    [
+        ("[1,2]", "2"),                      # rows that are not lists
+        ('[["a",0],[0,1]]', "2"),            # a string entry
+        ("[[null,1],[1,0]]", "2"),           # a null entry
+        ("[[1.5,0],[0,1]]", "2"),            # a float entry, once truncated to 1
+        (NORMAL_FORM_SAMPLE, "0"),           # p must be a prime
+        (NORMAL_FORM_SAMPLE, "-3"),
+        ("[[1,1],[0,2]]", "4"),              # 2 has no inverse mod 4 or mod 6
+        ("[[1,1],[0,2]]", "6"),
+        ("[[1,1],[0,3]]", "9"),              # 3 has no inverse mod 9
+    ],
+)
+def test_malformed_matrix_or_p_exits_2(tmp_path, text, p):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    r = run_cli("obstruct", "--matrix-file", str(path), "--p", p)
+    assert_validation_exit(r)
+    assert json.loads(r.stdout)["code"] == "invalid"
+
+
+def test_code_audit_over_cap_after_normal_form_exits_4(tmp_path):
+    # 14 independent rows pass the normal form; enumerating 2^14 code words does not run
+    path = tmp_path / "m14.json"
+    path.write_text(json.dumps([[int(i == j) for j in range(14)] for i in range(14)]))
+    r = run_cli("obstruct", "--matrix-file", str(path))
+    assert r.returncode == 4
+    assert json.loads(r.stdout)["code"] == "resource-cap"
 
 
 def test_obstruct_without_inputs_exits_2():

@@ -269,8 +269,8 @@ def test_phi0_lowest_coefficient_is_ahat():
 
 
 def test_phi0_first_two_coefficients_for_all_catalog():
-    # q^{k/2} Phi_0 = A-hat(M) - A-hat(M, TM_C) q + ...
-    for name in ("CP2", "CP4", "HP2", "HP3", "V(4,4)", "product(CP2,CP2)"):
+    # q^{k/2} Phi_0 = A-hat(M) - A-hat(M, TM_C) q + ...; product(CP2,HP2) mixes Chern and Pontryagin entries
+    for name in ("CP2", "CP4", "HP2", "HP3", "V(4,4)", "product(CP2,CP2)", "product(CP2,HP2)"):
         m = builtin(name)
         raw = raw_ahat_series(m, 3).series
         assert raw.coefficient(0) == genus_value(GenusSpec.ahat(), m)
@@ -285,7 +285,7 @@ def test_hp2_tangent_twist_nonzero():
 
 
 def test_ext2_word_matches_q2_coefficient():
-    for name in ("CP2", "HP2", "V(4,4)"):
+    for name in ("CP2", "HP2", "V(4,4)", "product(CP2,HP2)"):
         m = builtin(name)
         raw = raw_ahat_series(m, 3).series
         assert raw.coefficient(4) == twisted_index("ahat", m, EXT2_PLUS_TANGENT)

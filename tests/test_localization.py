@@ -66,6 +66,25 @@ def test_euler_fixed_point_counts():
     assert ok and not flagged  # three points vs Betti count 3
 
 
+def test_point_component_counts_its_pairing():
+    # a point's Euler characteristic is its fundamental-class pairing, here 2 = chi(CP^1)
+    from genuslab.manifolds import load_model
+
+    point2 = load_model(
+        {
+            "name": "pt2",
+            "dim_real": 0,
+            "spin": True,
+            "generators": [],
+            "pairing": "2",
+            "tangent": {"style": "chern", "delta": 0, "entries": []},
+        }
+    )
+    component = FixedComponent(point2, (NormalSummand({}, 1),))
+    action = CircleActionData(2, (component,), "test", True, builtin("CP1"))
+    assert euler_fixed_check(action) == (True, False)
+
+
 def test_hp1_cancellation_to_all_orders():
     a = builtin_action("HP1_diagonal(1,2)")
     for lam in (Fraction(2), Fraction(3), Fraction(5, 2)):
