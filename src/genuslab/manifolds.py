@@ -139,11 +139,7 @@ class ManifoldModel:
 
 def even_part(p: TruncPoly) -> TruncPoly:
     """Rewrite an even univariate series in the squared variable."""
-    coeffs = {}
-    for (e,), c in p.coeffs.items():
-        if e % 2:
-            raise StructuralError("series has an odd term; not even")
-        coeffs[(e // 2,)] = c
+    coeffs = {(e // 2,): c for (e,), c in p.coeffs.items()}
     return TruncPoly(PolyRing(("v",), (p.ring.caps[0] // 2,), p.ring.base), coeffs)
 
 
@@ -151,7 +147,8 @@ def _root_values(model: ManifoldModel, f: TruncPoly):
     """(f(root), mult) per tangent entry, in the cohomology ring over f's base.
 
     Chern entries substitute their root into f; Pontryagin entries know only
-    the squared root, so they substitute into f rewritten in v = x^2.
+    the squared root, so they substitute into f rewritten in v = x^2; an f
+    with odd terms needs Chern-style data.
     """
     ring = model.poly_ring(f.ring.base)
     f_v = None
@@ -160,6 +157,8 @@ def _root_values(model: ManifoldModel, f: TruncPoly):
             yield f.compose(entry.form_poly(ring)), entry.mult
         else:
             if f_v is None:
+                if any(e % 2 for (e,) in f.coeffs):
+                    raise StructuralError(f"{model.name}: this class needs Chern-style tangent data")
                 f_v = even_part(f)
             yield f_v.compose(entry.form_poly(ring)), entry.mult
 
@@ -185,8 +184,6 @@ _X = PolyRing(("x",), (1,), QQ)  # holds f = x and f = 1 + x
 
 def total_chern_class(model: ManifoldModel) -> TruncPoly:
     """prod (1 + root)^mult over Chern entries; trivial summands contribute 1."""
-    if model.tangent.style != CHERN:
-        raise StructuralError(f"{model.name} does not carry Chern-style tangent data")
     return root_product(model, 1 + _X.gen("x"))
 
 
@@ -196,8 +193,7 @@ def euler_characteristic(model: ManifoldModel) -> Fraction:
 
 
 def first_chern_class(model: ManifoldModel) -> TruncPoly:
-    if model.tangent.style != CHERN:
-        raise StructuralError(f"{model.name}: c_1 needs Chern-style data")
+    """sum mult * root over Chern entries; requires Chern-style tangent data."""
     return root_sum(model, _X.gen("x"))
 
 

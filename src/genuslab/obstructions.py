@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .genus import DEFAULT_QORDER, phi0_series
@@ -235,6 +235,30 @@ def _mod_rank(rows, p: int) -> int:
     return rank
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981  # Miller-Rabin on _PRIME_BASES is exact below this
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test for 2 <= n < PRIME_LIMIT."""
+    if any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def lattice_normal_form(matrix, p: int = 2) -> NormalFormResult:
     """Bring an integer weight matrix to the diagonal-left-block shape.
 
@@ -245,8 +269,8 @@ def lattice_normal_form(matrix, p: int = 2) -> NormalFormResult:
     b_i <- alpha b_i + beta b_j (i < j, alpha coprime to p, p | beta); these
     scale the lattice by alpha each, and the product is the covering degree.
     """
-    if not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        raise ValidationError(f"p must be a prime, got {p!r}", code="invalid")
+    if not isinstance(p, int) or not 2 <= p < PRIME_LIMIT or not _is_prime(p):
+        raise ValidationError(f"p must be a prime below {PRIME_LIMIT}, got {p!r}", code="invalid")
     A = _integer_matrix(matrix)
     nrows, ncols = len(A), len(A[0])
     if nrows > ncols:

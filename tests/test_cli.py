@@ -10,12 +10,12 @@ import pytest
 CLI = [sys.executable, "-m", "genuslab.cli"]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=300):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=300
+        CLI + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -172,6 +172,9 @@ NORMAL_FORM_SAMPLE = "[[1,0,1,1],[0,1,1,1]]"
         ("[[1,1],[0,2]]", "4"),              # 2 has no inverse mod 4 or mod 6
         ("[[1,1],[0,2]]", "6"),
         ("[[1,1],[0,3]]", "9"),              # 3 has no inverse mod 9
+        (NORMAL_FORM_SAMPLE, "3215031751"),  # strong pseudoprime to bases 2, 3, 5, 7
+        (NORMAL_FORM_SAMPLE, "318665857834031151167461"),  # ... to bases 2 through 37
+        (NORMAL_FORM_SAMPLE, str(2**89 - 1)),  # a prime above the exact Miller-Rabin range
     ],
 )
 def test_malformed_matrix_or_p_exits_2(tmp_path, text, p):
@@ -180,6 +183,14 @@ def test_malformed_matrix_or_p_exits_2(tmp_path, text, p):
     r = run_cli("obstruct", "--matrix-file", str(path), "--p", p)
     assert_validation_exit(r)
     assert json.loads(r.stdout)["code"] == "invalid"
+
+
+def test_large_prime_p_is_checked_quickly(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(NORMAL_FORM_SAMPLE)
+    r = run_cli("obstruct", "--matrix-file", str(path), "--p", str(2**61 - 1), timeout=30)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["p"] == 2**61 - 1
 
 
 def test_code_audit_over_cap_after_normal_form_exits_4(tmp_path):

@@ -358,8 +358,9 @@ def test_unsupported_descriptor_combinations():
         twisted_index("signature", builtin("CP2"), PHI0_WORD)
     with pytest.raises(StructuralError):
         twisted_index("ahat", builtin("CP2"), LOOP_WORD)
-    with pytest.raises(StructuralError):
-        twisted_index("ahat", builtin("HP2"), TANGENT_CHERN)
+    for name in ("HP2", "product(CP2,HP2)"):
+        with pytest.raises(StructuralError, match="needs Chern-style tangent data"):
+            twisted_index("ahat", builtin(name), TANGENT_CHERN)
 
 
 # -- hypersurface closed form -------------------------------------------------------

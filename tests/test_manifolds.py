@@ -56,8 +56,10 @@ def test_euler_odd_degree_against_binomial_oracle():
 
 
 def test_euler_rejects_pontryagin_style():
-    with pytest.raises(StructuralError):
-        euler_characteristic(builtin("HP2"))
+    for name in ("HP2", "product(CP2,HP2)"):
+        for chern_class in (euler_characteristic, first_chern_class):
+            with pytest.raises(StructuralError, match="needs Chern-style tangent data"):
+                chern_class(builtin(name))
 
 
 def test_spin_flags():

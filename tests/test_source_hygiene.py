@@ -12,7 +12,8 @@ SOURCES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py")])
 def unused_imports(source: str) -> list:
     """Names bound by import statements that no expression of the module reads.
 
-    Quoted annotations count as reads of the names inside them.
+    Quoted annotations count as reads of the names inside them; a string
+    that is no expression, such as a Literal value, reads nothing.
     """
     tree = ast.parse(source)
     imported = {}
@@ -31,7 +32,11 @@ def unused_imports(source: str) -> list:
     for ann in annotations:
         for n in ast.walk(ann):
             if isinstance(n, ast.Constant) and isinstance(n.value, str):
-                used |= {m.id for m in ast.walk(ast.parse(n.value, mode="eval")) if isinstance(m, ast.Name)}
+                try:
+                    quoted = ast.parse(n.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used |= {m.id for m in ast.walk(quoted) if isinstance(m, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -43,6 +48,8 @@ def test_scan_finds_sources():
 def test_scan_flags_an_unused_import():
     source = "from a import b, c\nimport d.e\nimport f as g\n\ndef h(x: 'c') -> None:\n    return d.e(x)\n"
     assert unused_imports(source) == [(1, "b"), (3, "g")]
+    literal = "from typing import Literal\nimport b\n\ndef h(x: Literal['two words', 'a.b c']) -> None:\n    pass\n"
+    assert unused_imports(literal) == [(2, "b")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
