@@ -31,10 +31,11 @@ and the two infinite loop-space words attach, per root pair and q-level n,
 q-series for the words.  The log of a word's level product is a divisor sum
 (Zagier 1988), sum_{k even} x^k/k! sum_N c(k, N) q^N, where c(k, N) sums
 4 m^(k-1) over odd m | N (loop word) or -2 eps(N/m) m^(k-1) over m | N
-(A-hat-cusp word; eps is +1 on odd and -1 on even numbers).  `divisor_sum_exp`
-takes its exp with no inverse, for the densities and the localization
-N-factors.  Genus values, word densities and bundle characters all reach the
-tangent roots through `manifolds.root_product` and `manifolds.root_sum`.
+(A-hat-cusp word; eps is +1 on odd and -1 on even numbers).  `divisor_rows`
+writes such sums as integer rows and `divisor_sum_exp` takes their exp with
+no inverse, for the word densities (times their q-free density) and the
+localization N-factors.  Genus values, word densities and bundle characters
+all reach the tangent roots through `manifolds.root_product` and `root_sum`.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import InternalInconsistencyError, ResourceCapError, StructuralError
 from .manifolds import ManifoldModel, root_product, root_sum
 from .rings import QQ, as_fraction
-from .series import PolyRing, QSeries, SeriesRing, TruncPoly
+from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _series
 
 log = logging.getLogger(__name__)
 
@@ -138,17 +139,6 @@ def _divide_by_var(p: TruncPoly, new_cap: int) -> TruncPoly:
     return TruncPoly(ring, {(e - 1,): c for (e,), c in p.coeffs.items() if e >= 1})
 
 
-def _retruncate(p: TruncPoly, new_cap: int) -> TruncPoly:
-    """Copy a univariate polynomial into a smaller-cap ring.
-
-    Used to discard the top coefficients of a series built with headroom:
-    truncated-ring products only pollute degrees upward, so everything at or
-    below the new cap is exact.
-    """
-    ring = PolyRing(p.ring.variables, (new_cap,), p.ring.base)
-    return TruncPoly(ring, {e: c for e, c in p.coeffs.items() if e[0] <= new_cap})
-
-
 # -- genus values --------------------------------------------------------------
 
 
@@ -209,21 +199,37 @@ def _exp_x(ring: PolyRing, scale: Fraction) -> TruncPoly:
     return TruncPoly(ring, {(j,): ring.base.const(c) for j, c in enumerate(coeffs)})
 
 
-def divisor_sum_exp(X: PolyRing, c) -> TruncPoly:
-    """exp(sum_k x^k/k! sum_N c(k, N) q^N) in X = S[x], to the q-order of S.
+def divisor_rows(S: SeriesRing, cap: int, t, den: int = 1) -> list:
+    """k G_k for k <= cap (G_0 at k = 0), G_k = 1/k! sum_N q^N sum_(m | N) m^(k-1) t(k, m, N/m) / den.
 
-    With G_k the x^k coefficient of the exponent, E_0 = exp(G_0) and
-    n E_n = sum_j j G_j E_(n-j) (the x-derivative), so no inverse is taken.
+    t gives (real, imaginary) integer numerators.  Each m is added at its
+    multiples N in integer rows, which go straight into the series kernel:
+    lcm(1, ..., L) clears the 1/m of k = 0, (k-1)! the 1/(k-1)! of k >= 1.
+    """
+    levels = (S.order - 1) // 2  # q^N = s^(2N) for N <= levels
+    rows = []
+    for k in range(cap + 1):
+        scale = lcm(*range(1, levels + 1)) if k == 0 else factorial(k - 1)
+        re, im = [0] * (2 * levels), [0] * (2 * levels)  # at s^2, s^3, ...
+        for m in range(1, levels + 1):
+            f = scale // m if k == 0 else m ** (k - 1)
+            for d in range(1, levels // m + 1):
+                x, y = t(k, m, d)
+                re[2 * m * d - 2] += f * x
+                im[2 * m * d - 2] += f * y
+        rows.append(_series(S, 2, den * scale, re, im if S.gaussian else None, S.order))
+    return rows
+
+
+def divisor_sum_exp(X: PolyRing, rows) -> TruncPoly:
+    """exp(sum_k x^k G_k) in X = S[x] from rows[k] = k G_k (G_0 at k = 0), see `divisor_rows`.
+
+    E_0 = exp(G_0) and n E_n = sum_j j G_j E_(n-j) (the x-derivative): no inverse.
     """
     S, cap = X.base, X.caps[0]
-    levels = range(1, (S.order + 1) // 2)  # q^N = s^(2N)
-    jG = [  # k G_k for k >= 1, and G_0 itself at k = 0
-        QSeries(S, 2, [x for N in levels for x in (c(k, N), 0)], S.order) * Fraction(max(k, 1), factorial(k))
-        for k in range(cap + 1)
-    ]
-    E = [jG[0].exp()]
+    E = [rows[0].exp()]
     for n in range(1, cap + 1):
-        E.append(sum((jG[j] * E[n - j] for j in range(1, n + 1)), S.zero()) * Fraction(1, n))
+        E.append(sum((rows[j] * E[n - j] for j in range(1, n + 1)), S.zero()) * Fraction(1, n))
     return TruncPoly(X, {(n,): e for n, e in enumerate(E)})
 
 
@@ -240,29 +246,28 @@ def index_density(kind: str, xmax: int, base) -> TruncPoly:
     hit = _DENSITY_CACHE.get(key)
     if hit is not None:
         return hit
-    pad = xmax + 2  # headroom so divide-by-x keeps the top coefficients exact
-    X = PolyRing(("x",), (pad,), base)
-    e_neg = _exp_x(X, Fraction(-1))
-    if kind in ("signature-op", "word-loop"):
-        # x(1+e^{-x})/(1-e^{-x}); the 1-e^{-x} zero is cancelled against x
-        dens = (1 + e_neg) * _divide_by_var(1 - e_neg, pad).inverse()
-    elif kind in ("ahat-op", "word-ahat-cusp"):
-        # x/(e^{x/2}-e^{-x/2})
-        diff = _exp_x(X, Fraction(1, 2)) - _exp_x(X, Fraction(-1, 2))
-        dens = _divide_by_var(diff, pad).inverse()
-    else:
-        raise StructuralError(f"unknown density kind {kind!r}")
-    dens = _retruncate(dens, xmax if xmax % 2 == 0 else xmax + 1)
-    if kind in _WORD_SPECS:  # times the exp of the divisor sums c(k, N) in the module docstring
+    if kind in _WORD_SPECS:  # the q-free density times the exp of the divisor sums
+        free = index_density(f"{_WORD_SPECS[kind]}-op", xmax, base)
         loop = kind == LOOP_WORD
-        dens = dens * divisor_sum_exp(
-            dens.ring,
-            lambda k, N: 0 if k % 2 else sum(
-                Fraction((4 if loop else 2 * (-1) ** (N // m)) * m ** k, m)
-                for m in range(1, N + 1, 2 if loop else 1)
-                if N % m == 0
-            ),
+        rows = divisor_rows(  # the word sums c(k, N) of the module docstring
+            base, free.ring.caps[0], lambda k, m, d: (0 if k % 2 else 4 * (m % 2) if loop else 2 * (-1) ** d, 0)
         )
+        dens = free * divisor_sum_exp(free.ring, rows)
+    else:
+        pad = xmax + 2  # headroom so divide-by-x keeps the top coefficients exact
+        X = PolyRing(("x",), (pad,), base)
+        e_neg = _exp_x(X, Fraction(-1))
+        if kind == "signature-op":
+            # x(1+e^{-x})/(1-e^{-x}); the 1-e^{-x} zero is cancelled against x
+            dens = (1 + e_neg) * _divide_by_var(1 - e_neg, pad).inverse()
+        elif kind == "ahat-op":
+            # x/(e^{x/2}-e^{-x/2})
+            diff = _exp_x(X, Fraction(1, 2)) - _exp_x(X, Fraction(-1, 2))
+            dens = _divide_by_var(diff, pad).inverse()
+        else:
+            raise StructuralError(f"unknown density kind {kind!r}")
+        # truncated products only pollute degrees upward: below the headroom all is exact
+        dens = TruncPoly(PolyRing(("x",), (xmax + xmax % 2,), base), dens.coeffs)
     _DENSITY_CACHE[key] = dens
     return dens
 

@@ -9,19 +9,23 @@ Gaussian rational for order-4 points) the local term of a component X is
     < T-factors(tangent roots of X) * N-factors(normal summands), [X] >
 
 with the loop-space signature density as T-factor and, per normal summand
-(y, w) and q-level n,
+(y, w) and q-level n, a factor that depends on lam only through a = lam^w:
 
-    N = (1 + lam^-w e^-y) / (1 - lam^-w e^-y)
-        * prod_n (1 + q^n lam^w e^y)(1 + q^n lam^-w e^-y)
-                / ((1 - q^n lam^w e^y)(1 - q^n lam^-w e^-y)).
+    N_a = (1 + a^-1 e^-y) / (1 - a^-1 e^-y)
+          * prod_n (1 + q^n a e^y)(1 + q^n a^-1 e^-y)
+                 / ((1 - q^n a e^y)(1 - q^n a^-1 e^-y)).
 
 Since log((1 + a)/(1 - a)) sums 2 a^m / m over odd m, the level product is
 exp(sum_k y^k/k! sum_N c(k, N) q^N) with the divisor sum (Bott-Taubes 1989)
 
-    c(k, N) = sum over odd m | N of (2/m) (lam^(wm) m^k + lam^(-wm) (-m)^k);
+    c(k, N) = sum over odd m | N of 2 m^(k-1) (a^m + (-1)^k a^-m).
 
-`normal_factor` builds N once per (q-order, y-cap, lam, w) as a series in y,
-and `local_term` composes it with each summand's Chern form.
+`normal_factor` turns a^m +- a^-m into integers once and hands
+`genus.divisor_sum_exp` integer rows; the q-free factor F (F' = (1 - F^2)/2)
+is a series over Q or Q(i), lifted into the q-series ring once.  Replacing
+(a, y) by (1/a, -y) swaps the level factors and negates F, so
+N_(1/a)(y) = -N_a(-y): one build serves {a, 1/a} per (q-order, y-cap), and
+`local_term` composes it with each summand's Chern form.
 
 Sample points are admissible when no lam^w = 1 for an occurring weight w;
 constancy of a character over three exact off-circle samples certifies it
@@ -35,10 +39,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .genus import DEFAULT_QORDER, _exp_x, divisor_sum_exp, loop_sign_series, word_factor_product
+from .genus import DEFAULT_QORDER, divisor_rows, divisor_sum_exp, loop_sign_series, word_factor_product
 from .manifolds import ManifoldModel, builtin, load_model
-from .rings import I_UNIT, QI, QQ, GaussianRational, as_fraction
-from .series import PolyRing, QSeries, SeriesRing, TruncPoly
+from .rings import I_UNIT, QI, QQ, GaussianRational
+from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _numerators
 
 
 @dataclass(frozen=True)
@@ -133,25 +137,31 @@ _N_FACTOR_CACHE: dict = {}
 
 
 def normal_factor(S: SeriesRing, cap: int, lam, weight: int) -> TruncPoly:
-    """N-factor of a normal summand of weight `weight` at lam, as a series in y over S to y^cap."""
-    key = (S, cap, lam, weight)
-    if key not in _N_FACTOR_CACHE:
-        lw, lwi = lam ** weight, lam ** (-weight)
-        if lw == S.base.one():
-            raise ValidationError(f"sample inadmissible on weight {weight}", code="inadmissible")
-        sums, u, d = [], lw, lwi  # lam^(wm) + lam^(-wm) and lam^(wm) - lam^(-wm) at index m // 2, m odd
-        while len(sums) <= S.order // 4:
-            sums.append((u + d, u - d))
-            u, d = u * lw * lw, d * lwi * lwi
-
-        def c(k, N):  # the divisor sum of the module docstring
-            odd = (m for m in range(1, N + 1, 2) if N % m == 0)
-            return sum(Fraction(2 * m ** k, m) * sums[m // 2][k % 2] for m in odd)
-
-        Y = PolyRing(("y",), (cap,), S)
-        one, e_neg = Y.one(), _exp_x(Y, -1) * lwi
-        _N_FACTOR_CACHE[key] = (one + e_neg) * (one - e_neg).inverse() * divisor_sum_exp(Y, c)
-    return _N_FACTOR_CACHE[key]
+    """N-factor N_a, a = lam^weight, of a normal summand as a series in y over S to y^cap."""
+    a = S.base.const(lam) ** weight
+    if a == S.base.one():
+        raise ValidationError(f"sample inadmissible on weight {weight}", code="inadmissible")
+    key = (S, cap, a)
+    if key in _N_FACTOR_CACHE:
+        return _N_FACTOR_CACHE[key]
+    flipped = _N_FACTOR_CACHE.get((S, cap, 1 / a))
+    Y = PolyRing(("y",), (cap,), S)
+    if flipped is not None:
+        factor = TruncPoly(Y, {(n,): c if n % 2 else -c for (n,), c in flipped.coeffs.items()}, _clean=True)
+    else:
+        odd = range(1, (S.order + 1) // 2, 2)  # a^m + a^-m, a^m - a^-m for odd m, as integers over den
+        den, re, im = _numerators(S, [a ** m + s * a ** -m for m in odd for s in (1, -1)])
+        im = im or [0] * len(re)
+        rows = divisor_rows(  # 2 (a^m + (-1)^k a^-m) at odd m
+            S, cap, lambda k, m, d: (2 * re[m - 1 + k % 2], 2 * im[m - 1 + k % 2]) if m % 2 else (0, 0), den
+        )
+        free = [(a + 1) / (a - 1)]  # F = (1 + e^-y / a) / (1 - e^-y / a) solves F' = (1 - F^2) / 2
+        for n in range(cap):
+            free.append((int(n == 0) - sum(free[i] * free[n - i] for i in range(n + 1))) / (2 * n + 2))
+        free = TruncPoly(Y, {(n,): S.const(c) for n, c in enumerate(free) if c}, _clean=True)
+        factor = free * divisor_sum_exp(Y, rows)
+    _N_FACTOR_CACHE[key] = factor
+    return factor
 
 
 def local_term(component: FixedComponent, lam, qorder: int = DEFAULT_QORDER) -> QSeries:
@@ -415,7 +425,7 @@ def _resolve_model_ref(ref):
 
 def load_action(source) -> CircleActionData:
     """Load an action description from a JSON path, file object or dict."""
-    from .manifolds import _read_json
+    from .manifolds import _is_int, _read_json, parse_form
 
     doc = _read_json(source)
     for field_name in ("ambient", "components"):
@@ -435,17 +445,11 @@ def load_action(source) -> CircleActionData:
                 form, weight = s["chern"], s["weight"]
             except (TypeError, KeyError) as exc:
                 raise ValidationError(f"malformed normal entry {s!r}", code="schema") from exc
-            if not isinstance(weight, int) or weight == 0:
+            if not _is_int(weight) or weight == 0:
                 raise ValidationError("weights must be nonzero integers", code="schema")
-            symbols = {g.symbol for g in model.cohomology.generators}
-            parsed = {}
-            for sym, coeff in (form or {}).items():
-                if sym not in symbols:
-                    raise ValidationError(
-                        f"normal form uses unknown generator {sym!r}", code="schema"
-                    )
-                parsed[sym] = as_fraction(Fraction(str(coeff)))
-            normal.append(NormalSummand(parsed, weight))
+            # a line bundle's first Chern class has degree 2
+            form = parse_form({} if form is None else form, model.cohomology.generators, 2)
+            normal.append(NormalSummand(form, weight))
         components.append(FixedComponent(model, tuple(normal)))
     return CircleActionData(
         ambient_dim=ambient.dim_real,

@@ -441,7 +441,7 @@ def load_model(source) -> ManifoldModel:
             raise ValidationError(f"missing field {field_name!r}", code="schema")
     if not isinstance(doc["name"], str) or not isinstance(doc["spin"], bool):
         raise ValidationError("name must be a string, spin a boolean", code="schema")
-    if not isinstance(doc["dim_real"], int):
+    if not _is_int(doc["dim_real"]):
         raise ValidationError("dim_real must be an integer", code="schema")
     gens = []
     if not isinstance(doc["generators"], list):
@@ -451,13 +451,12 @@ def load_model(source) -> ManifoldModel:
             sym, deg, cap = g["symbol"], g["degree"], g["cap"]
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"malformed generator {g!r}", code="schema") from exc
-        if deg not in (2, 4) or not isinstance(cap, int) or cap < 1:
+        if not (_is_int(deg) and deg in (2, 4)) or not _is_int(cap) or cap < 1:
             raise ValidationError(
                 f"generator {sym!r}: degree must be 2 or 4 and cap >= 1", code="schema"
             )
         gens.append(Generator(str(sym), deg, cap))
-    symbols = {g.symbol for g in gens}
-    if len(symbols) != len(gens):
+    if len({g.symbol for g in gens}) != len(gens):
         raise ValidationError("duplicate generator symbols", code="schema")
     try:
         pairing = parse_fraction(doc["pairing"])
@@ -466,24 +465,22 @@ def load_model(source) -> ManifoldModel:
     t = doc["tangent"]
     if not isinstance(t, dict) or t.get("style") not in (CHERN, PONTRYAGIN):
         raise ValidationError('tangent.style must be "chern" or "pontryagin"', code="schema")
-    if not isinstance(t.get("delta"), int):
+    if not _is_int(t.get("delta")):
         raise ValidationError("tangent.delta must be an integer", code="schema")
+    if not isinstance(t.get("entries", []), list):
+        raise ValidationError("tangent.entries must be a list", code="schema")
     entries = []
     for e in t.get("entries", []):
         try:
             form, mult = e["form"], e["mult"]
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"malformed tangent entry {e!r}", code="schema") from exc
-        if not isinstance(mult, int) or mult == 0:
+        if not _is_int(mult) or mult == 0:
             raise ValidationError("entry mult must be a nonzero integer", code="schema")
-        if not isinstance(form, dict) or not form:
+        if not form:
             raise ValidationError("entry form must be a non-empty mapping", code="schema")
-        parsed = {}
-        for sym, c in form.items():
-            if sym not in symbols:
-                raise ValidationError(f"form uses unknown generator {sym!r}", code="schema")
-            parsed[sym] = parse_fraction(c)
-        entries.append(TangentEntry(parsed, mult, t["style"]))
+        root_degree = 2 if t["style"] == CHERN else 4  # a root, or a squared root
+        entries.append(TangentEntry(parse_form(form, gens, root_degree), mult, t["style"]))
     model = ManifoldModel(
         name=doc["name"],
         cohomology=CohomologyModel(tuple(gens), pairing),
@@ -522,6 +519,26 @@ def dump_model(model: ManifoldModel) -> dict:
         },
         "orientation_note": model.orientation_note,
     }
+
+
+def parse_form(form, generators, degree: int) -> dict:
+    """A {symbol: rational} linear form in degree-`degree` generators, from its JSON value."""
+    if not isinstance(form, dict):
+        raise ValidationError(f"form {form!r} is not a mapping", code="schema")
+    parsed = {}
+    for sym, c in form.items():
+        if (sym, degree) not in {(g.symbol, g.degree) for g in generators}:
+            raise ValidationError(f"form uses {sym!r}, not a degree-{degree} generator", code="schema")
+        try:
+            parsed[sym] = parse_fraction(c)
+        except StructuralError as exc:
+            raise ValidationError(str(exc), code="schema") from exc
+    return parsed
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _read_json(source):

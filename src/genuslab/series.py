@@ -303,7 +303,7 @@ class TruncPoly:
             out = out * value + c
         return out
 
-    def evaluate(self, assignments: dict, target: PolyRing | None = None):
+    def evaluate(self, assignments: dict):
         """Evaluate at ring elements, one per variable.
 
         Coefficients are pushed into the value domain with multiplication,
@@ -325,9 +325,7 @@ class TruncPoly:
             contrib = c if term is None else term * c
             result = contrib if result is None else result + contrib
         if result is None:
-            if target is not None:
-                return target.zero()
-            raise StructuralError("cannot evaluate the zero polynomial without a target ring")
+            raise StructuralError("cannot evaluate the zero polynomial: its value ring is unknown")
         return result
 
     def terms(self) -> list:
@@ -399,11 +397,7 @@ class QSeries:
     __slots__ = ("ring", "lo", "order", "_den", "_re", "_im", "_coeffs")
 
     def __init__(self, ring: SeriesRing, lo: int, coeffs, order: int):
-        pairs = [_parts(ring, c) for c in coeffs]
-        den = lcm(*(x.denominator for pair in pairs for x in pair))
-        re = [r.numerator * (den // r.denominator) for r, _ in pairs]
-        im = [i.numerator * (den // i.denominator) for _, i in pairs] if ring.gaussian else None
-        _store(self, ring, lo, den, re, im, order)
+        _store(self, ring, lo, *_numerators(ring, coeffs), order)
 
     # -- inspection --------------------------------------------------------
 
@@ -611,6 +605,15 @@ def _parts(ring: SeriesRing, c):
     if isinstance(c, GaussianRational) and ring.gaussian:
         return c.re, c.im
     return as_fraction(c), _ZERO
+
+
+def _numerators(ring: SeriesRing, coeffs):
+    """(den, re, im): coefficients as integer numerators over their common denominator; im None over Q."""
+    pairs = [_parts(ring, c) for c in coeffs]
+    den = lcm(*(x.denominator for pair in pairs for x in pair))
+    re = [r.numerator * (den // r.denominator) for r, _ in pairs]
+    im = [i.numerator * (den // i.denominator) for _, i in pairs] if ring.gaussian else None
+    return den, re, im
 
 
 def _nonzero(re, im):

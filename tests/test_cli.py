@@ -349,3 +349,131 @@ def test_non_geometric_obstruct_inputs_exit_2():
         assert_validation_exit(r)
         assert json.loads(r.stdout)["code"] == "invalid"
     assert run_cli("obstruct", "--codim", "0").returncode == 0
+
+
+def write_json(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def cp2_linear_action():
+    """CP2_linear(0,0,1) as an action file document."""
+    return {
+        "name": "CP2_linear(0,0,1)",
+        "ambient": "builtin:CP2",
+        "components": [
+            {"model": "builtin:CP1", "normal": [{"chern": {"h": "1"}, "weight": 1}]},
+            {"model": "point", "normal": [{"chern": {}, "weight": -1}, {"chern": {}, "weight": -1}]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"chern": [1], "weight": 1},
+        {"chern": "h", "weight": 1},
+        {"chern": {"h": "abc"}, "weight": 1},
+        {"chern": {"h": [1]}, "weight": 1},
+        {"chern": {"h": "1"}, "weight": True},
+    ],
+    ids=["chern-list", "chern-string", "coefficient-abc", "coefficient-list", "weight-true"],
+)
+def test_malformed_normal_entries_exit_2(tmp_path, entry):
+    doc = cp2_linear_action()
+    doc["components"][0]["normal"][0] = entry
+    r = run_cli("rigidity", "--action", f"file:{write_json(tmp_path, doc)}", "--lambda", "2,3", "--qorder", "2")
+    assert_validation_exit(r)
+    assert json.loads(r.stdout)["code"] == "schema"
+
+
+def test_normal_form_on_a_degree_4_generator_exits_2(tmp_path):
+    # a line bundle's Chern class cannot be HP1's degree-4 generator u
+    component = {"model": "builtin:HP1", "normal": [{"chern": {"u": "1"}, "weight": 1}, {"chern": {}, "weight": 2}]}
+    doc = {"ambient": "builtin:HP2", "components": [component]}
+    r = run_cli("rigidity", "--action", f"file:{write_json(tmp_path, doc)}", "--lambda", "2,3", "--qorder", "2")
+    assert_validation_exit(r)
+    assert json.loads(r.stdout)["code"] == "schema"
+
+
+def cp1_model():
+    return {
+        "name": "CP1",
+        "dim_real": 2,
+        "spin": True,
+        "generators": [{"symbol": "h", "degree": 2, "cap": 1}],
+        "pairing": "1",
+        "tangent": {"style": "chern", "delta": 1, "entries": [{"form": {"h": "1"}, "mult": 2}]},
+    }
+
+
+def cp2_model():
+    return {
+        "name": "CP2",
+        "dim_real": 4,
+        "spin": False,
+        "generators": [{"symbol": "h", "degree": 2, "cap": 2}],
+        "pairing": "1",
+        "tangent": {"style": "chern", "delta": 1, "entries": [{"form": {"h": "1"}, "mult": 3}]},
+    }
+
+
+def hp2_model():
+    return {
+        "name": "HP2",
+        "dim_real": 8,
+        "spin": True,
+        "generators": [{"symbol": "u", "degree": 4, "cap": 2}],
+        "pairing": "1",
+        "tangent": {
+            "style": "pontryagin",
+            "delta": 1,
+            "entries": [{"form": {"u": "1"}, "mult": 6}, {"form": {"u": "4"}, "mult": -1}],
+        },
+    }
+
+
+def _entries_not_a_list(doc):
+    doc["tangent"]["entries"] = 5
+
+
+def _mult_true(doc):
+    doc["tangent"]["entries"][0]["mult"] = True
+
+
+def _cap_true(doc):
+    doc["generators"][0]["cap"] = True
+
+
+def _delta_true(doc):
+    doc["tangent"]["delta"] = True
+
+
+def _chern_on_degree_4(doc):  # HP2's squared roots read as Chern roots of its degree-4 generator
+    doc["tangent"]["style"] = "chern"
+
+
+def _pontryagin_on_degree_2(doc):  # CP2's roots read as squared roots of its degree-2 generator
+    doc["tangent"]["style"] = "pontryagin"
+
+
+@pytest.mark.parametrize(
+    "model, mutate",
+    [
+        (cp2_model, _entries_not_a_list),
+        (cp2_model, _mult_true),
+        (cp1_model, _cap_true),
+        (cp2_model, _delta_true),
+        (hp2_model, _chern_on_degree_4),
+        (cp2_model, _pontryagin_on_degree_2),
+    ],
+    ids=["entries-5", "mult-true", "cap-true", "delta-true", "chern-on-degree-4", "pontryagin-on-degree-2"],
+)
+def test_malformed_tangent_data_exits_2(tmp_path, model, mutate):
+    doc = model()
+    assert run_cli("genus", "--manifold", f"file:{write_json(tmp_path, doc)}", "--spec", "signature").returncode == 0
+    mutate(doc)
+    r = run_cli("genus", "--manifold", f"file:{write_json(tmp_path, doc)}", "--spec", "signature")
+    assert_validation_exit(r)
+    assert json.loads(r.stdout)["code"] == "schema"

@@ -1,7 +1,8 @@
 """The divisor-sum exp builder against the q-level product it replaces.
 
 `index_density` (cusp words) and `localization.normal_factor` take the exp of
-a closed-form divisor sum.  The oracle here is the infinite product itself,
+a closed-form divisor sum, given as integer rows.  `normal_factor` builds the
+factor of a = lam^w once and derives the one of 1/a from it.  The oracle here is the infinite product itself,
 one q-level at a time with one polynomial inverse per level, written only
 with the public ring operations and test-local exponentials.  Both sides must
 agree exactly: the same ring, the same monomials, and for every coefficient
@@ -9,12 +10,14 @@ the same q-series values, `lo` and `order`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
 
+from genuslab import localization
 from genuslab.genus import index_density
-from genuslab.localization import normal_factor
+from genuslab.localization import builtin_action, equivariant_series, normal_factor
 from genuslab.rings import I_UNIT, QI, QQ, GaussianRational
 from genuslab.series import PolyRing, QSeries, SeriesRing, TruncPoly
 
@@ -64,6 +67,7 @@ def density_oracle(kind, xmax, S):
     return TruncPoly(PolyRing(("x",), (cap,), S), {e: c for e, c in dens.coeffs.items() if e[0] <= cap})
 
 
+@lru_cache(maxsize=None)
 def n_factor_oracle(S, cap, lam, w):
     Y = PolyRing(("y",), (cap,), S)
     one = Y.one()
@@ -102,3 +106,47 @@ def test_normal_factor_is_cached_per_ring_cap_sample_and_weight():
     S = SeriesRing(QQ, 10)
     assert normal_factor(S, 2, Fraction(3), 1) is normal_factor(SeriesRing(QQ, 10), 2, Fraction(3), 1)
     assert normal_factor(S, 2, Fraction(3), 1) is not normal_factor(S, 2, Fraction(3), -1)
+
+
+LAMBDAS = [Fraction(2), Fraction(-1, 3), I_UNIT, GaussianRational(1, 1)]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Empty the N-factor cache and count the factors built anew, not derived."""
+    monkeypatch.setattr(localization, "_N_FACTOR_CACHE", {})
+    made = []
+    build = localization.divisor_sum_exp
+    monkeypatch.setattr(localization, "divisor_sum_exp", lambda *args: made.append(args) or build(*args))
+    return made
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+@pytest.mark.parametrize("w", [1, 3])
+@pytest.mark.parametrize("lam", LAMBDAS, ids=["2", "-1/3", "i", "1+i"])
+def test_the_factor_at_minus_w_is_derived_exactly(builds, lam, w, cap):
+    # S order 26 is the rigidity pool's q-order 12
+    S = SeriesRing(QI if isinstance(lam, GaussianRational) else QQ, 26)
+    for weight in (w, -w):
+        assert exactly(normal_factor(S, cap, lam, weight)) == exactly(n_factor_oracle(S, cap, lam, weight))
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+@pytest.mark.parametrize("w", [-1, -3])
+@pytest.mark.parametrize("lam", LAMBDAS, ids=["2", "-1/3", "i", "1+i"])
+def test_the_factor_at_the_inverse_sample_is_derived_exactly(builds, lam, w, cap):
+    S = SeriesRing(QI if isinstance(lam, GaussianRational) else QQ, 26)
+    for mu in (lam, 1 / lam):
+        assert exactly(normal_factor(S, cap, mu, w)) == exactly(n_factor_oracle(S, cap, mu, w))
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [("CP3_linear(0,1,2,3)", 3), ("HP3_diagonal(1,2,3,5)", 8)],
+)
+def test_one_build_per_pair_of_inverse_weights(builds, name, count):
+    # CP3: weights +-1, +-2, +-3; HP3(1,2,3,5): +-1..+-4 and -5..-8
+    equivariant_series(builtin_action(name), Fraction(2), 4)
+    assert len(builds) == count

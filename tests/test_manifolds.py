@@ -112,6 +112,19 @@ def test_loader_round_trip(tmp_path):
     assert dump_model(loaded) == doc
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["pt", "CP1", "CP3", "CP8", "HP1", "HP4", "V(2,2)", "V(4,3)", "V(6,2)",
+     "product(CP2,CP2)", "product(HP2,HP2)", "product(CP1,CP3)"],
+)
+def test_catalog_models_round_trip(name):
+    # the loader ties a Chern root to degree-2 and a squared root to degree-4 generators
+    doc = dump_model(builtin(name))
+    loaded = load_model(json.loads(json.dumps(doc)))
+    assert loaded.tangent == builtin(name).tangent
+    assert dump_model(loaded) == doc
+
+
 def test_loader_dimension_mismatch():
     doc = dump_model(builtin("CP2"))
     doc["tangent"]["entries"][0]["mult"] = 7  # sum mult - delta != dim/2
