@@ -28,14 +28,26 @@ and the two infinite loop-space words attach, per root pair and q-level n,
                                   its inverse               for even n.
 
 `index_density` builds every density: over Q for single-bundle twists, over
-q-series for the words.  The log of a word's level product is a divisor sum
-(Zagier 1988), sum_{k even} x^k/k! sum_N c(k, N) q^N, where c(k, N) sums
-4 m^(k-1) over odd m | N (loop word) or -2 eps(N/m) m^(k-1) over m | N
-(A-hat-cusp word; eps is +1 on odd and -1 on even numbers).  `divisor_rows`
-writes such sums as integer rows and `divisor_sum_exp` takes their exp with
-no inverse, for the word densities (times their q-free density) and the
-localization N-factors.  Genus values, word densities and bundle characters
-all reach the tangent roots through `manifolds.root_product` and `root_sum`.
+q-series for the words.  By the Jacobi triple product (Hirzebruch-Berger-Jung
+ch. 6; Zagier 1988), with s^2 = q and
+Theta_+-(z) = sum_(n >= 0) (+-1)^n s^(n(n+1)) (z^n +- z^(-n-1)),
+
+    loop word * signature density   = Theta_+(e^x) / (Theta_-(e^x) / x),
+    A-hat-cusp word * A-hat density = sum_(n in Z) (-1)^n s^(2n^2) e^((n-1/2)x)
+                                      / (sum_(n in Z) (-1)^n s^(2n(n+1)) e^(nx) / x),
+
+where both denominators vanish at x = 0.  `theta_quotient` divides two such
+sums, given as terms (e, c, r) for c s^e e^(rx), at most two per s-exponent.
+Column k of the numerator P and denominator D is sum c r^k/k! s^e, and
+N_n = D_0^-1 (P_n - sum_(j >= 1) D_j N_(n-j)) takes one inverse, with
+denominator a_0^order for the s^0 numerator a_0 of D_0 over its common
+denominator.  In the localization N-factor Theta_+(a e^x) / Theta_-(a e^x)
+the terms carry a^n and a^(-n-1) at s^(n(n+1)), and a_0 grows like
+(den(a) den(1/a))^sqrt(order); so the division runs at s -> C s with
+C = den(a) den(1/a), where only the s^0 terms 1 +- 1/a keep a denominator,
+and `QSeries.rescale` scales back exactly.  Genus values, word densities and
+bundle characters all reach the tangent roots through `manifolds.root_product`
+and `root_sum`.
 """
 
 from __future__ import annotations
@@ -43,12 +55,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, isqrt, lcm
 
 from .errors import InternalInconsistencyError, ResourceCapError, StructuralError
 from .manifolds import ManifoldModel, root_product, root_sum
 from .rings import QQ, as_fraction
-from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _series
+from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _numerators, _series
 
 log = logging.getLogger(__name__)
 
@@ -199,38 +211,42 @@ def _exp_x(ring: PolyRing, scale: Fraction) -> TruncPoly:
     return TruncPoly(ring, {(j,): ring.base.const(c) for j, c in enumerate(coeffs)})
 
 
-def divisor_rows(S: SeriesRing, cap: int, t, den: int = 1) -> list:
-    """k G_k for k <= cap (G_0 at k = 0), G_k = 1/k! sum_N q^N sum_(m | N) m^(k-1) t(k, m, N/m) / den.
-
-    t gives (real, imaginary) integer numerators.  Each m is added at its
-    multiples N in integer rows, which go straight into the series kernel:
-    lcm(1, ..., L) clears the 1/m of k = 0, (k-1)! the 1/(k-1)! of k >= 1.
-    """
-    levels = (S.order - 1) // 2  # q^N = s^(2N) for N <= levels
-    rows = []
-    for k in range(cap + 1):
-        scale = lcm(*range(1, levels + 1)) if k == 0 else factorial(k - 1)
-        re, im = [0] * (2 * levels), [0] * (2 * levels)  # at s^2, s^3, ...
-        for m in range(1, levels + 1):
-            f = scale // m if k == 0 else m ** (k - 1)
-            for d in range(1, levels // m + 1):
-                x, y = t(k, m, d)
-                re[2 * m * d - 2] += f * x
-                im[2 * m * d - 2] += f * y
-        rows.append(_series(S, 2, den * scale, re, im if S.gaussian else None, S.order))
-    return rows
+def theta_terms(a, sign: int, order: int) -> list:
+    """Terms (e, c, r) of Theta_sign(a e^x) as in the module docstring, n(n+1) < order among them."""
+    return [t for n in range(isqrt(order) + 1)  # n(n+1) >= order once n > isqrt(order)
+            for t in ((n * n + n, (sign * a) ** n, n), (n * n + n, (sign / a) ** (n + 1), -n - 1))]
 
 
-def divisor_sum_exp(X: PolyRing, rows) -> TruncPoly:
-    """exp(sum_k x^k G_k) in X = S[x] from rows[k] = k G_k (G_0 at k = 0), see `divisor_rows`.
+def theta_quotient(X: PolyRing, num, den, scale: int = 1) -> TruncPoly:
+    """(sum c s^e e^(r x) over `num`) / (the same over `den`) in X = S[x], from terms (e, c, r).
 
-    E_0 = exp(G_0) and n E_n = sum_j j G_j E_(n-j) (the x-derivative): no inverse.
+    The denominator gets one more x-order, so that a zero x^0 column can be
+    divided out; the division runs at s -> scale * s (module docstring).
     """
     S, cap = X.base, X.caps[0]
-    E = [rows[0].exp()]
-    for n in range(1, cap + 1):
-        E.append(sum((rows[j] * E[n - j] for j in range(1, n + 1)), S.zero()) * Fraction(1, n))
-    return TruncPoly(X, {(n,): e for n, e in enumerate(E)})
+    P, D = _theta_columns(S, num, cap, scale), _theta_columns(S, den, cap + 1, scale)
+    D = D[1:] if D[0].is_zero() else D
+    inv, N = D[0].inverse(), []
+    for n in range(cap + 1):
+        N.append(inv * (P[n] - sum((D[j] * N[n - j] for j in range(1, n + 1)), S.zero())))
+    return TruncPoly(X, {(n,): c.rescale(Fraction(1, scale)) for n, c in enumerate(N)})  # drops zero columns
+
+
+def _theta_columns(S: SeriesRing, terms, cap: int, scale: int) -> list:
+    """The x^k columns, k <= cap, of sum c (scale s)^e e^(r x): sum c scale^e r^k / k! s^e over e < S.order."""
+    es, cs, rs = zip(*((e, c * scale ** e, Fraction(r)) for e, c, r in terms if e < S.order))
+    den, re, im = _numerators(S, cs)
+    rd = lcm(*(r.denominator for r in rs))
+    rs = [r.numerator * (rd // r.denominator) for r in rs]
+
+    def column(part, k):  # sum x r^k over the terms, at their s-exponents
+        out = [0] * S.order
+        for e, x, r in zip(es, part, rs):
+            out[e] += x * r ** k
+        return out
+
+    return [_series(S, 0, den * rd ** k * factorial(k), column(re, k), im and column(im, k), S.order)
+            for k in range(cap + 1)]
 
 
 _DENSITY_CACHE: dict = {}
@@ -246,13 +262,15 @@ def index_density(kind: str, xmax: int, base) -> TruncPoly:
     hit = _DENSITY_CACHE.get(key)
     if hit is not None:
         return hit
-    if kind in _WORD_SPECS:  # the q-free density times the exp of the divisor sums
-        free = index_density(f"{_WORD_SPECS[kind]}-op", xmax, base)
-        loop = kind == LOOP_WORD
-        rows = divisor_rows(  # the word sums c(k, N) of the module docstring
-            base, free.ring.caps[0], lambda k, m, d: (0 if k % 2 else 4 * (m % 2) if loop else 2 * (-1) ** d, 0)
-        )
-        dens = free * divisor_sum_exp(free.ring, rows)
+    if kind in _WORD_SPECS:  # the theta quotients of the module docstring
+        X = PolyRing(("x",), (xmax + xmax % 2,), base)
+        if kind == LOOP_WORD:
+            num, den = theta_terms(Fraction(1), 1, base.order), theta_terms(Fraction(1), -1, base.order)
+        else:
+            ns = range(-isqrt(base.order), isqrt(base.order) + 1)
+            num = [(2 * n * n, (-1) ** abs(n), Fraction(2 * n - 1, 2)) for n in ns]
+            den = [(2 * n * n + 2 * n, (-1) ** abs(n), n) for n in ns]
+        dens = theta_quotient(X, num, den)
     else:
         pad = xmax + 2  # headroom so divide-by-x keeps the top coefficients exact
         X = PolyRing(("x",), (pad,), base)

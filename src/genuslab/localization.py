@@ -15,21 +15,23 @@ with the loop-space signature density as T-factor and, per normal summand
           * prod_n (1 + q^n a e^y)(1 + q^n a^-1 e^-y)
                  / ((1 - q^n a e^y)(1 - q^n a^-1 e^-y)).
 
-Since log((1 + a)/(1 - a)) sums 2 a^m / m over odd m, the level product is
-exp(sum_k y^k/k! sum_N c(k, N) q^N) with the divisor sum (Bott-Taubes 1989)
-
-    c(k, N) = sum over odd m | N of 2 m^(k-1) (a^m + (-1)^k a^-m).
-
-`normal_factor` turns a^m +- a^-m into integers once and hands
-`genus.divisor_sum_exp` integer rows; the q-free factor F (F' = (1 - F^2)/2)
-is a series over Q or Q(i), lifted into the q-series ring once.  Replacing
-(a, y) by (1/a, -y) swaps the level factors and negates F, so
+The Jacobi triple product writes Theta_+-(z) (the `genus` docstring) as
+prod_n (1 - q^n)(1 +- q^n z)(1 +- q^(n-1)/z), so N_a(y) = Theta_+(z) / Theta_-(z)
+at z = a e^y: `normal_factor` hands `theta_terms` of a to `theta_quotient`,
+which runs the division at s -> den(a) den(1/a) s.  Replacing (a, y) by
+(1/a, -y) swaps the level factors and negates the q-free one, so
 N_(1/a)(y) = -N_a(-y): one build serves {a, 1/a} per (q-order, y-cap), and
 `local_term` composes it with each summand's Chern form.
 
-Sample points are admissible when no lam^w = 1 for an occurring weight w;
-constancy of a character over three exact off-circle samples certifies it
-everywhere, which is how rigidity is checked.
+Sample points are admissible when no lam^w = 1 for an occurring weight w.
+Rigidity compares exact samples, which certifies less than their number
+suggests.  The bundles are real, so each q^N coefficient of the equivariant
+series is a Laurent polynomial P_N with P_N(1/lam) = P_N(lam): a sample
+counts only through t = lam + 1/lam (lam and 1/lam, or i and -i, are one).
+log N_a carries a^m at q^N only for m <= N, the q-free factor stays bounded
+as lam -> 0 or infinity and the tangent word is free of lam, so
+deg P_N <= N w_max for the largest |weight| w_max: certifying q^0..q^Q needs
+Q w_max + 1 samples with distinct t.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .genus import DEFAULT_QORDER, divisor_rows, divisor_sum_exp, loop_sign_series, word_factor_product
+from .genus import DEFAULT_QORDER, loop_sign_series, theta_quotient, theta_terms, word_factor_product
 from .manifolds import ManifoldModel, builtin, load_model
 from .rings import I_UNIT, QI, QQ, GaussianRational
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _numerators
@@ -148,18 +150,9 @@ def normal_factor(S: SeriesRing, cap: int, lam, weight: int) -> TruncPoly:
     Y = PolyRing(("y",), (cap,), S)
     if flipped is not None:
         factor = TruncPoly(Y, {(n,): c if n % 2 else -c for (n,), c in flipped.coeffs.items()}, _clean=True)
-    else:
-        odd = range(1, (S.order + 1) // 2, 2)  # a^m + a^-m, a^m - a^-m for odd m, as integers over den
-        den, re, im = _numerators(S, [a ** m + s * a ** -m for m in odd for s in (1, -1)])
-        im = im or [0] * len(re)
-        rows = divisor_rows(  # 2 (a^m + (-1)^k a^-m) at odd m
-            S, cap, lambda k, m, d: (2 * re[m - 1 + k % 2], 2 * im[m - 1 + k % 2]) if m % 2 else (0, 0), den
-        )
-        free = [(a + 1) / (a - 1)]  # F = (1 + e^-y / a) / (1 - e^-y / a) solves F' = (1 - F^2) / 2
-        for n in range(cap):
-            free.append((int(n == 0) - sum(free[i] * free[n - i] for i in range(n + 1))) / (2 * n + 2))
-        free = TruncPoly(Y, {(n,): S.const(c) for n, c in enumerate(free) if c}, _clean=True)
-        factor = free * divisor_sum_exp(Y, rows)
+    else:  # s -> den(a) den(1/a) s clears every denominator but those of the s^0 terms
+        scale = _numerators(S, [a])[0] * _numerators(S, [1 / a])[0]
+        factor = theta_quotient(Y, theta_terms(a, 1, S.order), theta_terms(a, -1, S.order), scale)
     _N_FACTOR_CACHE[key] = factor
     return factor
 

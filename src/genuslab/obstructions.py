@@ -378,17 +378,11 @@ class BinaryCode:
         ]
 
     def words(self):
-        """All 2^rows code words (with multiplicity-free XOR semantics)."""
-        n = len(self.masks)
-        for bits in range(1 << n):
-            word = 0
-            b = bits
-            i = 0
-            while b:
-                if b & 1:
-                    word ^= self.masks[i]
-                b >>= 1
-                i += 1
+        """All 2^rows code words, one per subset of rows, in Gray-code order: one XOR per word."""
+        word = 0
+        yield word
+        for i in range(1, 1 << len(self.masks)):
+            word ^= self.masks[(i & -i).bit_length() - 1]
             yield word
 
 

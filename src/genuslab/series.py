@@ -24,8 +24,9 @@ denominator, in lowest terms: one numerator list over Q, a real and an
 imaginary list sharing the denominator over Q(i).  Sums bring both operands
 to the lcm of their denominators, products are truncated schoolbook
 convolutions of the integer lists (four of them over Q(i)), inverses use an
-integer recurrence (over Q(i) through the rational series a * conj(a)), as
-does `exp` of a series with lo >= 1 (m f_m = sum_j j g_j f_(m-j)).
+integer recurrence (over Q(i) through the rational series a * conj(a)), and
+`rescale` substitutes c s for s by integer powers of c's numerator and
+denominator.
 `Fraction` and `GaussianRational` appear only at the boundary: constructors
 take them, and `coefficient`, `coeffs` and `repr` return them, canonical.
 
@@ -544,13 +545,15 @@ class QSeries:
         re, im = _mul_parts(self._re, conj, inv, [], n)
         return _series(self.ring, lo, self._den * den, re, im, order)
 
-    def exp(self) -> "QSeries":
-        """exp of a series with lo >= 1, known to the same order."""
-        if self.lo < 1:
-            raise StructuralError(f"exp needs a series with lo >= 1, got lo = {self.lo}")
-        pad = [0] * self.lo
-        den, re, im = _exp_ints(pad + self._re, self._im and pad + self._im, self._den, self.order)
-        return _series(self.ring, 0, den, re, im, self.order)
+    def rescale(self, c: Fraction) -> "QSeries":
+        """The series at c * s for a nonzero rational c: the coefficient of s^e times c^e; lo >= 0."""
+        if self.lo < 0:
+            raise StructuralError(f"rescale needs a series with lo >= 0, got lo = {self.lo}")
+        u, v, n = c.numerator, c.denominator, len(self._re)
+        f = [u ** (self.lo + i) * v ** (n - i) for i in range(n)]  # c^(lo+i) = f[i] / v^(lo+n)
+        re = [x * y for x, y in zip(self._re, f)]
+        im = None if self._im is None else [x * y for x, y in zip(self._im, f)]
+        return _series(self.ring, self.lo, self._den * v ** (self.lo + n), re, im, self.order)
 
     def same_to(self, other, upto: int | None = None) -> bool:
         """Equality of coefficients below min(guarantees) (or below `upto`)."""
@@ -702,34 +705,3 @@ def _inverse_ints(a, den, n):
     if d < 0:
         return -d, [-x for x in nums]
     return d, nums
-
-
-def _exp_ints(re, im, den, n):
-    """(denominator, re, im) of the first n coefficients of exp(sum (re_j + i im_j) s^j / den).
-
-    re_0 = im_0 = 0, and im is None over Q.  m f_m = sum_j j g_j f_(m-j) is
-    solved with each f_m = (R_m + i I_m) / d_m in lowest terms: one common
-    denominator for all m would grow like m! den^m, far past the true
-    denominators when those of g_j grow with j (lam^(-wm) in the N-factors).
-    """
-    g = []  # j g_j = (x + i y) / b, from g_j in lowest terms
-    for j, x, y in zip(range(1, n), re[1:], (im or [0] * len(re))[1:]):
-        c = gcd(den, x, y)
-        g.append((j * x // c, j * y // c, den // c))
-    R, I, d = [1], [0], [1]
-    for m in range(1, n):
-        terms = [(x, y, b, m - j) for j, (x, y, b) in enumerate(g[:m], 1) if x or y]
-        L = lcm(*(b * d[k] for _, _, b, k in terms))
-        r = i = 0
-        for x, y, b, k in terms:
-            s = L // (b * d[k])
-            u, v = s * R[k], s * I[k]
-            r += x * u - y * v
-            i += x * v + y * u
-        c = gcd(m * L, r, i)
-        R.append(r // c)
-        I.append(i // c)
-        d.append(m * L // c)
-    D = lcm(*d)
-    re = [x * (D // e) for x, e in zip(R, d)]
-    return D, re, None if im is None else [x * (D // e) for x, e in zip(I, d)]

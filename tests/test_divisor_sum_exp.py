@@ -1,12 +1,13 @@
-"""The divisor-sum exp builder against the q-level product it replaces.
+"""The theta-quotient builder against the q-level product it replaces.
 
-`index_density` (cusp words) and `localization.normal_factor` take the exp of
-a closed-form divisor sum, given as integer rows.  `normal_factor` builds the
-factor of a = lam^w once and derives the one of 1/a from it.  The oracle here is the infinite product itself,
-one q-level at a time with one polynomial inverse per level, written only
-with the public ring operations and test-local exponentials.  Both sides must
-agree exactly: the same ring, the same monomials, and for every coefficient
-the same q-series values, `lo` and `order`.
+`index_density` (cusp words) and `localization.normal_factor` divide two
+theta series with `genus.theta_quotient`.  `normal_factor` builds the factor
+of a = lam^w once, with s scaled by den(a) den(1/a) during the division, and
+derives the one of 1/a from it.  The oracle here is the infinite product
+itself, one q-level at a time with one polynomial inverse per level, written
+only with the public ring operations and test-local exponentials.  Both sides
+must agree exactly: the same ring, the same monomials, and for every
+coefficient the same q-series values, `lo` and `order`.
 """
 
 from fractions import Fraction
@@ -116,8 +117,8 @@ def builds(monkeypatch):
     """Empty the N-factor cache and count the factors built anew, not derived."""
     monkeypatch.setattr(localization, "_N_FACTOR_CACHE", {})
     made = []
-    build = localization.divisor_sum_exp
-    monkeypatch.setattr(localization, "divisor_sum_exp", lambda *args: made.append(args) or build(*args))
+    build = localization.theta_quotient
+    monkeypatch.setattr(localization, "theta_quotient", lambda *args: made.append(args) or build(*args))
     return made
 
 
@@ -139,6 +140,24 @@ def test_the_factor_at_the_inverse_sample_is_derived_exactly(builds, lam, w, cap
     S = SeriesRing(QI if isinstance(lam, GaussianRational) else QQ, 26)
     for mu in (lam, 1 / lam):
         assert exactly(normal_factor(S, cap, mu, w)) == exactly(n_factor_oracle(S, cap, mu, w))
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("cap", [0, 3])
+@pytest.mark.parametrize(
+    "lam, w", [(Fraction(5), 8), (Fraction(5), -8), (Fraction(3), 7), (GaussianRational(1, 1), 5)],
+    ids=["5^8", "5^-8", "3^7", "(1+i)^5"],
+)
+def test_the_rescaled_division_is_exact(builds, lam, w, cap):
+    # the rigidity pool's largest |a| and denominators: the division runs at s * 5^8, 3^7 and 8
+    S = SeriesRing(QI if isinstance(lam, GaussianRational) else QQ, 26)
+    assert exactly(normal_factor(S, cap, lam, w)) == exactly(n_factor_oracle(S, cap, lam, w))
+    assert len(builds) == 1
+
+
+def test_the_rescaled_division_is_exact_at_q_order_96(builds):
+    S = SeriesRing(QQ, 194)
+    assert exactly(normal_factor(S, 0, Fraction(5), 8)) == exactly(n_factor_oracle(S, 0, Fraction(5), 8))
     assert len(builds) == 1
 
 

@@ -128,6 +128,15 @@ def test_rigidity_cp2_observational():
     assert report.status == "OBSERVATIONAL"
 
 
+def test_reciprocal_samples_are_one_sample():
+    # each q^N coefficient is a Laurent polynomial P_N with P_N(1/lam) = P_N(lam): lam and 1/lam
+    # agree even where the character is not constant, so they certify nothing beyond one sample
+    a = builtin_action("CP2_linear(0,1,3)")
+    assert equivariant_series(a, Fraction(2), 3) == equivariant_series(a, Fraction(1, 2), 3)
+    assert rigidity_check(a, [Fraction(2), Fraction(1, 2)], 3).all_samples_equal
+    assert not rigidity_check(a, [Fraction(2), Fraction(3)], 3).all_samples_equal
+
+
 def test_parity_detection():
     hp = builtin_action("HP2_diagonal(1,2,4)")
     assert detect_parity(hp) == "even"  # codim 8 at each point

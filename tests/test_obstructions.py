@@ -1,6 +1,7 @@
 """Obstruction combinatorics against brute-force oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -237,6 +238,20 @@ def oracle_words(rows):
                 word = [(a + b) % 2 for a, b in zip(word, rows[i])]
             out.append(tuple(word))
     return out
+
+
+def test_words_are_the_subset_sums_with_multiplicity():
+    # duplicate, dependent and zero rows repeat words; the weight distribution counts every repeat
+    rng = random.Random(5)
+    for _ in range(200):
+        cols = rng.randint(1, 10)
+        rows = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 4)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append(rng.choice([list(a), [x + y + 2 for x, y in zip(a, b)], [0] * cols]))
+        rng.shuffle(rows)
+        masks = Counter(sum(bit << c for c, bit in enumerate(word)) for word in oracle_words(rows))
+        assert Counter(BinaryCode(rows).words()) == masks
 
 
 def test_code_words_example():

@@ -12,8 +12,9 @@ only, following the guarantees of the `series` module docstring:
   o - 2l and starts at -l;
 * shifting by k moves both the lowest exponent and the order by k;
 * the zeroth power is 1, known below max(o, ring order);
-* exp of a series with lowest exponent >= 1 is the power series sum g^k/k!,
-  known below the same order; any other series raises StructuralError.
+* rescaling by a nonzero rational c multiplies the coefficient of s^e by c^e
+  and keeps the order, for lowest exponent >= 0; any other series raises
+  StructuralError.
 
 Each case builds series through the public constructor from lists that may
 carry leading and trailing zeros, may start at a negative exponent, and may
@@ -102,13 +103,6 @@ class Dense:
 
     def shift(self, k):
         return Dense(self.ring, {e + k: c for e, c in self.terms.items()}, self.order + k)
-
-    def exp(self):
-        out = term = Dense(self.ring, {0: self.ring.base.one()}, self.order)
-        for k in range(1, self.order):  # self^k starts at s^k or later
-            term = (term * self).scale(Fraction(1, k))
-            out = out + term
-        return out
 
     def same_to(self, other, upto):
         return all(self.at(e) == other.at(e) for e in range(min(self.lo, other.lo), upto))
@@ -214,41 +208,16 @@ def test_shift_and_comparison(case, k, back):
         a.same_to(b, hi + 1)
 
 
-@st.composite
-def positive_cases(draw):
-    """Two series with lowest exponent >= 1 over one ring over Q or Q(i), and their oracles."""
-    base = draw(st.sampled_from([QQ, QI]))
-    ring = SeriesRing(base, 8)
-    pairs = []
-    for _ in range(2):
-        lo = draw(st.integers(1, 4))
-        coeffs = [scalar(base, *t) for t in draw(st.lists(SCALAR, max_size=6))]
-        order = draw(st.integers(lo, lo + 9))
-        terms = {lo + i: c for i, c in enumerate(coeffs)}
-        pairs.append((QSeries(ring, lo, coeffs, order), Dense(ring, terms, order)))
-    return pairs
-
-
 @PROPERTY
-@given(cases())
-def test_exp_is_the_power_series(case):
-    for a, da in case[0]:
-        if a.lo >= 1:
-            e = a.exp()
-            assert agrees(e, da.exp())
-            assert (e.lo, e.order) == (0, a.order)
-        else:  # a constant or negative-exponent term, or unknown from s^0 on
-            with pytest.raises(StructuralError):
-                a.exp()
-
-
-@PROPERTY
-@given(positive_cases())
-def test_exp_turns_sums_into_products(case):
-    (a, da), (b, db) = case
-    assert agrees((a + b).exp(), (da + db).exp())
-    assert agrees(a.exp() * b.exp(), (da + db).exp())
-    assert agrees((-a).exp() * a.exp(), Dense(a.ring, {0: a.ring.base.one()}, a.order))
+@given(cases(), SCALAR)
+def test_rescale(case, c):
+    (a, da), _ = case[0]
+    c = Fraction(c[0] or 7, c[2])
+    if a.lo < 0:
+        with pytest.raises(StructuralError):
+            a.rescale(c)
+    else:
+        assert agrees(a.rescale(c), Dense(a.ring, {e: x * c ** e for e, x in da.terms.items()}, da.order))
 
 
 def test_series_ring_base_must_be_q_or_gaussian():
