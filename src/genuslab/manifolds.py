@@ -165,11 +165,14 @@ def _root_values(model: ManifoldModel, f: TruncPoly):
 
 def root_product(model: ManifoldModel, f: TruncPoly) -> TruncPoly:
     """prod f(root)^mult over the tangent entries, divided by f(0)^delta."""
-    total = model.poly_ring(f.ring.base).one()
+    total = None
     for value, mult in _root_values(model, f):
-        total = total * value ** mult
-    if model.tangent.delta:
-        total = total * f.constant_term() ** (-model.tangent.delta)
+        total = value ** mult if total is None else total * value ** mult
+    if total is None:
+        total = model.poly_ring(f.ring.base).one()
+    c0 = f.constant_term()
+    if model.tangent.delta and c0 != f.ring.base.one():
+        total = total * c0 ** (-model.tangent.delta)
     return total
 
 

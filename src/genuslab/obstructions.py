@@ -22,7 +22,7 @@ Three independent layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -386,6 +386,17 @@ class BinaryCode:
             yield word
 
 
+def _rank(words) -> int:
+    """Rank over F_2 of bitmask words: an XOR basis keyed by leading bit."""
+    basis = {}
+    for w in words:
+        while w and w.bit_length() in basis:
+            w ^= basis[w.bit_length()]
+        if w:
+            basis[w.bit_length()] = w
+    return len(basis)
+
+
 @dataclass(frozen=True)
 class CodeAuditReport:
     r: int
@@ -404,22 +415,9 @@ class CodeAuditReport:
     sublinearity_holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "weight_distribution": {str(k_): v for k_, v in sorted(self.weight_distribution.items())},
-            "dichotomy_holds": self.dichotomy_holds,
-            "closure_applicable": self.closure_applicable,
-            "small_weight_closed": self.small_weight_closed,
-            "closure_inference_consistent": self.closure_inference_consistent,
-            "row_odd_counts": self.row_odd_counts,
-            "rows_have_two_odd_entries": self.rows_have_two_odd_entries,
-            "tail_column_odd_counts": self.tail_column_odd_counts,
-            "tail_columns_even_parity": self.tail_columns_even_parity,
-            "tail_nonzero_columns": self.tail_nonzero_columns,
-            "tail_nonzero_le_r": self.tail_nonzero_le_r,
-            "sublinearity_holds": self.sublinearity_holds,
-        }
+        out = asdict(self)
+        out["weight_distribution"] = {str(wt): n for wt, n in sorted(self.weight_distribution.items())}
+        return out
 
 
 def code_audit(matrix, r: int | None = None, k: int | None = None) -> CodeAuditReport:
@@ -443,21 +441,16 @@ def code_audit(matrix, r: int | None = None, k: int | None = None) -> CodeAuditR
     small_closed = None
     small = [w for w, wt in zip(words, weights) if wt <= 2 * r]
     if closure_applicable:
+        # the small words hold 0, so they are closed under XOR exactly when they are their own span
         small_set = set(small)
-        small_closed = all(
-            (a ^ b) in small_set for a in small for b in small
-        )
+        small_closed = len(small_set) == 1 << _rank(small_set)
     row_odd = [sum(1 for x in row if x % 2) for row in rows]
     tail_cols = list(range(2 * r, 2 * k))
     tail_odd = [sum(1 for row in rows if row[c] % 2) for c in tail_cols]
-    sublinear = True
-    for a, wa in zip(words, weights):
-        for b, wb in zip(words, weights):
-            if (a ^ b).bit_count() > wa + wb:
-                sublinear = False
-                break
-        if not sublinear:
-            break
+    weight_of = dict(zip(words, weights))
+    sublinear = all(
+        (a ^ b).bit_count() <= weight_of[a] + weight_of[b] for a, b in combinations(weight_of, 2)
+    )
     inference_ok = (not (dichotomy and closure_applicable)) or bool(small_closed)
     return CodeAuditReport(
         r=r,

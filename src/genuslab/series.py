@@ -9,6 +9,14 @@ whose `const` is the one way to make a constant:
   takes its operand through `TruncPoly._coerce`: scalars and elements of the
   base ring become constants, and mixing different (variables, caps, ring)
   triples is a hard `StructuralError`, never a silent min.
+  `p ** n` is the one power and inverse (`inverse()` is `p ** -1`).  For a
+  unit constant term c0 it is J.C.P. Miller's recurrence (Knuth, TAOCP 2,
+  4.7): D = sum x_i d/dx_i keeps the cap ideal, so p D(g) = n D(p) g for
+  g = p^n under the caps, and with p_j, g_k the parts of total degree j, k,
+  g_k = sum_(j=1..k) ((n+1) j - k) p_j g_(k-j) / (k c0).  Over a `SeriesRing`
+  a positive power takes it only when c0 starts at s^0 and every coefficient
+  is known to the ring order, since dividing by c0 can lower an `order`;
+  other positive powers, and those of a nilpotent p, are repeated squarings.
 
 * `QSeries` — truncated Laurent series in s, where s^2 = q, so half-integer
   q-exponents are integer s-exponents, with coefficients in Q or Q(i) (a
@@ -202,38 +210,60 @@ class TruncPoly:
         o = self._coerce(other)
         if o is None:
             return other.__rmul__(self) if isinstance(other, TruncPoly) else NotImplemented
-        caps = self.ring.caps
-        base = self.ring.base
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in o.coeffs.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if any(e > cap for e, cap in zip(exps, caps)):
-                    continue
-                s = out.get(exps)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if base.is_zero(s):
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
-        return TruncPoly(self.ring, out, _clean=True)
+        return TruncPoly(self.ring, _mul_terms(self.coeffs, o.coeffs, self.ring), _clean=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self ** n for every integer n: Miller's recurrence or repeated squaring (module docstring)."""
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ring.one()
-        base = self
-        while n:
+        if n == 0:
+            return self.ring.one()
+        base = self.ring.base
+        c0 = self.constant_term()
+        if n > 0 and isinstance(base, SeriesRing) and (
+            c0.lo != 0 or any(c.order < base.order for c in self.coeffs.values())
+        ):
+            return self._squarings(n)
+        try:
+            inv = base.invert(c0)
+        except NotInvertibleError as exc:
+            if n < 0:
+                raise NotInvertibleError(f"constant term {c0!r} is not a unit; cannot invert series") from exc
+            return self._squarings(n)
+        return self._miller(n, c0, inv)
+
+    def _squarings(self, n: int) -> "TruncPoly":
+        """self ** n for n >= 1 by square-and-multiply, with no multiply by one and no unused square."""
+        out, square = None, self
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = square if out is None else out * square
             n >>= 1
-        return out
+            if not n:
+                return out
+            square = square * square
+
+    def _miller(self, n: int, c0, inv) -> "TruncPoly":
+        """self ** n from g_k = sum_j ((n+1) j - k) p_j g_(k-j) / (k c0), p_j and g_k of total degree j and k."""
+        ring = self.ring
+        is_zero = ring.base.is_zero
+        parts: dict = {}
+        for exps, c in self.coeffs.items():
+            parts.setdefault(sum(exps), {})[exps] = c
+        g = [{(0,) * len(ring.caps): c0 ** n}]
+        for k in range(1, sum(ring.caps) + 1):
+            acc: dict = {}
+            for j in range(1, k + 1):
+                w = (n + 1) * j - k
+                if w and j in parts and g[k - j]:
+                    for exps, c in _mul_terms(parts[j], g[k - j], ring).items():
+                        s = acc.get(exps)
+                        acc[exps] = c * w if s is None else s + c * w
+            scale = inv * Fraction(1, k)
+            g.append({exps: x for exps, c in acc.items() if not is_zero(x := c * scale)})
+        return TruncPoly(ring, {exps: c for part in g for exps, c in part.items()}, _clean=True)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -252,25 +282,8 @@ class TruncPoly:
     # -- series operations ------------------------------------------------
 
     def inverse(self) -> "TruncPoly":
-        """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.constant_term()
-        try:
-            c0_inv = self.ring.base.invert(c0)
-        except NotInvertibleError as exc:
-            raise NotInvertibleError(
-                f"constant term {c0!r} is not a unit; cannot invert series"
-            ) from exc
-        # p = c0 (1 - u) with u nilpotent under the caps: p^-1 = c0^-1 sum u^j
-        u = self.ring.one() - self * c0_inv
-        out = self.ring.one()
-        term = self.ring.one()
-        bound = sum(self.ring.caps)
-        for _ in range(bound):
-            term = term * u
-            if term.is_zero():
-                break
-            out = out + term
-        return out * c0_inv
+        """Multiplicative inverse, the power -1; requires an invertible constant term."""
+        return self ** -1
 
     # -- univariate operations ---------------------------------------------
 
@@ -622,6 +635,25 @@ def _numerators(ring: SeriesRing, coeffs):
 def _nonzero(re, im):
     """A list whose entries are truthy exactly where re[i] + i*im[i] is nonzero."""
     return re if im is None else [r or j for r, j in zip(re, im)]
+
+
+def _mul_terms(a: dict, b: dict, ring: PolyRing) -> dict:
+    """Product of two TruncPoly coefficient maps of `ring`; monomials past a cap are dropped."""
+    caps, is_zero = ring.caps, ring.base.is_zero
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            if any(e > cap for e, cap in zip(exps, caps)):
+                continue
+            s = out.get(exps)
+            p = c1 * c2
+            s = p if s is None else s + p
+            if is_zero(s):
+                out.pop(exps, None)
+            else:
+                out[exps] = s
+    return out
 
 
 def _store(s: QSeries, ring, lo, den, re, im, order) -> QSeries:

@@ -19,6 +19,7 @@ from .cusp import (
     self_intersection_compare,
     verify_modularity,
 )
+from .errors import ValidationError
 from .genus import (
     GENERIC_RING,
     GenusSpec,
@@ -269,24 +270,19 @@ def suite_codes(qorder: int) -> list:
     rng = random.Random(5771)
     sublinear_ok = True
     predicates_ok = True
-    from itertools import combinations
-
+    r, k = 2, 6
     for _ in range(1000):
-        A = [[rng.randint(0, 1) for _ in range(12)] for _ in range(4)]
+        bits = rng.getrandbits(48)  # one random 4x12 matrix over {0, 1}
+        A = [[bits >> (12 * i + j) & 1 for j in range(12)] for i in range(4)]
         report = code_audit(A)
         if not report.sublinearity_holds:
             sublinear_ok = False
             break
-        # independent subset-enumeration oracle for the named predicates
-        words = []
-        for size in range(5):
-            for subset in combinations(range(4), size):
-                w = [0] * 12
-                for i in subset:
-                    w = [(a + b) % 2 for a, b in zip(w, A[i])]
-                words.append(w)
-        r, k = 2, 6
-        dich = all(sum(w) <= 2 * r or 2 * k - sum(w) <= 2 * r - 2 for w in words)
+        # independent oracle for the named predicates: the sums of all row subsets, doubled row by row
+        words = [[0] * 12]
+        for row in A:
+            words += [[(a + b) % 2 for a, b in zip(w, row)] for w in words]
+        dich = all(wt <= 2 * r or 2 * k - wt <= 2 * r - 2 for wt in map(sum, words))
         rows_odd = all(sum(x % 2 for x in row) == 2 for row in A)
         if dich != report.dichotomy_holds or rows_odd != report.rows_have_two_odd_entries:
             predicates_ok = False
@@ -380,16 +376,14 @@ SUITES = {
 
 def run_suite(name: str, qorder: int) -> list:
     """Run one named suite, or all of them in a fixed order."""
-    if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](qorder))
-        return out
-    if name not in SUITES:
-        from .errors import ValidationError
-
+    if name != "all" and name not in SUITES:
         raise ValidationError(
             f"unknown suite {name!r}; choose from {', '.join(['all', *SUITES])}",
             code="invalid",
         )
-    return SUITES[name](qorder)
+    if name in ("all", "modularity") and qorder < 2:
+        raise ValidationError(
+            f"suite {name!r} needs q-order >= 2 for the cusp generator expansions",
+            code="invalid",
+        )
+    return [check for key in (SUITES if name == "all" else [name]) for check in SUITES[key](qorder)]

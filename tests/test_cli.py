@@ -220,6 +220,31 @@ def test_verify_unknown_suite_exits_2():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (("--suite", "all", "--qorder", "1"), None),
+        (("--suite", "modularity", "--qorder", "1"), None),
+        (("--suite", "all"), {"GENUSLAB_QORDER": "1"}),
+    ],
+    ids=["all", "modularity", "env"],
+)
+def test_verify_below_the_generators_minimum_qorder_exits_2(args, env):
+    # the cusp generator expansions need q-order >= 2: a precondition, not an inconsistency
+    r = run_cli("verify", *args, env_extra=env)
+    assert r.returncode == 2
+    payload = json.loads(r.stdout)
+    assert payload["code"] == "invalid"
+    assert "q-order >= 2" in payload["error"]
+
+
+@pytest.mark.parametrize("suite", ["codes", "roundtrip"])
+def test_verify_suites_without_generators_run_at_qorder_1(suite):
+    r = run_cli("verify", "--suite", suite, "--qorder", "1")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["status"] == "PASS"
+
+
 def test_verify_all_binary_identical_across_runs():
     a = run_cli("verify", "--suite", "all", "--qorder", "6")
     b = run_cli("verify", "--suite", "all", "--qorder", "6")

@@ -312,6 +312,27 @@ def test_code_audit_matches_subset_oracle():
         )
 
 
+def test_closure_by_rank_is_closure_by_pairs():
+    # random codes with 2k >= 6r, zero rows and rows that copy or add others; the
+    # audit's rank count must agree with testing every pair of small words
+    rng = random.Random(31)
+    outcomes = Counter()
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        cols = 6 * r + 2 * rng.randint(0, 1)
+        live = rng.randint(2, cols)  # rows supported on the first `live` columns
+        rows = [[rng.randint(0, 1) if c < live else 0 for c in range(cols)] for _ in range(rng.randint(1, 2 * r))]
+        while len(rows) < 2 * r:
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append(rng.choice([[0] * cols, list(a), [x ^ y for x, y in zip(a, b)]]))
+        rng.shuffle(rows)
+        small = {tuple(w) for w in oracle_words(rows) if sum(w) <= 2 * r}
+        closed = all(tuple((x + y) % 2 for x, y in zip(a, b)) in small for a in small for b in small)
+        assert code_audit(rows).small_weight_closed == closed
+        outcomes[closed] += 1
+    assert min(outcomes[True], outcomes[False]) >= 30
+
+
 def test_code_audit_shape_checks():
     with pytest.raises(ValidationError):
         code_audit([[1, 1, 1]])  # odd number of columns

@@ -23,10 +23,15 @@ be zero, over Q and over Q(i).
 `TruncPoly` is checked the same way against {exponent vector: Fraction}
 dicts: monomials past a cap are dropped after the full product, powers are
 repeated products, and the inverse solves a * b = 1 monomial by monomial in
-lexicographic order (a recurrence, where `TruncPoly.inverse` sums a
-geometric series).  Operands of every coercible kind (int, Fraction, a
+lexicographic order.  Operands of every coercible kind (int, Fraction, a
 polynomial of the base ring) must act as constants, and a polynomial or
 q-series of any other ring must raise StructuralError.
+
+`TruncPoly` powers over a `SeriesRing` (Miller's recurrence in the kernel)
+are checked against the code it replaced, kept here as oracles: square and
+multiply from one, with negative powers through the geometric-series
+inverse.  Every coefficient must match in `lo`, `order`, denominator and
+numerators, so the kernel may not lose a guaranteed term anywhere.
 """
 
 import operator
@@ -37,7 +42,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genuslab import manifolds
 from genuslab.errors import NotInvertibleError, StructuralError
+from genuslab.genus import PHI0_WORD, index_density
 from genuslab.rings import QI, QQ, GaussianRational
 from genuslab.series import PolyRing, QSeries, SeriesRing, TruncPoly
 
@@ -370,3 +377,135 @@ def test_poly_rejects_foreign_rings(case):
                 op(f, a)
     with pytest.raises(TypeError):
         a + "x"
+
+
+# -- TruncPoly powers over a SeriesRing -------------------------------------------
+
+
+def geometric_inverse(p):
+    """The replaced inverse: c0^-1 times the sum of u^j for u = 1 - p / c0, nilpotent under the caps."""
+    ring = p.ring
+    c0_inv = ring.base.invert(p.constant_term())
+    u = ring.one() - p * c0_inv
+    out = term = ring.one()
+    for _ in range(sum(ring.caps)):
+        term = term * u
+        if term.is_zero():
+            break
+        out = out + term
+    return out * c0_inv
+
+
+def squaring_pow(p, n):
+    """The replaced power: square and multiply from one, through the geometric inverse for n < 0."""
+    if n < 0:
+        return squaring_pow(geometric_inverse(p), -n)
+    out, square = p.ring.one(), p
+    while n:
+        if n & 1:
+            out = out * square
+        square = square * square
+        n >>= 1
+    return out
+
+
+def numerators(p):
+    """Every coefficient's lo, order, denominator and numerators."""
+    return {e: (c.lo, c.order, c._den, c._re, c._im) for e, c in p.coeffs.items()}
+
+
+@st.composite
+def series_polys(draw, caps, lead_lo, truncated):
+    """A polynomial over Q or Q(i) q-series under `caps`: constant term from `lead_lo`, other lo in 0..2.
+
+    With `truncated`, a coefficient may be known only below the ring's order.
+    """
+    base = draw(st.sampled_from([QQ, QI]))
+    S = SeriesRing(base, draw(st.integers(3, 8)))
+
+    def series(lo):
+        coeffs = [scalar(base, *draw(SCALAR)) for _ in range(draw(st.integers(1, S.order)))]
+        coeffs[0] = coeffs[0] or 1
+        order = S.order - draw(st.integers(0, 3)) if truncated and draw(st.booleans()) else S.order
+        return QSeries(S, lo, coeffs, max(order, lo + 1))
+
+    ring = PolyRing(("x", "y")[: len(caps)], caps, S)
+    monomials = list(product(*(range(c + 1) for c in caps)))[1:]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+    terms = {m: series(draw(st.integers(0, 2))) for m in chosen}
+    terms[(0,) * len(caps)] = series(draw(lead_lo))
+    return TruncPoly(ring, terms)
+
+
+CAPS = pytest.mark.parametrize("caps", [(8,), (2, 2)], ids=["8", "2x2"])
+POWERS = st.integers(-3, 12)
+
+
+@CAPS
+@PROPERTY
+@given(data=st.data())
+def test_series_poly_powers_match_square_and_multiply(caps, data):
+    # a unit constant term at s^0 and every coefficient known to the ring order: the recurrence runs
+    p = data.draw(series_polys(caps, st.just(0), truncated=False))
+    n = data.draw(POWERS)
+    assert numerators(p ** n) == numerators(squaring_pow(p, n))
+    assert numerators(p.inverse()) == numerators(geometric_inverse(p))
+
+
+@CAPS
+@PROPERTY
+@given(data=st.data())
+def test_series_poly_powers_keep_their_guarantees(caps, data):
+    # a constant term above s^0 or coefficients truncated below the ring order, where
+    # dividing by c0 can lower a guaranteed order: positive powers must not take the recurrence
+    p = data.draw(series_polys(caps, st.integers(0, 2), truncated=True))
+    n = data.draw(POWERS)
+    assert numerators(p ** n) == numerators(squaring_pow(p, n))
+
+
+@pytest.mark.parametrize(
+    "terms, n",
+    [
+        # c0 = s^2: dividing by it would leave x^2 known below s^1, not s^3
+        ({0: (2, [1], 3), 2: (0, [1], 3)}, 1),
+        # x known below s^1 and x^2 below s^2: the recurrence would lose s^1 of x^2
+        ({0: (0, [-1], 3), 1: (0, [1], 1), 2: (0, [1], 2)}, 2),
+    ],
+    ids=["c0-above-s0", "truncated"],
+)
+def test_positive_powers_that_must_not_divide_by_c0(terms, n):
+    S = SeriesRing(QQ, 3)
+    p = TruncPoly(PolyRing(("x",), (3,), S), {(e,): QSeries(S, *t) for e, t in terms.items()})
+    assert numerators(p ** n) == numerators(squaring_pow(p, n))
+
+
+@pytest.mark.parametrize("base", [QQ, QI], ids=["Q", "Q(i)"])
+def test_nilpotent_powers_and_their_inverse(base):
+    S = SeriesRing(base, 6)
+    ring = PolyRing(("x", "y"), (3, 2), S)
+    p = TruncPoly(ring, {(1, 0): QSeries(S, 0, [1, 2], 6), (0, 1): QSeries(S, 1, [3], 6)})
+    for n in range(1, 7):
+        assert numerators(p ** n) == numerators(squaring_pow(p, n))
+        assert (p ** n).coeffs == dense_pow(p.coeffs, n, ring.caps)  # the values, by repeated products
+    for op in (p.inverse, lambda: p ** -1, lambda: p ** -3):
+        with pytest.raises(NotInvertibleError, match="is not a unit; cannot invert series"):
+            op()
+
+
+def test_cp8_ahat_product_takes_a_bounded_number_of_series_products(monkeypatch):
+    # CP8 has one tangent entry of multiplicity 9 and delta 1; at q-order 12 the A-hat-cusp
+    # density is a series over SeriesRing(Q, 26).  Square and multiply took 111 products.
+    S = SeriesRing(QQ, 26)
+    f = index_density(PHI0_WORD, 8, S)
+    model = manifolds.builtin("CP8")
+    made = []
+    mul = QSeries.__mul__
+
+    def counted(a, b):
+        made.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    monkeypatch.setattr(QSeries, "__rmul__", counted)
+    manifolds.root_product(model, f)
+    assert len(made) <= 62
