@@ -18,7 +18,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .cusp import AHAT_CUSP, SIGNATURE_CUSP
 from .errors import (
     GenuslabError,
     InternalInconsistencyError,
@@ -26,16 +25,16 @@ from .errors import (
     ValidationError,
 )
 from .genus import (
+    AHAT_CUSP,
     DEFAULT_QORDER,
+    SIGNATURE_CUSP,
     GenusSpec,
+    cusp_series,
     genus_value,
-    loop_sign_series,
-    phi0_from_raw,
     pole_order,
-    raw_ahat_series,
 )
 from .localization import builtin_action, load_action, rigidity_check
-from .manifolds import builtin, load_model
+from .manifolds import _is_int, builtin, load_model
 from .obstructions import (
     code_audit,
     lattice_normal_form,
@@ -204,7 +203,7 @@ def cmd_genus(args) -> dict:
         payload["value_text"] = poly_text(value)
     if args.spec == "signature" and model.dim_real % 4 == 0:
         # cross-check against the loop-series pipeline at q^0
-        q0 = loop_sign_series(model, 1).series.q_coefficient(0)
+        q0 = cusp_series(model, SIGNATURE_CUSP, 1).series.q_coefficient(0)
         if q0 != value:
             raise InternalInconsistencyError(
                 f"signature pipelines disagree: genus {value}, loop q^0 {q0}"
@@ -216,24 +215,20 @@ def cmd_genus(args) -> dict:
 def cmd_expand(args) -> dict:
     model = resolve_manifold(args.manifold)
     qorder = args.qorder
-    if args.cusp == AHAT_CUSP:
-        raw = raw_ahat_series(model, qorder)
-        ix = phi0_from_raw(raw)
-    else:
-        ix = loop_sign_series(model, qorder)
-        raw = ix
+    raw = cusp_series(model, args.cusp, qorder)
+    series = raw.series.shift(-raw.k) if args.cusp == AHAT_CUSP else raw.series  # phi_0 = q^(-k/2) raw
+    pole = pole_order(series)
     payload = {
         "command": "expand",
         "manifold": model.name,
         "cusp": args.cusp,
         "qorder": qorder,
-        "k": ix.k,
-        "series": encode_series(ix.series),
-        "pole_order_q": None if pole_order(ix) is None else format_fraction(pole_order(ix)),
-        "pole_indeterminate": pole_order(ix) is None,
+        "k": raw.k,
+        "series": encode_series(series),
+        "pole_order_q": None if pole is None else format_fraction(pole),
+        "pole_indeterminate": pole is None,
     }
     if args.cusp == AHAT_CUSP:
-        k = model.dim_real // 4
         counts = []
         upto = min(qorder, (raw.series.order - 1) // 2)
         for r in range(0, upto):
@@ -285,7 +280,7 @@ def cmd_obstruct(args) -> dict:
             weights = json.loads(args.weights)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"bad weights list: {exc}", code="invalid") from exc
-        if not isinstance(weights, list) or not all(isinstance(w, int) and w != 0 for w in weights):
+        if not isinstance(weights, list) or not all(_is_int(w) and w != 0 for w in weights):
             raise ValidationError("weights must be a JSON list of nonzero integers", code="invalid")
         if args.order is None:
             raise ValidationError("--order is required with --weights", code="invalid")

@@ -2,72 +2,50 @@
 verification that every index series equals the substitution of the manifold's
 generic genus — the computational form of modularity.
 
-Both cusps are bootstrapped from the catalog, never from tables:
+Every index series comes from `genus.cusp_series(model, cusp, qorder)`, the
+raw weight-2k series phi(M) at the cusp: the loop-space signature series at
+the signature cusp, and the A-hat-word series q^(k/2) phi_0 at the A-hat cusp.
+Both cusps are bootstrapped from the catalog, never from tables: delta(q) and
+epsilon(q) are the cusp series of CP^2 and HP^2, whose genera are delta and
+epsilon.  The epsilon-consistency identity epsilon = 3*delta^2 - 2*(series of
+CP^4) pins the bootstrap against an independent manifold in both cusps.
 
-* signature cusp:  delta(q), epsilon(q) are the loop-space signature series of
-  CP^2 and HP^2 (their genera are delta and epsilon);
-* A-hat cusp:      the raw A-hat-word series of the same two manifolds.
-
-The epsilon-consistency identity epsilon = 3*delta^2 - 2*(series of CP^4)
-pins the bootstrap against an independent manifold in both cusps.
-
-Weight conventions: raw series expand the weight-2k form phi(M); weight-0
-comparisons divide by epsilon^{k/2} and, for odd k, compare squared series to
-avoid square roots of q-series.
+Weight-0 comparisons divide a cusp series by epsilon^{k/2} and, for odd k,
+compare squared series to avoid square roots of q-series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import InternalInconsistencyError, NotInvertibleError, StructuralError
 from .genus import (
     DEFAULT_QORDER,
+    SIGNATURE_CUSP,
     GenusSpec,
     IndexSeries,
+    cusp_series,
     genus_value,
-    loop_sign_series,
-    raw_ahat_series,
 )
 from .manifolds import ManifoldModel, builtin
 from .series import QSeries, TruncPoly
 
-SIGNATURE_CUSP = "signature"
-AHAT_CUSP = "ahat"
-_CUSPS = (SIGNATURE_CUSP, AHAT_CUSP)
-
 
 @dataclass(frozen=True)
 class CuspExpansion:
-    cusp: str
     delta_series: QSeries
     epsilon_series: QSeries
-    note: str
 
 
-_EXPANSION_CACHE: dict = {}
-
-
-def index_series_at(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QORDER) -> IndexSeries:
-    """The manifold's index series in the chosen cusp (raw, weight 2k)."""
-    if cusp == SIGNATURE_CUSP:
-        return loop_sign_series(model, qorder)
-    if cusp == AHAT_CUSP:
-        return raw_ahat_series(model, qorder)
-    raise StructuralError(f"unknown cusp {cusp!r}")
-
-
+@cache
 def generator_expansions(cusp: str, qorder: int = DEFAULT_QORDER) -> CuspExpansion:
     """delta(q), epsilon(q) in the chosen cusp, derived from CP^2 and HP^2."""
     if qorder < 2:
         raise StructuralError("generator expansions need qorder >= 2")
-    key = (cusp, qorder)
-    hit = _EXPANSION_CACHE.get(key)
-    if hit is not None:
-        return hit
-    delta = index_series_at(builtin("CP2"), cusp, qorder).series
-    epsilon = index_series_at(builtin("HP2"), cusp, qorder).series
+    delta = cusp_series(builtin("CP2"), cusp, qorder).series
+    epsilon = cusp_series(builtin("HP2"), cusp, qorder).series
     if cusp == SIGNATURE_CUSP:
         if delta.q_coefficient(0) != 1 or epsilon.q_coefficient(0) != 1:
             raise InternalInconsistencyError(
@@ -78,19 +56,12 @@ def generator_expansions(cusp: str, qorder: int = DEFAULT_QORDER) -> CuspExpansi
             raise InternalInconsistencyError("A-hat-cusp delta must start at -1/8")
         if epsilon.lowest_exponent() != 2:
             raise InternalInconsistencyError("A-hat-cusp epsilon must start at q^1")
-    cp4 = index_series_at(builtin("CP4"), cusp, qorder).series
+    cp4 = cusp_series(builtin("CP4"), cusp, qorder).series
     if not epsilon.same_to(delta * delta * 3 - cp4 * 2):
         raise InternalInconsistencyError(
             f"epsilon-consistency identity fails in the {cusp} cusp"
         )
-    expansion = CuspExpansion(
-        cusp=cusp,
-        delta_series=delta,
-        epsilon_series=epsilon,
-        note="derived from CP2/HP2 index series; consistency via CP4",
-    )
-    _EXPANSION_CACHE[key] = expansion
-    return expansion
+    return CuspExpansion(delta_series=delta, epsilon_series=epsilon)
 
 
 def substituted_series(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QORDER) -> QSeries:
@@ -114,7 +85,7 @@ def verify_modularity(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QOR
     """Index-series pipeline == modular-substitution pipeline, exactly to order."""
     if model.dim_real % 4:
         raise StructuralError("modularity verification needs dim divisible by 4")
-    series = index_series_at(model, cusp, qorder).series
+    series = cusp_series(model, cusp, qorder).series
     substituted = substituted_series(model, cusp, qorder)
     return series.same_to(substituted)
 
@@ -130,15 +101,13 @@ class NormalizedPhi:
 
     series: QSeries
     power: int
-    cusp: str
-    manifold: str = ""
 
 
 def normalized_phi(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QORDER) -> NormalizedPhi:
     """Index series divided by epsilon^{k/2} (squared identity for odd k)."""
     if model.dim_real % 4:
         raise StructuralError("normalization needs dim divisible by 4")
-    return normalized_from_index(index_series_at(model, cusp, qorder), cusp, qorder)
+    return normalized_from_index(cusp_series(model, cusp, qorder), cusp, qorder)
 
 
 def normalized_from_index(ix: IndexSeries, cusp: str, qorder: int = DEFAULT_QORDER) -> NormalizedPhi:
@@ -148,8 +117,8 @@ def normalized_from_index(ix: IndexSeries, cusp: str, qorder: int = DEFAULT_QORD
     if eps.is_zero():
         raise NotInvertibleError("epsilon series is zero to the computed order")
     if k % 2 == 0:
-        return NormalizedPhi(ix.series * eps ** (-(k // 2)), 1, cusp, ix.manifold)
-    return NormalizedPhi((ix.series * ix.series) * eps ** (-k), 2, cusp, ix.manifold)
+        return NormalizedPhi(ix.series * eps ** (-(k // 2)), 1)
+    return NormalizedPhi((ix.series * ix.series) * eps ** (-k), 2)
 
 
 def self_intersection_compare(a: IndexSeries, b: IndexSeries, cusp: str, qorder: int = DEFAULT_QORDER) -> bool:

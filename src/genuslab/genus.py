@@ -27,16 +27,19 @@ and the two infinite loop-space words attach, per root pair and q-level n,
     A-hat-cusp word:              (1-q^n e^x)(1-q^n e^-x)  for odd n,
                                   its inverse               for even n.
 
-`index_density` builds every density: over Q for single-bundle twists, over
-q-series for the words.  By the Jacobi triple product (Hirzebruch-Berger-Jung
-ch. 6; Zagier 1988), with s^2 = q and
+`index_density` builds every density, keyed by its cusp, from one theta
+quotient.  By the Jacobi triple product (Hirzebruch-Berger-Jung ch. 6; Zagier
+1988), with s^2 = q and
 Theta_+-(z) = sum_(n >= 0) (+-1)^n s^(n(n+1)) (z^n +- z^(-n-1)),
 
     loop word * signature density   = Theta_+(e^x) / (Theta_-(e^x) / x),
     A-hat-cusp word * A-hat density = sum_(n in Z) (-1)^n s^(2n^2) e^((n-1/2)x)
                                       / (sum_(n in Z) (-1)^n s^(2n(n+1)) e^(nx) / x),
 
-where both denominators vanish at x = 0.  `theta_quotient` divides two such
+where both denominators vanish at x = 0.  Over q-series these are the word
+densities; the q-free densities of the single-bundle twists are their s^0
+columns, e.g. (1 + e^-x) / ((1 - e^-x) / x) = x*coth(x/2), so over Q the same
+quotient runs over series known below s^1.  `theta_quotient` divides two such
 sums, given as terms (e, c, r) for c s^e e^(rx), at most two per s-exponent.
 Column k of the numerator P and denominator D is sum c r^k/k! s^e, and
 N_n = D_0^-1 (P_n - sum_(j >= 1) D_j N_(n-j)) takes one inverse, with
@@ -55,6 +58,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, isqrt, lcm
 
 from .errors import InternalInconsistencyError, ResourceCapError, StructuralError
@@ -103,26 +107,27 @@ class GenusSpec:
         return GENERIC_RING if isinstance(self.delta, TruncPoly) else QQ
 
 
-# Twisting words: the two infinite cusp words (each also names its density
-# kind) and four single bundles.
+# Each cusp also names its genus spec and its index density, and has one
+# infinite twisting word; besides those words, four single bundles twist.
+SIGNATURE_CUSP = "signature"
+AHAT_CUSP = "ahat"
 PHI0_WORD = "word-ahat-cusp"
 LOOP_WORD = "word-loop"
+CUSP_WORDS = {SIGNATURE_CUSP: LOOP_WORD, AHAT_CUSP: PHI0_WORD}
 TANGENT = "tangent"                      # complexified real tangent bundle
 EXT2_PLUS_TANGENT = "ext2-plus-tangent"  # Lambda^2 TM + TM, complexified
 TANGENT_CHERN = "tangent-chern"          # virtual holomorphic tangent, ch = sum mult*e^form
 TRIVIAL = "trivial"
 
-_WORD_SPECS = {PHI0_WORD: "ahat", LOOP_WORD: "signature"}  # the spec each cusp word pairs with
 _BUNDLES = {TANGENT, EXT2_PLUS_TANGENT, TANGENT_CHERN, TRIVIAL}
 
 
 @dataclass(frozen=True)
 class IndexSeries:
-    """A q-expansion of twisted indices with its provenance."""
+    """A q-expansion of twisted indices of a manifold of dimension 4k."""
 
     series: QSeries
-    k: int  # dim M = 4k
-    manifold: str = ""
+    k: int
 
 
 # -- characteristic series ------------------------------------------------------
@@ -249,45 +254,26 @@ def _theta_columns(S: SeriesRing, terms, cap: int, scale: int) -> list:
             for k in range(cap + 1)]
 
 
-_DENSITY_CACHE: dict = {}
+@cache
+def index_density(cusp: str, xmax: int, base) -> TruncPoly:
+    """Per-root-pair density of the `cusp` index as a univariate series in x over `base`.
 
-
-def index_density(kind: str, xmax: int, base) -> TruncPoly:
-    """Per-root-pair density as a univariate series in x over `base`.
-
-    kind: "signature-op" / "ahat-op" (no q-levels; any base, QQ for bundle
-    twists), "word-loop", "word-ahat-cusp" (base a SeriesRing).
+    Over a SeriesRing it is the word density, the theta quotient of the module
+    docstring; over Q it is the q-free density, the s^0 column of that quotient.
     """
-    key = (kind, xmax, base)
-    hit = _DENSITY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if kind in _WORD_SPECS:  # the theta quotients of the module docstring
-        X = PolyRing(("x",), (xmax + xmax % 2,), base)
-        if kind == LOOP_WORD:
-            num, den = theta_terms(Fraction(1), 1, base.order), theta_terms(Fraction(1), -1, base.order)
-        else:
-            ns = range(-isqrt(base.order), isqrt(base.order) + 1)
-            num = [(2 * n * n, (-1) ** abs(n), Fraction(2 * n - 1, 2)) for n in ns]
-            den = [(2 * n * n + 2 * n, (-1) ** abs(n), n) for n in ns]
-        dens = theta_quotient(X, num, den)
+    S = base if isinstance(base, SeriesRing) else SeriesRing(QQ, 1)
+    if cusp == SIGNATURE_CUSP:
+        num, den = theta_terms(Fraction(1), 1, S.order), theta_terms(Fraction(1), -1, S.order)
+    elif cusp == AHAT_CUSP:
+        ns = range(-isqrt(S.order), isqrt(S.order) + 1)
+        num = [(2 * n * n, (-1) ** abs(n), Fraction(2 * n - 1, 2)) for n in ns]
+        den = [(2 * n * n + 2 * n, (-1) ** abs(n), n) for n in ns]
     else:
-        pad = xmax + 2  # headroom so divide-by-x keeps the top coefficients exact
-        X = PolyRing(("x",), (pad,), base)
-        e_neg = _exp_x(X, Fraction(-1))
-        if kind == "signature-op":
-            # x(1+e^{-x})/(1-e^{-x}); the 1-e^{-x} zero is cancelled against x
-            dens = (1 + e_neg) * _divide_by_var(1 - e_neg, pad).inverse()
-        elif kind == "ahat-op":
-            # x/(e^{x/2}-e^{-x/2})
-            diff = _exp_x(X, Fraction(1, 2)) - _exp_x(X, Fraction(-1, 2))
-            dens = _divide_by_var(diff, pad).inverse()
-        else:
-            raise StructuralError(f"unknown density kind {kind!r}")
-        # truncated products only pollute degrees upward: below the headroom all is exact
-        dens = TruncPoly(PolyRing(("x",), (xmax + xmax % 2,), base), dens.coeffs)
-    _DENSITY_CACHE[key] = dens
-    return dens
+        raise StructuralError(f"unknown density {cusp!r}")
+    dens = theta_quotient(PolyRing(("x",), (xmax + xmax % 2,), S), num, den)
+    if S is base:
+        return dens
+    return TruncPoly(PolyRing(("x",), dens.ring.caps, base), {e: c.coefficient(0) for e, c in dens.coeffs.items()})
 
 
 def _density_limits(model: ManifoldModel) -> int:
@@ -297,9 +283,9 @@ def _density_limits(model: ManifoldModel) -> int:
     return max(1, xc, 2 * vc)
 
 
-def word_factor_product(model: ManifoldModel, kind: str, base) -> TruncPoly:
-    """Tangent product of the `kind` density: a cohomology-ring polynomial over `base`."""
-    return root_product(model, index_density(kind, _density_limits(model), base))
+def word_factor_product(model: ManifoldModel, cusp: str, base) -> TruncPoly:
+    """Tangent product of the `cusp` density: a cohomology-ring polynomial over `base`."""
+    return root_product(model, index_density(cusp, _density_limits(model), base))
 
 
 # -- twisted indices -----------------------------------------------------------
@@ -307,20 +293,19 @@ def word_factor_product(model: ManifoldModel, kind: str, base) -> TruncPoly:
 
 def twisted_index(spec_name: str, model: ManifoldModel, word: str, qorder: int = DEFAULT_QORDER):
     """< density * ch(word), [M] >: IndexSeries for cusp words, Fraction for bundles."""
-    if spec_name not in ("ahat", "signature"):
+    if spec_name not in CUSP_WORDS:
         raise StructuralError("twisted indices are computed for 'ahat' or 'signature'")
-    if word in _WORD_SPECS:
+    if word in CUSP_WORDS.values():
+        if word != CUSP_WORDS[spec_name]:
+            raise StructuralError(f"the {spec_name} density pairs with the {CUSP_WORDS[spec_name]} word")
         S = SeriesRing(QQ, 2 * qorder + 2)
         if model.dim_real % 4:
-            return IndexSeries(S.zero(), 0, model.name)
-        if spec_name != _WORD_SPECS[word]:
-            raise StructuralError(f"the {word} word pairs with the {_WORD_SPECS[word]} density")
-        paired = model.integrate(word_factor_product(model, word, S))
-        return IndexSeries(paired, model.dim_real // 4, model.name)
+            return IndexSeries(S.zero(), 0)
+        return IndexSeries(model.integrate(word_factor_product(model, spec_name, S)), model.dim_real // 4)
     if word not in _BUNDLES:
         raise StructuralError(f"unsupported twist word {word!r}")
     # single-bundle twists: q-free, plain rational arithmetic
-    total = word_factor_product(model, f"{spec_name}-op", QQ)
+    total = word_factor_product(model, spec_name, QQ)
     return model.integrate(total * _bundle_character(model, word))
 
 
@@ -345,29 +330,20 @@ def _bundle_character(model: ManifoldModel, word: str):
 # -- cusp expansion series ------------------------------------------------------
 
 
-def phi0_series(model: ManifoldModel, qorder: int = DEFAULT_QORDER) -> IndexSeries:
-    """q^{-k/2} times the A-hat-cusp word series (s-shift by -k)."""
-    return phi0_from_raw(raw_ahat_series(model, qorder))
+def cusp_series(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QORDER) -> IndexSeries:
+    """The raw weight-2k index series at `cusp`: the twisted index of the cusp's word.
+
+    At the A-hat cusp this is q^(k/2) phi_0, Witten's series without its
+    q^(-k/2) prefactor; at the signature cusp, the loop-space signature series.
+    """
+    if cusp not in CUSP_WORDS:
+        raise StructuralError(f"unknown cusp {cusp!r}")
+    return twisted_index(cusp, model, CUSP_WORDS[cusp], qorder)
 
 
-def phi0_from_raw(raw: IndexSeries) -> IndexSeries:
-    """The phi0 series of an already computed raw A-hat-cusp series."""
-    return IndexSeries(raw.series.shift(-raw.k), raw.k, raw.manifold)
-
-
-def raw_ahat_series(model: ManifoldModel, qorder: int = DEFAULT_QORDER) -> IndexSeries:
-    """The A-hat-cusp word series without the q^{-k/2} prefactor."""
-    return twisted_index("ahat", model, PHI0_WORD, qorder)
-
-
-def loop_sign_series(model: ManifoldModel, qorder: int = DEFAULT_QORDER) -> IndexSeries:
-    """Twisted-signature series of the free loop space word."""
-    return twisted_index("signature", model, LOOP_WORD, qorder)
-
-
-def pole_order(ix: IndexSeries):
+def pole_order(series: QSeries):
     """-(lowest nonzero s-exponent)/2 in q-units; None when zero to order."""
-    e = ix.series.lowest_exponent()
+    e = series.lowest_exponent()
     if e is None:
         return None
     return Fraction(-e, 2)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .genus import DEFAULT_QORDER, loop_sign_series, theta_quotient, theta_terms, word_factor_product
+from .genus import DEFAULT_QORDER, SIGNATURE_CUSP, cusp_series, theta_quotient, theta_terms, word_factor_product
 from .manifolds import ManifoldModel, builtin, load_model
 from .rings import I_UNIT, QI, QQ, GaussianRational
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _numerators
@@ -164,7 +164,7 @@ def local_term(component: FixedComponent, lam, qorder: int = DEFAULT_QORDER) -> 
     S = SeriesRing(base, 2 * qorder + 2)
     model = component.model
     ring = model.poly_ring(S)
-    total = word_factor_product(model, "word-loop", S)
+    total = word_factor_product(model, SIGNATURE_CUSP, S)
     for summand in component.normal:
         y = ring.linear_form(summand.chern)
         total = total * normal_factor(S, sum(ring.caps), lam, summand.weight).compose(y)
@@ -233,7 +233,7 @@ def rigidity_check(action: CircleActionData, samples, qorder: int = DEFAULT_QORD
     q0_constant = all(c == q0s[0] for c in q0s)
     matches = None
     if action.ambient_model is not None and action.ambient_model.dim_real % 4 == 0:
-        loop = loop_sign_series(action.ambient_model, qorder).series
+        loop = cusp_series(action.ambient_model, SIGNATURE_CUSP, qorder).series
         if gaussian:
             loop = _promote_to_gaussian(loop)
         matches = all(v.same_to(loop) for v in values)

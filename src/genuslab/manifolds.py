@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .errors import StructuralError, ValidationError
 from .rings import QQ, as_fraction, format_fraction, parse_fraction
@@ -370,19 +371,12 @@ def _self_check(model: ManifoldModel, kind: str, factors=None) -> ManifoldModel:
     return model
 
 
-_CATALOG_CACHE: dict[str, ManifoldModel] = {}
-
-
 def builtin(name: str) -> ManifoldModel:
     """Catalog lookup: pt, CPn, HPn, V(n,l), product(a,b,...)."""
-    key = name.strip()
-    if key in _CATALOG_CACHE:
-        return _CATALOG_CACHE[key]
-    model = _build(key)
-    _CATALOG_CACHE[key] = model
-    return model
+    return _build(name.strip())
 
 
+@cache
 def _build(key: str) -> ManifoldModel:
     if key == "pt":
         m = point()

@@ -28,7 +28,8 @@ from itertools import combinations
 from math import gcd
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .genus import DEFAULT_QORDER, phi0_series
+from .genus import AHAT_CUSP, DEFAULT_QORDER, cusp_series
+from .manifolds import _is_int
 
 CODE_ENUM_CAP = 12  # hard cap on 2r for exhaustive word enumeration; the audit time grows ~4x per row
 
@@ -127,12 +128,11 @@ def cross_check_prediction(model, action, order: int, qorder: int = DEFAULT_QORD
         weight_vectors = [list(ws) for ws in action]
     m_value = m_invariant_min(weight_vectors, order)
     predicted = vanish_count_from_m(m_value) if model.spin else 0
-    phi0 = phi0_series(model, max(qorder, predicted + 1))
-    k = model.dim_real // 4
+    raw = cusp_series(model, AHAT_CUSP, max(qorder, predicted + 1))
     first_nonzero = None
-    e = phi0.series.lowest_exponent()
-    if e is not None:
-        first_nonzero = (e + k) // 2
+    e = raw.series.lowest_exponent()
+    if e is not None:  # the raw series q^(k/2) phi_0 has integral q-powers, q = s^2
+        first_nonzero = e // 2
     passed = first_nonzero is None or first_nonzero >= predicted
     return PredictionReport(
         manifold=model.name,
@@ -166,9 +166,9 @@ def rfpd_check(table) -> bool:
         else:
             dim_x, dims = None, None
         if not (
-            isinstance(dim_x, int)
+            _is_int(dim_x)
             and isinstance(dims, (list, tuple))
-            and all(isinstance(d, int) for d in dims)
+            and all(_is_int(d) for d in dims)
         ):
             raise ValidationError(
                 f"fixdim entry {entry!r} is not a (dim, [int, ...]) pair or dim/components mapping",

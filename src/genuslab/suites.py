@@ -12,24 +12,23 @@ from fractions import Fraction
 from math import comb
 
 from .cusp import (
-    AHAT_CUSP,
-    SIGNATURE_CUSP,
     generator_expansions,
     normalized_phi,
     self_intersection_compare,
     verify_modularity,
 )
-from .errors import ValidationError
+from .errors import InternalInconsistencyError, ValidationError
 from .genus import (
+    AHAT_CUSP,
     GENERIC_RING,
+    SIGNATURE_CUSP,
     GenusSpec,
     TANGENT,
     cp_generating_check,
+    cusp_series,
     genus_value,
     hypersurface_index_closed,
     hypersurface_index_closed_form_value,
-    loop_sign_series,
-    raw_ahat_series,
     twisted_index,
 )
 from .localization import (
@@ -118,7 +117,7 @@ def suite_closedform(qorder: int) -> list:
             got = hypersurface_index_closed(n)
             ok = got == expected
             detail = f"three pipelines = {got}, closed form = {expected}"
-        except Exception as exc:  # inconsistency is a FAIL, not a crash
+        except InternalInconsistencyError as exc:  # the pipelines disagree: a FAIL, not a crash
             ok, detail = False, str(exc)
         out.append(_check(f"hypersurface-index-n={n}", ok, detail))
     return out
@@ -160,7 +159,7 @@ def suite_modularity(qorder: int) -> list:
         try:
             generator_expansions(cusp, qorder)
             out.append(_check(f"epsilon-consistency-{cusp}", True, "via CP4"))
-        except Exception as exc:
+        except InternalInconsistencyError as exc:
             out.append(_check(f"epsilon-consistency-{cusp}", False, str(exc)))
             continue
         for name in MODULARITY_SET:
@@ -214,11 +213,11 @@ def suite_expansion(qorder: int) -> list:
     out = []
     for name in CATALOG_FOR_EXPANSIONS:
         m = builtin(name)
-        raw = raw_ahat_series(m, min(qorder, 4)).series
+        raw = cusp_series(m, AHAT_CUSP, min(qorder, 4)).series
         ok0 = raw.coefficient(0) == genus_value(GenusSpec.ahat(), m)
         ok1 = raw.coefficient(2) == -twisted_index("ahat", m, TANGENT)
         out.append(_check(f"expansion-head-{name}", ok0 and ok1, "A-hat and tangent twist"))
-    hp2 = raw_ahat_series(builtin("HP2"), 3).series
+    hp2 = cusp_series(builtin("HP2"), AHAT_CUSP, 3).series
     out.append(_check("expansion-HP2-q-coefficient-nonzero", hp2.coefficient(2) != 0, ""))
     return out
 
@@ -295,15 +294,14 @@ def suite_codes(qorder: int) -> list:
 
 
 def suite_selfintersection(qorder: int) -> list:
-    from .genus import phi0_series
     from .localization import CircleActionData, FixedComponent, NormalSummand, detect_parity, odd_action_forces_zero
 
     out = []
     q = min(qorder, 5)
     # involution on HP2 with fixed set HP1 u pt: the transversal self-intersection
     # is a point, so the normalized series agree
-    a = loop_sign_series(builtin("HP2"), q)
-    b = loop_sign_series(builtin("pt"), q)
+    a = cusp_series(builtin("HP2"), SIGNATURE_CUSP, q)
+    b = cusp_series(builtin("pt"), SIGNATURE_CUSP, q)
     out.append(
         _check(
             "self-intersection-HP2-fixed-set",
@@ -326,7 +324,7 @@ def suite_selfintersection(qorder: int) -> list:
         provenance="synthetic odd action",
         ambient_spin=True,
     )
-    zero = phi0_series(builtin("CP3"), q)  # identically zero series
+    zero = cusp_series(builtin("CP3"), AHAT_CUSP, q)  # identically zero series
     out.append(
         _check(
             "odd-action-zero-claim",

@@ -14,21 +14,20 @@ from fractions import Fraction
 from math import comb
 
 from genuslab.cusp import (
-    AHAT_CUSP,
-    SIGNATURE_CUSP,
     generator_expansions,
     normalized_phi,
     verify_modularity,
 )
 from genuslab.genus import (
+    AHAT_CUSP,
     GENERIC_RING,
+    SIGNATURE_CUSP,
     GenusSpec,
     TANGENT,
     cp_generating_check,
+    cusp_series,
     genus_value,
     hypersurface_index_closed,
-    loop_sign_series,
-    raw_ahat_series,
     twisted_index,
 )
 from genuslab.localization import (
@@ -107,7 +106,7 @@ def test_criterion_06_cusp_modularity():
 
 def test_criterion_07_rigidity_by_localization():
     action = builtin_action("HP2_diagonal(1,2,4)")
-    loop = loop_sign_series(builtin("HP2"), 5).series
+    loop = cusp_series(builtin("HP2"), SIGNATURE_CUSP, 5).series
     for lam in (Fraction(2), Fraction(3), Fraction(5)):
         assert equivariant_series(action, lam, 5).same_to(loop), lam
     report = rigidity_check(action, [Fraction(2), Fraction(3), Fraction(5)], 5)
@@ -128,10 +127,10 @@ def test_criterion_08_order4_local_terms():
 def test_criterion_09_expansion_coefficients():
     for name in ("CP2", "CP4", "HP2", "HP3", "V(4,4)", "product(CP2,CP2)"):
         m = builtin(name)
-        raw = raw_ahat_series(m, 3).series
+        raw = cusp_series(m, AHAT_CUSP, 3).series
         assert raw.coefficient(0) == genus_value(GenusSpec.ahat(), m), name
         assert raw.coefficient(2) == -twisted_index("ahat", m, TANGENT), name
-    assert raw_ahat_series(builtin("HP2"), 3).series.coefficient(2) != 0
+    assert cusp_series(builtin("HP2"), AHAT_CUSP, 3).series.coefficient(2) != 0
     _report(9, "first two expansion coefficients = A-hat(M), -A-hat(M,TM); HP2 nonzero")
 
 

@@ -7,6 +7,10 @@ import sys
 
 import pytest
 
+from genuslab import suites
+from genuslab.cli import main
+from genuslab.errors import InternalInconsistencyError
+
 CLI = [sys.executable, "-m", "genuslab.cli"]
 
 
@@ -238,6 +242,34 @@ def test_verify_below_the_generators_minimum_qorder_exits_2(args, env):
     assert "q-order >= 2" in payload["error"]
 
 
+def raise_(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+@pytest.mark.parametrize(
+    "suite, target",
+    [("modularity", "generator_expansions"), ("closedform", "hypersurface_index_closed")],
+)
+def test_pipeline_disagreement_is_a_fail_check(monkeypatch, suite, target):
+    monkeypatch.setattr(suites, target, raise_(InternalInconsistencyError("pipelines disagree")))
+    checks = suites.run_suite(suite, 2)
+    failed = [c for c in checks if c["status"] == "FAIL"]
+    assert failed and all(c["detail"] == "pipelines disagree" for c in failed)
+    assert main(["verify", "--suite", suite, "--qorder", "2"]) == 3
+
+
+@pytest.mark.parametrize(
+    "suite, target",
+    [("modularity", "generator_expansions"), ("closedform", "hypersurface_index_closed")],
+)
+def test_other_errors_propagate_out_of_run_suite(monkeypatch, suite, target):
+    monkeypatch.setattr(suites, target, raise_(TypeError("a bug, not a disagreement")))
+    with pytest.raises(TypeError, match="a bug"):
+        suites.run_suite(suite, 2)
+
+
 @pytest.mark.parametrize("suite", ["codes", "roundtrip"])
 def test_verify_suites_without_generators_run_at_qorder_1(suite):
     r = run_cli("verify", "--suite", suite, "--qorder", "1")
@@ -361,6 +393,24 @@ def test_out_of_range_fixdim_tables_exit_2():
         assert_validation_exit(run_cli("obstruct", "--fixdim", table))
     for table in ("[[8,[4,0]]]", "[[4,[0,4]]]"):  # the bounds themselves are allowed
         assert run_cli("obstruct", "--fixdim", table).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--weights", "[true,2]", "--order", "3"),
+        ("--weights", "[2,true]", "--order", "3"),
+        ("--fixdim", "[[4,[true,2]]]"),
+        ("--fixdim", "[[true,[0,1]]]"),
+        ("--fixdim", '[{"dim":8,"components":[false]}]'),
+    ],
+    ids=["weight", "last-weight", "component", "ambient", "mapping"],
+)
+def test_bools_where_integers_are_expected_exit_2(args):
+    # JSON true/false load as Python bools, which are ints: they must not pass as 1 and 0
+    r = run_cli("obstruct", *args)
+    assert_validation_exit(r)
+    assert json.loads(r.stdout)["code"] == "invalid"
 
 
 def test_non_geometric_obstruct_inputs_exit_2():

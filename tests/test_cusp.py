@@ -5,16 +5,13 @@ from fractions import Fraction
 import pytest
 
 from genuslab.cusp import (
-    AHAT_CUSP,
-    SIGNATURE_CUSP,
     generator_expansions,
-    index_series_at,
     normalized_phi,
     self_intersection_compare,
     verify_modularity,
 )
 from genuslab.errors import StructuralError
-from genuslab.genus import loop_sign_series, phi0_series, raw_ahat_series
+from genuslab.genus import AHAT_CUSP, SIGNATURE_CUSP, cusp_series
 from genuslab.manifolds import builtin
 
 MODULARITY_SET = ("CP4", "CP6", "HP2", "HP3", "V(4,4)", "product(CP2,CP2)")
@@ -37,7 +34,7 @@ def test_epsilon_consistency_in_both_cusps():
     # constructor raises InternalInconsistencyError if the identity fails
     for cusp in (SIGNATURE_CUSP, AHAT_CUSP):
         e = generator_expansions(cusp, 4)
-        cp4 = index_series_at(builtin("CP4"), cusp, 4).series
+        cp4 = cusp_series(builtin("CP4"), cusp, 4).series
         assert e.epsilon_series.same_to(e.delta_series ** 2 * 3 - cp4 * 2)
 
 
@@ -71,16 +68,16 @@ def test_modularity_catalog_both_cusps():
 
 def test_cp4_substitution_is_half_3d2_minus_e():
     e = generator_expansions(SIGNATURE_CUSP, 6)
-    lhs = loop_sign_series(builtin("CP4"), 6).series
+    lhs = cusp_series(builtin("CP4"), SIGNATURE_CUSP, 6).series
     rhs = (e.delta_series ** 2 * 3 - e.epsilon_series) * Fraction(1, 2)
     assert lhs.same_to(rhs)
 
 
 def test_substitution_respects_products():
     for cusp in (SIGNATURE_CUSP, AHAT_CUSP):
-        a = index_series_at(builtin("CP2"), cusp, 4).series
-        b = index_series_at(builtin("HP2"), cusp, 4).series
-        prod = index_series_at(builtin("product(CP2,HP2)"), cusp, 4).series
+        a = cusp_series(builtin("CP2"), cusp, 4).series
+        b = cusp_series(builtin("HP2"), cusp, 4).series
+        prod = cusp_series(builtin("product(CP2,HP2)"), cusp, 4).series
         assert prod.same_to(a * b)
         assert verify_modularity(builtin("product(CP2,HP2)"), cusp, 4)
 
@@ -115,21 +112,21 @@ def test_self_intersection_hp2_fixed_set():
     # sigma on HP2 with fixed set HP1 u pt: the transversal self-intersection
     # of the fixed set is a point ([HP1]^2 pairs to 1), so the normalized
     # series of HP2 and of a point must agree.
-    a = loop_sign_series(builtin("HP2"), 5)
-    b = loop_sign_series(builtin("pt"), 5)
+    a = cusp_series(builtin("HP2"), SIGNATURE_CUSP, 5)
+    b = cusp_series(builtin("pt"), SIGNATURE_CUSP, 5)
     assert self_intersection_compare(a, b, SIGNATURE_CUSP, 5)
 
 
 def test_self_intersection_identical_manifolds():
-    a = loop_sign_series(builtin("CP4"), 4)
+    a = cusp_series(builtin("CP4"), SIGNATURE_CUSP, 4)
     assert self_intersection_compare(a, a, SIGNATURE_CUSP, 4)
 
 
 def test_self_intersection_empty_vs_zero():
     # an odd action forces Phi(M) = 0: comparing against the zero series
     # succeeds only when the manifold's series vanishes
-    zero = phi0_series(builtin("CP3"), 4)  # identically zero (dim not 4k)
-    a = loop_sign_series(builtin("HP2"), 4)
+    zero = cusp_series(builtin("CP3"), AHAT_CUSP, 4)  # identically zero (dim not 4k)
+    a = cusp_series(builtin("HP2"), SIGNATURE_CUSP, 4)
     assert not self_intersection_compare(a, zero, SIGNATURE_CUSP, 4)
     assert self_intersection_compare(zero, zero, SIGNATURE_CUSP, 4)
 
@@ -142,7 +139,7 @@ def test_modularity_rejects_wrong_dimension():
 def test_raw_vs_normalized_never_conflated():
     # raw series of HP2 at the A-hat cusp is epsilon-tilde (starts at q);
     # the normalized series is the constant 1 plus higher corrections
-    raw = raw_ahat_series(builtin("HP2"), 4).series
+    raw = cusp_series(builtin("HP2"), AHAT_CUSP, 4).series
     assert raw.q_coefficient(0) == 0
     n = normalized_phi(builtin("HP2"), AHAT_CUSP, 4)
     assert n.series.q_coefficient(0) != 0

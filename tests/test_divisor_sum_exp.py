@@ -1,6 +1,6 @@
 """The theta-quotient builder against the q-level product it replaces.
 
-`index_density` (cusp words) and `localization.normal_factor` divide two
+`index_density` (cusp-word densities) and `localization.normal_factor` divide two
 theta series with `genus.theta_quotient`.  `normal_factor` builds the factor
 of a = lam^w once, with s scaled by den(a) den(1/a) during the division, and
 derives the one of 1/a from it.  The oracle here is the infinite product
@@ -53,12 +53,12 @@ def density_oracle(kind, xmax, S):
     X = PolyRing(("x",), (pad,), S)
     one = X.one()
     e_pos, e_neg = exp_poly(X, 1), exp_poly(X, -1)
-    if kind == "word-loop":
+    if kind == "signature":
         dens = (one + e_neg) * divide_by_x(one - e_neg).inverse()
     else:
         dens = divide_by_x(exp_poly(X, Fraction(1, 2)) - exp_poly(X, Fraction(-1, 2))).inverse()
     for n, plus, minus in q_levels(X, e_pos, e_neg):
-        if kind == "word-loop":
+        if kind == "signature":
             dens = dens * plus * minus.inverse()
         elif n % 2:
             dens = dens * minus
@@ -87,7 +87,7 @@ def exactly(p):
 
 @pytest.mark.parametrize("qorder", [1, 4, 9])
 @pytest.mark.parametrize("xmax", [2, 8, 16])
-@pytest.mark.parametrize("kind", ["word-loop", "word-ahat-cusp"])
+@pytest.mark.parametrize("kind", ["signature", "ahat"], ids=["word-loop", "word-ahat-cusp"])
 def test_word_density_is_the_level_product(kind, xmax, qorder):
     S = SeriesRing(QQ, 2 * qorder + 2)
     assert exactly(index_density(kind, xmax, S)) == exactly(density_oracle(kind, xmax, S))

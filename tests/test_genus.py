@@ -8,8 +8,10 @@ import pytest
 
 from genuslab.errors import StructuralError
 from genuslab.genus import (
+    AHAT_CUSP,
     EXT2_PLUS_TANGENT,
     GENERIC_RING,
+    SIGNATURE_CUSP,
     GenusSpec,
     LOOP_WORD,
     PHI0_WORD,
@@ -18,17 +20,17 @@ from genuslab.genus import (
     TRIVIAL,
     char_series,
     cp_generating_check,
+    cusp_series,
     genus_value,
     hypersurface_index_closed,
     hypersurface_index_closed_form_value,
+    index_density,
     legendre_coefficient,
-    loop_sign_series,
-    phi0_series,
     pole_order,
-    raw_ahat_series,
     twisted_index,
 )
 from genuslab.manifolds import builtin
+from genuslab.rings import QQ
 from genuslab.series import PolyRing, TruncPoly
 
 D = GENERIC_RING.gen("delta")
@@ -256,7 +258,7 @@ def test_untwisted_indices_match_genus_values():
 def test_loop_series_q0_is_signature():
     for name in ("CP2", "CP4", "HP2", "HP3", "V(4,4)", "product(CP2,CP2)"):
         m = builtin(name)
-        s = loop_sign_series(m, 3)
+        s = cusp_series(m, SIGNATURE_CUSP, 3)
         assert s.series.q_coefficient(0) == genus_value(GenusSpec.signature(), m)
 
 
@@ -264,15 +266,15 @@ def test_phi0_lowest_coefficient_is_ahat():
     for name in ("CP2", "CP4", "HP2", "V(4,4)"):
         m = builtin(name)
         k = m.dim_real // 4
-        p = phi0_series(m, 3)
-        assert p.series.coefficient(-k) == genus_value(GenusSpec.ahat(), m)
+        phi0 = cusp_series(m, AHAT_CUSP, 3).series.shift(-k)  # phi_0 = q^(-k/2) times the raw series
+        assert phi0.coefficient(-k) == genus_value(GenusSpec.ahat(), m)
 
 
 def test_phi0_first_two_coefficients_for_all_catalog():
     # q^{k/2} Phi_0 = A-hat(M) - A-hat(M, TM_C) q + ...; product(CP2,HP2) mixes Chern and Pontryagin entries
     for name in ("CP2", "CP4", "HP2", "HP3", "V(4,4)", "product(CP2,CP2)", "product(CP2,HP2)"):
         m = builtin(name)
-        raw = raw_ahat_series(m, 3).series
+        raw = cusp_series(m, AHAT_CUSP, 3).series
         assert raw.coefficient(0) == genus_value(GenusSpec.ahat(), m)
         assert raw.coefficient(2) == -twisted_index("ahat", m, TANGENT)
 
@@ -280,20 +282,20 @@ def test_phi0_first_two_coefficients_for_all_catalog():
 def test_hp2_tangent_twist_nonzero():
     value = twisted_index("ahat", builtin("HP2"), TANGENT)
     assert value != 0
-    raw = raw_ahat_series(builtin("HP2"), 3).series
+    raw = cusp_series(builtin("HP2"), AHAT_CUSP, 3).series
     assert raw.coefficient(2) == -value
 
 
 def test_ext2_word_matches_q2_coefficient():
     for name in ("CP2", "HP2", "V(4,4)", "product(CP2,HP2)"):
         m = builtin(name)
-        raw = raw_ahat_series(m, 3).series
+        raw = cusp_series(m, AHAT_CUSP, 3).series
         assert raw.coefficient(4) == twisted_index("ahat", m, EXT2_PLUS_TANGENT)
 
 
 def test_loop_series_multiplicative_on_product():
-    a = loop_sign_series(builtin("CP2"), 4).series
-    prod = loop_sign_series(builtin("product(CP2,CP2)"), 4).series
+    a = cusp_series(builtin("CP2"), SIGNATURE_CUSP, 4).series
+    prod = cusp_series(builtin("product(CP2,CP2)"), SIGNATURE_CUSP, 4).series
     assert prod.same_to(a * a)
 
 
@@ -328,19 +330,18 @@ def test_delta_correction_equivalence_on_cp1():
 
 def test_quadric_model_agrees_with_cp1_x_cp1():
     # V(2,2) and CP1 x CP1 are the same manifold through different models
-    a = loop_sign_series(builtin("V(2,2)"), 4).series
-    b = loop_sign_series(builtin("product(CP1,CP1)"), 4).series
+    a = cusp_series(builtin("V(2,2)"), SIGNATURE_CUSP, 4).series
+    b = cusp_series(builtin("product(CP1,CP1)"), SIGNATURE_CUSP, 4).series
     assert a.same_to(b)
 
 
 def test_word_exponent_parity():
     for name in ("CP2", "HP2", "V(4,4)"):
         m = builtin(name)
-        loop = loop_sign_series(m, 4).series
+        loop = cusp_series(m, SIGNATURE_CUSP, 4).series
         assert all(e % 2 == 0 for e in loop.support())
-        k = m.dim_real // 4
-        phi0 = phi0_series(m, 4).series
-        assert all((e + k) % 2 == 0 for e in phi0.support())
+        raw = cusp_series(m, AHAT_CUSP, 4).series  # q^(k/2) phi_0: integral powers of q
+        assert all(e % 2 == 0 for e in raw.support())
 
 
 def test_integrality_on_spin_catalog_models():
@@ -348,7 +349,7 @@ def test_integrality_on_spin_catalog_models():
         m = builtin(name)
         if m.dim_real % 4:
             continue
-        raw = raw_ahat_series(m, 4).series
+        raw = cusp_series(m, AHAT_CUSP, 4).series
         for e in raw.support():
             assert raw.coefficient(e).denominator == 1
 
@@ -361,6 +362,10 @@ def test_unsupported_descriptor_combinations():
     for name in ("HP2", "product(CP2,HP2)"):
         with pytest.raises(StructuralError, match="needs Chern-style tangent data"):
             twisted_index("ahat", builtin(name), TANGENT_CHERN)
+    with pytest.raises(StructuralError, match="unknown cusp"):
+        cusp_series(builtin("CP2"), LOOP_WORD)
+    with pytest.raises(StructuralError, match="unknown density"):
+        index_density("signature-op", 4, QQ)
 
 
 # -- hypersurface closed form -------------------------------------------------------
@@ -383,7 +388,7 @@ def test_hypersurface_degree_two_probe():
 
 def test_pole_order_v4():
     m = builtin("V(4,4)")
-    p = phi0_series(m, 4)
+    p = cusp_series(m, AHAT_CUSP, 4).series.shift(-2)  # phi_0, k = 2
     # dim 8: A-hat vanishes, the tangent twist does not: pole order dim/8 - 1 = 0
     assert genus_value(GenusSpec.ahat(), m) == 0
     assert twisted_index("ahat", m, TANGENT) != 0
@@ -391,11 +396,12 @@ def test_pole_order_v4():
 
 
 def test_pole_order_hp2_and_vanish_counts():
-    p = phi0_series(builtin("HP2"), 4)
-    assert p.series.coefficient(-2) == 0      # A-hat(HP2) = 0
-    assert p.series.coefficient(0) != 0       # tangent twist survives
+    p = cusp_series(builtin("HP2"), AHAT_CUSP, 4).series.shift(-2)  # phi_0, k = 2
+    assert p.coefficient(-2) == 0      # A-hat(HP2) = 0
+    assert p.coefficient(0) != 0       # tangent twist survives
 
 
 def test_pole_order_zero_series_is_indeterminate():
-    zero = phi0_series(builtin("CP3"), 3)  # dim not divisible by 4
-    assert pole_order(zero) is None
+    zero = cusp_series(builtin("CP3"), AHAT_CUSP, 3)  # dim not divisible by 4
+    assert zero.k == 0
+    assert pole_order(zero.series) is None

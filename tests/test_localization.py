@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from genuslab.errors import ValidationError
-from genuslab.genus import loop_sign_series
+from genuslab.genus import SIGNATURE_CUSP, cusp_series
 from genuslab.localization import (
     CircleActionData,
     FixedComponent,
@@ -94,7 +94,7 @@ def test_hp1_cancellation_to_all_orders():
 
 def test_hp2_sum_equals_loop_series():
     a = builtin_action("HP2_diagonal(1,2,4)")
-    loop = loop_sign_series(builtin("HP2"), 5).series
+    loop = cusp_series(builtin("HP2"), SIGNATURE_CUSP, 5).series
     for lam in (Fraction(2), Fraction(3), Fraction(5)):
         s = equivariant_series(a, lam, 5)
         assert s.same_to(loop)
@@ -104,7 +104,7 @@ def test_trivial_action_is_loop_series():
     for name in ("CP2", "HP2"):
         m = builtin(name)
         s = local_term(FixedComponent(m, ()), Fraction(7), 4)
-        assert s.same_to(loop_sign_series(m, 4).series)
+        assert s.same_to(cusp_series(m, SIGNATURE_CUSP, 4).series)
 
 
 def test_rigidity_hp2_pass():
@@ -250,3 +250,34 @@ def test_action_file_validation():
                 ],
             }
         )
+
+
+def interpolate(points, t):
+    """The polynomial through `points` (pairs (t_i, y_i) with distinct t_i), at t."""
+    total = Fraction(0)
+    for i, (ti, yi) in enumerate(points):
+        term = Fraction(yi)
+        for j, (tj, _) in enumerate(points):
+            if j != i:
+                term *= (t - tj) / (ti - tj)
+        total += term
+    return total
+
+
+def test_rigidity_degree_bound_in_t_is_sharp():
+    # the q^N coefficient P_N of the equivariant series is a polynomial of degree
+    # <= N w_max in t = lam + 1/lam (module docstring): N w_max + 1 samples with
+    # distinct t fix it, and on this non-spin action N w_max samples do not
+    action = builtin_action("CP2_linear(0,1,3)")
+    w_max = max(abs(w) for comp in action.components for w in comp.weights())
+    assert w_max == 3
+    qorder = 3
+    lams = [Fraction(n) for n in range(2, 3 * w_max + 5)] + [Fraction(5, 2), Fraction(7, 3)]
+    series = {lam: equivariant_series(action, lam, qorder) for lam in lams}
+    for n in range(qorder + 1):
+        points = [(lam + 1 / lam, series[lam].q_coefficient(n)) for lam in lams]
+        d = n * w_max
+        assert all(interpolate(points[: d + 1], t) == y for t, y in points[d + 1 :]), n
+        if n:
+            for m in (d - 1, d):
+                assert any(interpolate(points[:m], t) != y for t, y in points[m:]), (n, m)

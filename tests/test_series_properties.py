@@ -44,7 +44,7 @@ from hypothesis import strategies as st
 
 from genuslab import manifolds
 from genuslab.errors import NotInvertibleError, StructuralError
-from genuslab.genus import PHI0_WORD, index_density
+from genuslab.genus import AHAT_CUSP, index_density
 from genuslab.rings import QI, QQ, GaussianRational
 from genuslab.series import PolyRing, QSeries, SeriesRing, TruncPoly
 
@@ -496,7 +496,7 @@ def test_cp8_ahat_product_takes_a_bounded_number_of_series_products(monkeypatch)
     # CP8 has one tangent entry of multiplicity 9 and delta 1; at q-order 12 the A-hat-cusp
     # density is a series over SeriesRing(Q, 26).  Square and multiply took 111 products.
     S = SeriesRing(QQ, 26)
-    f = index_density(PHI0_WORD, 8, S)
+    f = index_density(AHAT_CUSP, 8, S)
     model = manifolds.builtin("CP8")
     made = []
     mul = QSeries.__mul__

@@ -40,15 +40,15 @@ def test_char_series_matches_sympy(spec, closed_form):
 
 
 @pytest.mark.parametrize(
-    "kind,closed_form",
+    "cusp,closed_form",
     [
-        ("signature-op", X * sympy.coth(X / 2)),
-        ("ahat-op", X / (2 * sympy.sinh(X / 2))),
+        ("signature", X * sympy.coth(X / 2)),
+        ("ahat", X / (2 * sympy.sinh(X / 2))),
     ],
     ids=["signature-op", "ahat-op"],
 )
-def test_q_free_densities_match_sympy(kind, closed_form):
-    dens = index_density(kind, ORDER, QQ)
+def test_q_free_densities_match_sympy(cusp, closed_form):
+    dens = index_density(cusp, ORDER, QQ)
     assert dens.ring.caps == (ORDER,)
     assert coefficients(dens) == sympy_coefficients(closed_form)
 
