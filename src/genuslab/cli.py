@@ -40,8 +40,9 @@ from .obstructions import (
     lattice_normal_form,
     m_invariant,
     rfpd_check,
+    vanish_count_cyclic_codim,
     vanish_count_from_m,
-    vanish_prediction,
+    vanish_count_involution,
 )
 from .rings import GaussianRational, format_fraction
 from .series import QSeries, TruncPoly
@@ -302,7 +303,7 @@ def cmd_obstruct(args) -> dict:
                 {
                     "codim": args.codim,
                     "source": "involution",
-                    "vanish_count": vanish_prediction("involution", codim=args.codim),
+                    "vanish_count": vanish_count_involution(args.codim),
                 }
             )
         else:
@@ -311,9 +312,7 @@ def cmd_obstruct(args) -> dict:
                     "codim": args.codim,
                     "order": args.order,
                     "source": "cyclic-codim",
-                    "vanish_count": vanish_prediction(
-                        "cyclic-codim", codim=args.codim, order=args.order
-                    ),
+                    "vanish_count": vanish_count_cyclic_codim(args.codim, args.order),
                 }
             )
         return payload

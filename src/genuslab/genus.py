@@ -310,21 +310,26 @@ def twisted_index(spec_name: str, model: ManifoldModel, word: str, qorder: int =
 
 
 def _bundle_character(model: ManifoldModel, word: str):
-    """ch(word) from the tangent roots; the trivial bundle is the constant 1."""
+    """ch(word) from the tangent roots; the trivial bundle is the constant 1.
+
+    With E = TM_C and its Adams operations psi^k E, of roots the pairs +-k x
+    less the 2 delta trivial roots, the lambda-ring identity
+    Lambda^2 E = (E^2 - psi^2 E) / 2 gives ext2-plus-tangent from ch(E) and
+    ch(psi^2 E).
+    """
     if word == TRIVIAL:
         return 1
     X = PolyRing(("x",), (_density_limits(model),), QQ)
     if word == TANGENT_CHERN:
         return root_sum(model, _exp_x(X, 1))
+
+    def adams(k):
+        return root_sum(model, _exp_x(X, k) + _exp_x(X, -k)) - 2 * model.tangent.delta
+
+    tangent = adams(1)
     if word == TANGENT:
-        return root_sum(model, _exp_x(X, 1) + _exp_x(X, -1)) - 2 * model.tangent.delta
-    # EXT2_PLUS_TANGENT: Lambda_t(TM_C) to t^2 has [t] = ch(TM_C), [t^2] = ch(Lambda^2 TM_C)
-    t = PolyRing(("t",), (2,), QQ).gen("t")
-    XT = PolyRing(("x",), X.caps, t.ring)
-    lam = root_product(model, (1 + t * _exp_x(XT, 1)) * (1 + t * _exp_x(XT, -1)))
-    return TruncPoly(
-        model.poly_ring(), {e: c.coefficient((1,)) + c.coefficient((2,)) for e, c in lam.coeffs.items()}
-    )
+        return tangent
+    return tangent + (tangent * tangent - adams(2)) * Fraction(1, 2)
 
 
 # -- cusp expansion series ------------------------------------------------------

@@ -37,7 +37,7 @@ Q w_max + 1 samples with distinct t.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -196,20 +196,12 @@ class RigidityReport:
     matches_loop_series: bool | None
     q0_constant: bool
     status: str  # PASS / FAIL / OBSERVATIONAL
-    series_repr: str
+    series: str  # repr of the first sample's series
 
     def to_dict(self) -> dict:
-        return {
-            "action": self.action,
-            "samples": [str(s) for s in self.samples],
-            "qorder": self.qorder,
-            "spin": self.spin,
-            "all_samples_equal": self.all_samples_equal,
-            "matches_loop_series": self.matches_loop_series,
-            "q0_constant": self.q0_constant,
-            "status": self.status,
-            "series": self.series_repr,
-        }
+        out = asdict(self)
+        out["samples"] = [str(s) for s in self.samples]
+        return out
 
 
 def rigidity_check(action: CircleActionData, samples, qorder: int = DEFAULT_QORDER) -> RigidityReport:
@@ -251,7 +243,7 @@ def rigidity_check(action: CircleActionData, samples, qorder: int = DEFAULT_QORD
         matches_loop_series=matches,
         q0_constant=q0_constant,
         status=status,
-        series_repr=repr(values[0]),
+        series=repr(values[0]),
     )
 
 
@@ -281,13 +273,12 @@ def order4_local_identities(qorder: int = DEFAULT_QORDER) -> dict:
 def euler_fixed_check(action: CircleActionData):
     """Sum of component Euler characteristics against the ambient value.
 
-    Returns (ok, flagged): ok is None when a component style is unsupported
-    (flagged partial check).
+    Returns True or False, or None when the ambient value or a component's
+    Euler characteristic is unknown (a partial check).
     """
     from .manifolds import euler_characteristic
 
     total = Fraction(0)
-    flagged = False
     for comp in action.components:
         m = comp.model
         if m.tangent.style == "chern":
@@ -295,11 +286,9 @@ def euler_fixed_check(action: CircleActionData):
         elif m.euler is not None:
             total += m.euler
         else:
-            flagged = True
+            return None
     expected = action.ambient_model.euler if action.ambient_model is not None else None
-    if expected is None or flagged:
-        return None, True
-    return total == expected, False
+    return None if expected is None else total == expected
 
 
 # -- builtin actions --------------------------------------------------------------
@@ -360,8 +349,7 @@ def cpn_linear_action(weights, name="") -> CircleActionData:
         ambient_model=ambient,
         name=name or f"CP{n}_linear({','.join(map(str, weights))})",
     ).validate()
-    ok, flagged = euler_fixed_check(action)
-    if ok is False:
+    if euler_fixed_check(action) is False:
         raise ValidationError("fixed-point data fails the Euler-characteristic check", code="invalid")
     return action
 

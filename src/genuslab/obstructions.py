@@ -92,17 +92,6 @@ def vanish_count_cyclic_codim(codim: int, order: int) -> int:
     return _ceil(Fraction(codim, 2 * order))
 
 
-def vanish_prediction(source: str, *, codim=None, m=None, order=None) -> int:
-    """Number of leading expansion coefficients forced to vanish."""
-    if source == "involution":
-        return vanish_count_involution(int(codim))
-    if source == "cyclic-m":
-        return vanish_count_from_m(m)
-    if source == "cyclic-codim":
-        return vanish_count_cyclic_codim(int(codim), int(order))
-    raise StructuralError(f"unknown prediction source {source!r}")
-
-
 @dataclass(frozen=True)
 class PredictionReport:
     manifold: str

@@ -16,6 +16,11 @@ Q(i) (a `SeriesRing`, which accepts no other base).  Q-series keep their
 coefficients as integer numerators over a common denominator and convert to
 these scalar types only at their boundary, where `contains` tells them which
 scalars a field accepts.
+
+`power` is the one square-and-multiply.  `GaussianRational` and `QSeries`
+raise to a power n < 0 by one inverse and then `power` to -n; `TruncPoly`
+calls it for the positive powers that Miller's recurrence must not take
+(see `series`).
 """
 
 from __future__ import annotations
@@ -47,6 +52,18 @@ def format_fraction(a: Fraction) -> str:
     return str(a)
 
 
+def power(x, n: int):
+    """x ** n for n >= 1 by square-and-multiply, with no multiply by one and no unused square."""
+    out, square = None, x
+    while True:
+        if n & 1:
+            out = square if out is None else out * square
+        n >>= 1
+        if not n:
+            return out
+        square = square * square
+
+
 class GaussianRational:
     """Element a + b*i of Q(i) with exact rational parts; i^2 = -1."""
 
@@ -58,6 +75,9 @@ class GaussianRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):  # copy and pickle through the constructor, as __setattr__ refuses
+        return GaussianRational, (self.re, self.im)
 
     def _coerce(self, other):
         if isinstance(other, GaussianRational):
@@ -123,16 +143,9 @@ class GaussianRational:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n == 0:
+            return GaussianRational(1)
+        return power(self.inverse() if n < 0 else self, abs(n))
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -8,15 +8,19 @@ whose `const` is the one way to make a constant:
   A monomial whose exponent exceeds any cap is discarded.  Every operator
   takes its operand through `TruncPoly._coerce`: scalars and elements of the
   base ring become constants, and mixing different (variables, caps, ring)
-  triples is a hard `StructuralError`, never a silent min.
+  triples is a hard `StructuralError`, never a silent min.  Over a
+  `PolyRing` base, an element of the base acts as a constant only as the
+  right operand (or through `const`): as the left operand its own operator
+  meets a foreign ring and raises.
   `p ** n` is the one power and inverse (`inverse()` is `p ** -1`).  For a
   unit constant term c0 it is J.C.P. Miller's recurrence (Knuth, TAOCP 2,
   4.7): D = sum x_i d/dx_i keeps the cap ideal, so p D(g) = n D(p) g for
   g = p^n under the caps, and with p_j, g_k the parts of total degree j, k,
-  g_k = sum_(j=1..k) ((n+1) j - k) p_j g_(k-j) / (k c0).  Over a `SeriesRing`
-  a positive power takes it only when c0 starts at s^0 and every coefficient
-  is known to the ring order, since dividing by c0 can lower an `order`;
-  other positive powers, and those of a nilpotent p, are repeated squarings.
+  g_k = sum_(j=1..k) ((n+1) j - k) p_j g_(k-j) / (k c0), which inverts c0
+  once for any n.  Over a `SeriesRing` a positive power takes it only when
+  c0 starts at s^0 and every coefficient is known to the ring order, since
+  dividing by c0 can lower an `order`; other positive powers, and those of
+  a nilpotent p, are `rings.power`'s square-and-multiply.
 
 * `QSeries` — truncated Laurent series in s, where s^2 = q, so half-integer
   q-exponents are integer s-exponents, with coefficients in Q or Q(i) (a
@@ -25,7 +29,8 @@ whose `const` is the one way to make a constant:
   (sum order = min(a.order, b.order), product order =
   min(a.order + lo_b, b.order + lo_a), inverse order = a.order - 2 lo_a, where
   a known-zero series has lo = order) and coefficient extraction beyond the
-  guarantee raises.
+  guarantee raises.  `a ** n` is `rings.power` on a, or on its one inverse
+  for n < 0.
 
 A `QSeries` stores Python-int numerators over one positive common
 denominator, in lowest terms: one numerator list over Q, a real and an
@@ -51,7 +56,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .errors import NotInvertibleError, StructuralError
-from .rings import QQ, GaussianField, GaussianRational, RationalField, as_fraction
+from .rings import QQ, GaussianField, GaussianRational, RationalField, as_fraction, power
 
 
 class PolyRing:
@@ -145,16 +150,15 @@ class TruncPoly:
     # -- helpers -------------------------------------------------------
 
     def _coerce(self, other):
-        """`other` as a polynomial of this ring, or None: no ring value, or a polynomial over this ring.
+        """`other` as a polynomial of this ring, or None when it is no ring value.
 
         Scalars and elements of the base ring become constants; a polynomial
-        or q-series of any other ring is a StructuralError.
+        or q-series of any other ring, a polynomial over this one included,
+        is a StructuralError.
         """
         ring = self.ring
         if isinstance(other, TruncPoly) and other.ring == ring:
             return other
-        if isinstance(other, TruncPoly) and other.ring.base == ring:
-            return None
         if isinstance(other, (TruncPoly, QSeries)):
             if other.ring != ring.base:
                 raise StructuralError(f"incompatible rings {ring.name} vs {other.ring.name}")
@@ -179,8 +183,8 @@ class TruncPoly:
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:  # not a ring value, or a polynomial over this ring: its own operator runs
-            return other.__radd__(self) if isinstance(other, TruncPoly) else NotImplemented
+        if o is None:
+            return NotImplemented
         base = self.ring.base
         out = dict(self.coeffs)
         for exps, c in o.coeffs.items():
@@ -200,7 +204,7 @@ class TruncPoly:
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
-            return other.__rsub__(self) if isinstance(other, TruncPoly) else NotImplemented
+            return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
@@ -209,13 +213,13 @@ class TruncPoly:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            return other.__rmul__(self) if isinstance(other, TruncPoly) else NotImplemented
+            return NotImplemented
         return TruncPoly(self.ring, _mul_terms(self.coeffs, o.coeffs, self.ring), _clean=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """self ** n for every integer n: Miller's recurrence or repeated squaring (module docstring)."""
+        """self ** n for every integer n: Miller's recurrence or `rings.power` (module docstring)."""
         if not isinstance(n, int):
             return NotImplemented
         if n == 0:
@@ -225,25 +229,14 @@ class TruncPoly:
         if n > 0 and isinstance(base, SeriesRing) and (
             c0.lo != 0 or any(c.order < base.order for c in self.coeffs.values())
         ):
-            return self._squarings(n)
+            return power(self, n)
         try:
             inv = base.invert(c0)
         except NotInvertibleError as exc:
             if n < 0:
                 raise NotInvertibleError(f"constant term {c0!r} is not a unit; cannot invert series") from exc
-            return self._squarings(n)
+            return power(self, n)
         return self._miller(n, c0, inv)
-
-    def _squarings(self, n: int) -> "TruncPoly":
-        """self ** n for n >= 1 by square-and-multiply, with no multiply by one and no unused square."""
-        out, square = None, self
-        while True:
-            if n & 1:
-                out = square if out is None else out * square
-            n >>= 1
-            if not n:
-                return out
-            square = square * square
 
     def _miller(self, n: int, c0, inv) -> "TruncPoly":
         """self ** n from g_k = sum_j ((n+1) j - k) p_j g_(k-j) / (k c0), p_j and g_k of total degree j and k."""
@@ -252,7 +245,7 @@ class TruncPoly:
         parts: dict = {}
         for exps, c in self.coeffs.items():
             parts.setdefault(sum(exps), {})[exps] = c
-        g = [{(0,) * len(ring.caps): c0 ** n}]
+        g = [{(0,) * len(ring.caps): c0 ** n if n > 0 else inv ** -n}]
         for k in range(1, sum(ring.caps) + 1):
             acc: dict = {}
             for j in range(1, k + 1):
@@ -528,19 +521,9 @@ class QSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
         if n == 0:
             return QSeries(self.ring, 0, [1], max(self.order, self.ring.order))
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return out
+        return power(self.inverse() if n < 0 else self, abs(n))
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; the leading coefficient must be nonzero."""

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -28,8 +28,9 @@ from genuslab.genus import (
     legendre_coefficient,
     pole_order,
     twisted_index,
+    word_factor_product,
 )
-from genuslab.manifolds import builtin
+from genuslab.manifolds import builtin, load_model, root_product
 from genuslab.rings import QQ
 from genuslab.series import PolyRing, TruncPoly
 
@@ -293,17 +294,41 @@ def test_ext2_word_matches_q2_coefficient():
         assert raw.coefficient(4) == twisted_index("ahat", m, EXT2_PLUS_TANGENT)
 
 
+def lambda_t_ext2_plus_tangent(model):
+    """ch(TM_C) + ch(Lambda^2 TM_C) as the t and t^2 coefficients of Lambda_t(TM_C).
+
+    Lambda_t(TM_C) is the root product of (1 + t e^x)(1 + t e^-x) over Q[t]/t^3,
+    with base ring elements only as right operands.
+    """
+    T = PolyRing(("t",), (2,), QQ)
+    XT = PolyRing(("x",), (max(1, model.dim_real // 2),), T)
+    t = T.gen("t")
+
+    def exp(sign):
+        return TruncPoly(XT, {(j,): T.const(Fraction(sign ** j, factorial(j))) for j in range(XT.caps[0] + 1)})
+
+    lam = root_product(model, (exp(1) * t + 1) * (exp(-1) * t + 1))
+    return TruncPoly(model.poly_ring(), {e: c.coefficient((1,)) + c.coefficient((2,)) for e, c in lam.coeffs.items()})
+
+
+@pytest.mark.parametrize("name", ["CP2", "CP4", "HP2", "HP3", "V(4,4)", "product(CP2,HP2)", "CP1-reduced"])
+def test_ext2_plus_tangent_matches_the_lambda_t_route(name):
+    m = cp1_reduced() if name == "CP1-reduced" else builtin(name)
+    character = lambda_t_ext2_plus_tangent(m)
+    for spec in ("ahat", "signature"):
+        oracle = m.integrate(word_factor_product(m, spec, QQ) * character)
+        assert twisted_index(spec, m, EXT2_PLUS_TANGENT) == oracle
+
+
 def test_loop_series_multiplicative_on_product():
     a = cusp_series(builtin("CP2"), SIGNATURE_CUSP, 4).series
     prod = cusp_series(builtin("product(CP2,CP2)"), SIGNATURE_CUSP, 4).series
     assert prod.same_to(a * a)
 
 
-def test_delta_correction_equivalence_on_cp1():
-    # CP1 as virtual roots {(h,2), delta 1} and as the reduced root {(2h,1), delta 0}
-    from genuslab.manifolds import load_model
-
-    reduced = load_model(
+def cp1_reduced():
+    """CP1 as the reduced root {(2h,1), delta 0}; the catalog model has virtual roots {(h,2), delta 1}."""
+    return load_model(
         {
             "name": "CP1-reduced",
             "dim_real": 2,
@@ -317,6 +342,11 @@ def test_delta_correction_equivalence_on_cp1():
             },
         }
     )
+
+
+def test_delta_correction_equivalence_on_cp1():
+    # CP1 as virtual roots {(h,2), delta 1} and as the reduced root {(2h,1), delta 0}
+    reduced = cp1_reduced()
     virtual = builtin("CP1")
     for word in (LOOP_WORD,):
         a = twisted_index("signature", reduced, word, 4).series

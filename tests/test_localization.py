@@ -58,12 +58,9 @@ def test_admissibility_of_samples():
 
 
 def test_euler_fixed_point_counts():
-    ok, flagged = euler_fixed_check(builtin_action("CP2_linear(0,0,1)"))
-    assert ok and not flagged  # chi(CP^1) + chi(pt) = 3
-    ok, flagged = euler_fixed_check(builtin_action("CP4_linear(0,1,2,3,4)"))
-    assert ok and not flagged  # five points
-    ok, flagged = euler_fixed_check(builtin_action("HP2_diagonal(1,2,4)"))
-    assert ok and not flagged  # three points vs Betti count 3
+    assert euler_fixed_check(builtin_action("CP2_linear(0,0,1)")) is True  # chi(CP^1) + chi(pt) = 3
+    assert euler_fixed_check(builtin_action("CP4_linear(0,1,2,3,4)")) is True  # five points
+    assert euler_fixed_check(builtin_action("HP2_diagonal(1,2,4)")) is True  # three points vs Betti count 3
 
 
 def test_point_component_counts_its_pairing():
@@ -82,7 +79,7 @@ def test_point_component_counts_its_pairing():
     )
     component = FixedComponent(point2, (NormalSummand({}, 1),))
     action = CircleActionData(2, (component,), "test", True, builtin("CP1"))
-    assert euler_fixed_check(action) == (True, False)
+    assert euler_fixed_check(action) is True
 
 
 def test_hp1_cancellation_to_all_orders():

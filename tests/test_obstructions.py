@@ -23,7 +23,6 @@ from genuslab.obstructions import (
     vanish_count_cyclic_codim,
     vanish_count_from_m,
     vanish_count_involution,
-    vanish_prediction,
 )
 
 
@@ -73,9 +72,6 @@ def test_vanish_counts():
     assert vanish_count_cyclic_codim(6, 3) == 1
     assert vanish_count_involution(0) == 0
     assert vanish_count_from_m(0) == 0
-    assert vanish_prediction("involution", codim=8) == 2
-    assert vanish_prediction("cyclic-m", m=Fraction(3, 2)) == 2
-    assert vanish_prediction("cyclic-codim", codim=6, order=3) == 1
 
 
 def test_vanish_counts_against_inequality_oracle():

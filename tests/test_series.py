@@ -5,6 +5,7 @@ multiply-back, compose-back, brute-force expansion) rather than by the code
 paths under test.
 """
 
+import operator
 import random
 from fractions import Fraction
 from math import comb
@@ -80,16 +81,20 @@ def test_cap_mismatch_is_structural_error():
         a * b
 
 
-def test_base_ring_element_on_the_left_acts_as_a_constant():
+def test_base_ring_element_is_a_constant_only_on_the_right():
+    # on the left, the base ring's own operator meets a foreign ring, as in test_poly_rejects_foreign_rings
     R = PolyRing(("t",), (2,), GENERIC_RING)
     d = GENERIC_RING.gen("delta")
     p = R.gen("t") * d + 1
-    assert d + p == p + d == R.const(d) + p
-    assert d - p == -(p - d)
-    assert d * p == p * d
-    assert (d + p).ring == (d - p).ring == (d * p).ring == R
-    assert d == R.const(d) and R.const(d) == d
-    assert d != p and p != d
+    assert p + d == R.const(d) + p
+    assert p - d == -(R.const(d) - p)
+    assert p * d == R.const(d) * p
+    assert (p + d).ring == (p - d).ring == (p * d).ring == R
+    assert R.const(d) == d
+    assert p != d
+    for op, other in ((operator.add, p), (operator.sub, p), (operator.mul, p), (operator.eq, R.const(d))):
+        with pytest.raises(StructuralError):
+            op(d, other)
 
 
 def test_constant_polynomials_hash_as_their_coefficient():

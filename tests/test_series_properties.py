@@ -23,15 +23,19 @@ be zero, over Q and over Q(i).
 `TruncPoly` is checked the same way against {exponent vector: Fraction}
 dicts: monomials past a cap are dropped after the full product, powers are
 repeated products, and the inverse solves a * b = 1 monomial by monomial in
-lexicographic order.  Operands of every coercible kind (int, Fraction, a
-polynomial of the base ring) must act as constants, and a polynomial or
-q-series of any other ring must raise StructuralError.
+lexicographic order.  Operands of every coercible kind (int and Fraction
+on either side, a polynomial of the base ring on the right) must act as
+constants, and a polynomial or q-series of any other ring must raise
+StructuralError.
 
 `TruncPoly` powers over a `SeriesRing` (Miller's recurrence in the kernel)
 are checked against the code it replaced, kept here as oracles: square and
 multiply from one, with negative powers through the geometric-series
 inverse.  Every coefficient must match in `lo`, `order`, denominator and
 numerators, so the kernel may not lose a guaranteed term anywhere.
+`rings.power`, the one square-and-multiply, must equal repeated
+multiplication in the same sense, and a negative power must invert its
+constant term once.
 """
 
 import operator
@@ -45,7 +49,7 @@ from hypothesis import strategies as st
 from genuslab import manifolds
 from genuslab.errors import NotInvertibleError, StructuralError
 from genuslab.genus import AHAT_CUSP, index_density
-from genuslab.rings import QI, QQ, GaussianRational
+from genuslab.rings import QI, QQ, GaussianRational, power
 from genuslab.series import PolyRing, QSeries, SeriesRing, TruncPoly
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
@@ -509,3 +513,51 @@ def test_cp8_ahat_product_takes_a_bounded_number_of_series_products(monkeypatch)
     monkeypatch.setattr(QSeries, "__rmul__", counted)
     manifolds.root_product(model, f)
     assert len(made) <= 62
+
+
+def repeated(x, n):
+    """x * x * ... * x, n >= 1 factors, multiplied from the left."""
+    out = x
+    for _ in range(n - 1):
+        out = out * x
+    return out
+
+
+def series_numerators(a):
+    return a.lo, a.order, a._den, a._re, a._im
+
+
+@PROPERTY
+@given(data=st.data(), n=st.integers(1, 9))
+def test_power_is_repeated_multiplication(data, n):
+    g = scalar(QI, *data.draw(SCALAR))
+    assert power(g, n) == g ** n == repeated(g, n)
+    if g:
+        assert g ** -n == repeated(g.inverse(), n)
+    # a q-series starting above s^0, known to a few terms past its coefficients
+    base = data.draw(st.sampled_from([QQ, QI]))
+    coeffs = [scalar(base, *t) for t in data.draw(st.lists(SCALAR, min_size=1, max_size=6))]
+    coeffs[0] = coeffs[0] or 1
+    lo = data.draw(st.integers(1, 3))
+    a = QSeries(SeriesRing(base, 8), lo, coeffs, lo + len(coeffs) + data.draw(st.integers(0, 4)))
+    assert series_numerators(power(a, n)) == series_numerators(a ** n) == series_numerators(repeated(a, n))
+    # a nilpotent polynomial over q-series: its constant term taken away
+    p = data.draw(series_polys((2, 2), st.integers(0, 2), truncated=True))
+    p = p - p.constant_term()
+    assert numerators(power(p, n)) == numerators(p ** n) == numerators(repeated(p, n))
+
+
+def test_negative_series_poly_power_inverts_once(monkeypatch):
+    S = SeriesRing(QQ, 6)
+    ring = PolyRing(("x",), (4,), S)
+    p = TruncPoly(ring, {(0,): QSeries(S, 0, [2, 1, 3], 6), (1,): QSeries(S, 0, [1, -1], 6), (3,): S.const(5)})
+    inverse, calls = QSeries.inverse, []
+
+    def counted(a):
+        calls.append(a)
+        return inverse(a)
+
+    monkeypatch.setattr(QSeries, "inverse", counted)
+    q = p ** -3
+    assert len(calls) == 1
+    assert q * repeated(p, 3) == ring.one()

@@ -1,4 +1,5 @@
-"""Source hygiene: every name imported in src/ and tests/ is used in its module."""
+"""Source hygiene: every name imported in src/ and tests/ is used in its module,
+and every private function or class of the package is named outside its definition."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/genuslab/*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -40,6 +42,21 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unnamed_privates(sources) -> list:
+    """Private (`_name`, not dunder) functions and classes that no variable or attribute read names."""
+    defined, named = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted(defined - named)
+
+
 def test_scan_finds_sources():
     names = {p.name for p in SOURCES}
     assert {"genus.py", "manifolds.py", "test_source_hygiene.py"} <= names
@@ -55,3 +72,13 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_an_unnamed_private():
+    defining = "class _A:\n    def _b(self):\n        return self._c()\n\n    def _c(self):\n        pass\n\n\ndef __d__():\n    pass\n"
+    assert unnamed_privates([defining]) == ["_A", "_b"]
+    assert unnamed_privates([defining, "from m import _A\n\n_A()._b()\n"]) == []
+
+
+def test_every_private_definition_is_named_in_the_package():
+    assert unnamed_privates(path.read_text(encoding="utf-8") for path in PACKAGE) == []
