@@ -8,15 +8,26 @@ no floats anywhere.
 
 Exit codes: 0 success, 2 input validation, 3 internal inconsistency
 (including FAILed verification checks), 4 resource cap.
+
+Argv: genuslab [GLOBAL ...] COMMAND [OPTION ...], read by `parse_args` from
+the COMMANDS table.  GLOBAL is --format or --out, which may also stand among
+the command's options; the last one given wins.  Every option takes one
+value, as `--opt value` or `--opt=value`, and the token after `--opt` is its
+value even when it begins with "-" (`--codim -1`).  A long option may be cut
+to a prefix that names it alone (`--qord 6`).  `-h`/`--help` prints the help
+of the command before it, or of genuslab, and exits 0.  Any other misuse
+(no or an unknown command, an unknown or ambiguous option, a missing value or
+required option, a bad integer or choice, a stray argument) writes a usage
+line and "genuslab: error: ..." to stderr, nothing to stdout, and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import (
     GenuslabError,
@@ -49,6 +60,8 @@ from .series import QSeries, TruncPoly
 from .suites import run_suite
 
 QORDER_ENV = "GENUSLAB_QORDER"
+DESCRIPTION = ("Exact workbench for level-2 elliptic genera, twisted indices, localization sums "
+               "and symmetry-obstruction combinatorics.")
 
 
 # -- serialization ----------------------------------------------------------------
@@ -142,24 +155,12 @@ def _to_text(payload) -> str:
 # -- argument helpers ---------------------------------------------------------------
 
 
-def resolve_manifold(ref: str):
-    if ref.startswith("builtin:"):
-        return builtin(ref[len("builtin:") :])
-    if ref.startswith("file:"):
-        return load_model(ref[len("file:") :])
-    raise ValidationError(
-        f"manifold reference must be builtin:NAME or file:PATH, got {ref!r}", code="invalid"
-    )
-
-
-def resolve_action(ref: str):
-    if ref.startswith("builtin:"):
-        return builtin_action(ref[len("builtin:") :])
-    if ref.startswith("file:"):
-        return load_action(ref[len("file:") :])
-    raise ValidationError(
-        f"action reference must be builtin:NAME or file:PATH, got {ref!r}", code="invalid"
-    )
+def resolve(ref: str, what: str, from_builtin, from_file):
+    """The object named by a builtin:NAME or file:PATH reference."""
+    for prefix, load in (("builtin:", from_builtin), ("file:", from_file)):
+        if ref.startswith(prefix):
+            return load(ref[len(prefix):])
+    raise ValidationError(f"{what} reference must be builtin:NAME or file:PATH, got {ref!r}", code="invalid")
 
 
 def parse_lambda(text: str):
@@ -191,7 +192,7 @@ def default_qorder() -> int:
 
 
 def cmd_genus(args) -> dict:
-    model = resolve_manifold(args.manifold)
+    model = resolve(args.manifold, "manifold", builtin, load_model)
     spec = GenusSpec.named(args.spec)
     value = genus_value(spec, model)
     payload = {
@@ -214,7 +215,7 @@ def cmd_genus(args) -> dict:
 
 
 def cmd_expand(args) -> dict:
-    model = resolve_manifold(args.manifold)
+    model = resolve(args.manifold, "manifold", builtin, load_model)
     qorder = args.qorder
     raw = cusp_series(model, args.cusp, qorder)
     series = raw.series.shift(-raw.k) if args.cusp == AHAT_CUSP else raw.series  # phi_0 = q^(-k/2) raw
@@ -261,7 +262,7 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_rigidity(args) -> dict:
-    action = resolve_action(args.action)
+    action = resolve(args.action, "action", builtin_action, load_action)
     samples = [parse_lambda(x) for x in args.samples.split(",") if x.strip()]
     if not samples:
         raise ValidationError("no sample values given", code="invalid")
@@ -286,35 +287,18 @@ def cmd_obstruct(args) -> dict:
         if args.order is None:
             raise ValidationError("--order is required with --weights", code="invalid")
         m = m_invariant(weights, args.order)
-        payload.update(
-            {
-                "weights": weights,
-                "order": args.order,
-                "m": format_fraction(m),
-                "vanish_count": vanish_count_from_m(m),
-            }
-        )
+        payload.update({"weights": weights, "order": args.order, "m": format_fraction(m),
+                        "vanish_count": vanish_count_from_m(m)})
         return payload
     if args.codim is not None:
         if args.codim < 0:
             raise ValidationError("--codim must be >= 0", code="invalid")
+        payload["codim"] = args.codim
         if args.order is None:
-            payload.update(
-                {
-                    "codim": args.codim,
-                    "source": "involution",
-                    "vanish_count": vanish_count_involution(args.codim),
-                }
-            )
+            payload.update({"source": "involution", "vanish_count": vanish_count_involution(args.codim)})
         else:
-            payload.update(
-                {
-                    "codim": args.codim,
-                    "order": args.order,
-                    "source": "cyclic-codim",
-                    "vanish_count": vanish_count_cyclic_codim(args.codim, args.order),
-                }
-            )
+            payload.update({"order": args.order, "source": "cyclic-codim",
+                            "vanish_count": vanish_count_cyclic_codim(args.codim, args.order)})
         return payload
     if args.matrix_file:
         try:
@@ -322,15 +306,8 @@ def cmd_obstruct(args) -> dict:
                 matrix = json.load(fh)
         except (OSError, ValueError) as exc:  # unreadable file, bad encoding or bad JSON
             raise ValidationError(f"cannot read matrix file: {exc}", code="invalid") from exc
-        result = lattice_normal_form(matrix, args.p)
-        audit = code_audit(matrix)
-        payload.update(
-            {
-                "normal_form": result.to_dict(),
-                "code_audit": audit.to_dict(),
-                "p": args.p,
-            }
-        )
+        normal_form = lattice_normal_form(matrix, args.p).to_dict()  # before the audit's code-word cap
+        payload.update({"normal_form": normal_form, "code_audit": code_audit(matrix).to_dict(), "p": args.p})
         return payload
     if args.fixdim:
         try:
@@ -347,64 +324,118 @@ def cmd_obstruct(args) -> dict:
 # -- entry point --------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="genuslab",
-        description="Exact workbench for level-2 elliptic genera, twisted indices, "
-        "localization sums and symmetry-obstruction combinatorics.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS
-    )
-    common.add_argument("--out", default=argparse.SUPPRESS, help="write output to a file")
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
+MANIFOLD = ("manifold", str, REQUIRED, "builtin:NAME or file:PATH")
+QORDER = ("qorder", int, None, f"q-order of the expansions (default ${QORDER_ENV}, else {DEFAULT_QORDER})")
+# flag: (dest, int or str or a tuple of choices, default or REQUIRED, help)
+GLOBAL_OPTIONS = {
+    "--format": ("format", ("json", "csv", "text"), "json", "output format"),
+    "--out": ("out", str, None, "write output to a file instead of stdout"),
+}
+# command: (function, help, options as in GLOBAL_OPTIONS)
+COMMANDS = {
+    "genus": (cmd_genus, "genus values, generic or specialized", {
+        "--manifold": MANIFOLD,
+        "--spec": ("spec", ("generic", "signature", "ahat"), "generic", "the genus to evaluate"),
+    }),
+    "expand": (cmd_expand, "cusp expansions, pole order, vanishing counts", {
+        "--manifold": MANIFOLD,
+        "--cusp": ("cusp", (SIGNATURE_CUSP, AHAT_CUSP), AHAT_CUSP, "the cusp to expand at"),
+        "--qorder": QORDER,
+    }),
+    "verify": (cmd_verify, "named verification suites", {
+        "--suite": ("suite", str, "all", "a suite name, or all"),
+        "--qorder": QORDER,
+    }),
+    "rigidity": (cmd_rigidity, "equivariant localization across samples", {
+        "--action": ("action", str, REQUIRED, "builtin:NAME or file:PATH"),
+        "--lambda": ("samples", str, REQUIRED, "comma-separated samples"),
+        "--qorder": QORDER,
+    }),
+    "obstruct": (cmd_obstruct, "m_o, vanishing predictions, normal forms, code audit", {
+        "--weights": ("weights", str, None, "JSON list of rotation weights"),
+        "--order": ("order", int, None, "order of the cyclic isotropy group"),
+        "--codim": ("codim", int, None, "codimension of the fixed-point set"),
+        "--matrix-file": ("matrix_file", str, None, "JSON integer matrix file"),
+        "--p": ("p", int, 2, "prime of the lattice normal form"),
+        "--fixdim": ("fixdim", str, None, "JSON table of (dim, [component dims])"),
+    }),
+}
 
-    p = sub.add_parser("genus", parents=[common], help="genus values, generic or specialized")
-    p.add_argument("--manifold", required=True, help="builtin:NAME or file:PATH")
-    p.add_argument("--spec", choices=("generic", "signature", "ahat"), default="generic")
-    p.set_defaults(run=cmd_genus)
 
-    p = sub.add_parser("expand", parents=[common], help="cusp expansions, pole order, vanishing counts")
-    p.add_argument("--manifold", required=True)
-    p.add_argument("--cusp", choices=(SIGNATURE_CUSP, AHAT_CUSP), default=AHAT_CUSP)
-    p.add_argument("--qorder", type=int, default=None)
-    p.set_defaults(run=cmd_expand)
+def render_help(command: str | None = None) -> str:
+    """The `--help` text of genuslab (command None) or of one command, from the tables."""
+    if command is None:
+        usage, about, own = "genuslab [OPTION ...] {" + ",".join(COMMANDS) + "} ...", DESCRIPTION, {}
+        sections = [("commands:", [(name, entry[1]) for name, entry in COMMANDS.items()])]
+    else:
+        (_, about, own), usage, sections = COMMANDS[command], f"genuslab {command} [OPTION ...]", []
+    rows = [("-h, --help", "show this help and exit")]
+    for flag, (dest, kind, default, text) in {**own, **GLOBAL_OPTIONS}.items():
+        metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else dest.upper()
+        note = " (required)" if default is REQUIRED else "" if default is None else f" (default: {default})"
+        rows.append((f"{flag} {metavar}", text + note))
+    sections.append(("options:", rows))
+    width = max(len(name) for _, pairs in sections for name, _ in pairs) + 2
+    lines = [f"usage: {usage}", "", about]
+    for title, pairs in sections:
+        lines += ["", title] + [f"  {name:<{width}}{text}" for name, text in pairs]
+    return "\n".join(lines) + "\n"
 
-    p = sub.add_parser("verify", parents=[common], help="named verification suites")
-    p.add_argument("--suite", default="all")
-    p.add_argument("--qorder", type=int, default=None)
-    p.set_defaults(run=cmd_verify)
 
-    p = sub.add_parser("rigidity", parents=[common], help="equivariant localization across samples")
-    p.add_argument("--action", required=True, help="builtin:NAME or file:PATH")
-    p.add_argument("--lambda", dest="samples", required=True, help="comma-separated samples")
-    p.add_argument("--qorder", type=int, default=None)
-    p.set_defaults(run=cmd_rigidity)
+def usage_error(message: str, command: str | None) -> None:
+    """Bad argv, as argparse reports it: usage and message on stderr, exit 2."""
+    sys.stderr.write(render_help(command).partition("\n")[0] + f"\ngenuslab: error: {message}\n")
+    raise SystemExit(2)
 
-    p = sub.add_parser("obstruct", parents=[common], help="m_o, vanishing predictions, normal forms, code audit")
-    p.add_argument("--weights", default=None, help="JSON list of rotation weights")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--codim", type=int, default=None)
-    p.add_argument("--matrix-file", default=None, help="JSON integer matrix file")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--fixdim", default=None, help="JSON table of (dim, [component dims])")
-    p.set_defaults(run=cmd_obstruct)
-    return parser
+
+def parse_args(argv) -> SimpleNamespace:
+    """Read argv by the grammar of the module docstring into the command and its option values."""
+    command, options, given = None, GLOBAL_OPTIONS, {}
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if token == "-h" or token.startswith("--") and len(name) > 2:
+            name = "--help" if token == "-h" else name
+            hits = [flag for flag in [*options, "--help"] if flag.startswith(name)]
+            hits = [name] if name in hits else hits  # an exact name is never ambiguous
+            if len(hits) != 1 or hits[0] == "--help" and eq:  # --help takes no value
+                usage_error(f"ambiguous option: {name} could match {', '.join(hits)}" if len(hits) > 1
+                            else f"unrecognized arguments: {token}", command)
+            if hits[0] == "--help":
+                sys.stdout.write(render_help(command))
+                raise SystemExit(0)
+            value = value if eq else next(tokens, None)
+            if value is None:
+                usage_error(f"argument {hits[0]}: expected one argument", command)
+            dest, kind, _, _ = options[hits[0]]
+            try:  # int() or str() converts; a tuple of choices finds the value or raises
+                given[dest] = kind(value) if callable(kind) else kind[kind.index(value)]
+            except ValueError:
+                wanted = "int value" if kind is int else f"choice (choose from {', '.join(kind)})"
+                usage_error(f"argument {hits[0]}: invalid {wanted}: {value!r}", command)
+        elif command is None and token in COMMANDS:
+            command, options = token, {**COMMANDS[token][2], **GLOBAL_OPTIONS}
+        else:
+            choices = ", ".join(COMMANDS)
+            usage_error(f"unrecognized arguments: {token}" if command
+                        else f"argument command: invalid choice: {token!r} (choose from {choices})", command)
+    values = {dest: default for dest, _, default, _ in options.values()} | given
+    missing = [flag for flag, (dest, *_) in options.items() if values[dest] is REQUIRED]
+    if command is None or missing:
+        usage_error(f"the following arguments are required: {', '.join(missing or ['command'])}", command)
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if hasattr(args, "qorder") and args.qorder is None:
             args.qorder = default_qorder()
         minimum = 0 if args.command == "expand" else 1  # a bare constant term is a valid expansion
         if getattr(args, "qorder", 1) < minimum:
             raise ValidationError(f"q-order must be >= {minimum}", code="invalid")
-        payload = args.run(args)
+        payload = COMMANDS[args.command][0](args)
     except ValidationError as exc:
         emit({"error": str(exc), "code": exc.code}, args.format, args.out)
         return 2

@@ -173,7 +173,7 @@ def genus_value(spec: GenusSpec, model: ManifoldModel):
             f"delta/epsilon ring holds weight <= {weight_cap} (real dimension <= {4 * weight_cap})"
         )
     Q = char_series(spec, _density_limits(model))
-    return model.integrate(root_product(model, Q))
+    return model.integrate(*root_product(model, Q, split=True))
 
 
 def legendre_coefficient(spec: GenusSpec, k: int):
@@ -283,9 +283,9 @@ def _density_limits(model: ManifoldModel) -> int:
     return max(1, xc, 2 * vc)
 
 
-def word_factor_product(model: ManifoldModel, cusp: str, base) -> TruncPoly:
-    """Tangent product of the `cusp` density: a cohomology-ring polynomial over `base`."""
-    return root_product(model, index_density(cusp, _density_limits(model), base))
+def word_factor_product(model: ManifoldModel, cusp: str, base, split: bool = False):
+    """Tangent product of the `cusp` density over `base`; `split` as in `root_product`."""
+    return root_product(model, index_density(cusp, _density_limits(model), base), split)
 
 
 # -- twisted indices -----------------------------------------------------------
@@ -301,12 +301,13 @@ def twisted_index(spec_name: str, model: ManifoldModel, word: str, qorder: int =
         S = SeriesRing(QQ, 2 * qorder + 2)
         if model.dim_real % 4:
             return IndexSeries(S.zero(), 0)
-        return IndexSeries(model.integrate(word_factor_product(model, spec_name, S)), model.dim_real // 4)
+        value = model.integrate(*word_factor_product(model, spec_name, S, split=True))
+        return IndexSeries(value, model.dim_real // 4)
     if word not in _BUNDLES:
         raise StructuralError(f"unsupported twist word {word!r}")
     # single-bundle twists: q-free, plain rational arithmetic
-    total = word_factor_product(model, spec_name, QQ)
-    return model.integrate(total * _bundle_character(model, word))
+    total, scalar = word_factor_product(model, spec_name, QQ, split=True)
+    return model.integrate(total * _bundle_character(model, word), scalar)
 
 
 def _bundle_character(model: ManifoldModel, word: str):

@@ -164,11 +164,11 @@ def local_term(component: FixedComponent, lam, qorder: int = DEFAULT_QORDER) -> 
     S = SeriesRing(base, 2 * qorder + 2)
     model = component.model
     ring = model.poly_ring(S)
-    total = word_factor_product(model, SIGNATURE_CUSP, S)
+    total, scalar = word_factor_product(model, SIGNATURE_CUSP, S, split=True)
     for summand in component.normal:
         y = ring.linear_form(summand.chern)
         total = total * normal_factor(S, sum(ring.caps), lam, summand.weight).compose(y)
-    return model.integrate(total)
+    return model.integrate(total, scalar)
 
 
 def equivariant_series(action: CircleActionData, lam, qorder: int = DEFAULT_QORDER) -> QSeries:

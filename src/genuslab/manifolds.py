@@ -67,9 +67,10 @@ class CohomologyModel:
             n *= g.cap + 1
         return n
 
-    def integrate(self, cls: TruncPoly):
-        """Pair a cohomology class with the fundamental class."""
-        return cls.coefficient(self.top_exponents()) * self.pairing
+    def integrate(self, cls: TruncPoly, scalar=None):
+        """Pair a cohomology class (times a base-ring scalar, if one is given) with the fundamental class."""
+        value = cls.coefficient(self.top_exponents()) * self.pairing
+        return value if scalar is None else value * scalar
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ class ManifoldModel:
     def poly_ring(self, base=QQ) -> PolyRing:
         return self.cohomology.poly_ring(base)
 
-    def integrate(self, cls: TruncPoly):
-        return self.cohomology.integrate(cls)
+    def integrate(self, cls: TruncPoly, scalar=None):
+        return self.cohomology.integrate(cls, scalar)
 
     def validate_dimensions(self):
         if self.cohomology.dim_real != self.dim_real:
@@ -164,17 +165,23 @@ def _root_values(model: ManifoldModel, f: TruncPoly):
             yield f_v.compose(entry.form_poly(ring)), entry.mult
 
 
-def root_product(model: ManifoldModel, f: TruncPoly) -> TruncPoly:
-    """prod f(root)^mult over the tangent entries, divided by f(0)^delta."""
+def root_product(model: ManifoldModel, f: TruncPoly, split: bool = False):
+    """prod f(root)^mult over the tangent entries, divided by f(0)^delta.
+
+    With `split`, the pair (prod f(root)^mult, f(0)^-delta or None when it is
+    1), for a caller that pairs the product: `integrate` then scales only the
+    paired value, where the division would scale every coefficient.
+    """
     total = None
     for value, mult in _root_values(model, f):
         total = value ** mult if total is None else total * value ** mult
     if total is None:
         total = model.poly_ring(f.ring.base).one()
     c0 = f.constant_term()
-    if model.tangent.delta and c0 != f.ring.base.one():
-        total = total * c0 ** (-model.tangent.delta)
-    return total
+    scalar = c0 ** -model.tangent.delta if model.tangent.delta and c0 != f.ring.base.one() else None
+    if split:
+        return total, scalar
+    return total if scalar is None else total * scalar
 
 
 def root_sum(model: ManifoldModel, f: TruncPoly) -> TruncPoly:

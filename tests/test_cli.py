@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from genuslab import suites
-from genuslab.cli import main
+from genuslab.cli import COMMANDS, GLOBAL_OPTIONS, main
 from genuslab.errors import InternalInconsistencyError
 
 CLI = [sys.executable, "-m", "genuslab.cli"]
@@ -552,3 +552,119 @@ def test_malformed_tangent_data_exits_2(tmp_path, model, mutate):
     r = run_cli("genus", "--manifold", f"file:{write_json(tmp_path, doc)}", "--spec", "signature")
     assert_validation_exit(r)
     assert json.loads(r.stdout)["code"] == "schema"
+
+
+# -- argv grammar ---------------------------------------------------------------------
+
+
+HP2_ACTION = "builtin:HP2_diagonal(1,2,4)"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        ("nope",),
+        ("expand",),
+        ("rigidity", "--action", HP2_ACTION),
+        ("expand", "--manifold"),
+        ("expand", "--manifold", "builtin:HP2", "--qorder", "six"),
+        ("obstruct", "--matrix-file", "m.json", "--p", "2.5"),
+        ("obstruct", "--codim", "4", "--order", "x"),
+        ("obstruct", "--codim", "1e3"),
+        ("expand", "--manifold", "builtin:HP2", "--cusp", "infinity"),
+        ("genus", "--manifold", "builtin:HP2", "--spec", "elliptic"),
+        ("--format", "xml", "genus", "--manifold", "builtin:HP2"),
+        ("genus", "--manifold", "builtin:HP2", "--format=yaml"),
+        ("genus", "--manifold", "builtin:HP2", "--bogus", "1"),
+        ("obstruct", "--o", "3"),
+        ("genus", "--manifold", "builtin:HP2", "stray"),
+        ("genus", "--manifold", "builtin:HP2", "--help=x"),
+    ],
+    ids=[
+        "no-command", "unknown-command", "missing-manifold", "missing-lambda", "no-value",
+        "qorder", "p", "order", "codim", "cusp", "spec", "format", "format-after", "unknown-option",
+        "ambiguous-prefix", "stray-positional", "help-with-value",
+    ],
+)
+def test_usage_errors_exit_2_on_stderr_only(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "genuslab: error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", [None, "genus", "expand", "verify", "rigidity", "obstruct"])
+def test_help_names_every_command_and_option(command):
+    r = run_cli(*([command] if command else []), "--help")
+    assert r.returncode == 0
+    assert r.stderr == ""
+    names = [*GLOBAL_OPTIONS, *(COMMANDS[command][2] if command else COMMANDS)]
+    assert all(name in r.stdout for name in names)
+
+
+def run_main(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "canonical, spellings",
+    [
+        (
+            ("expand", "--manifold", "builtin:HP2", "--qorder", "6"),
+            [("expand", "--manifold", "builtin:HP2", "--qorder=6"),
+             ("expand", "--manifold=builtin:HP2", "--qord", "6"),
+             ("expand", "--man", "builtin:HP2", "--q=6")],
+        ),
+        (
+            ("--format", "text", "genus", "--manifold", "builtin:CP2", "--spec", "ahat"),
+            [("genus", "--manifold", "builtin:CP2", "--spec", "ahat", "--format", "text"),
+             ("--format", "csv", "genus", "--manifold", "builtin:CP2", "--spec", "ahat", "--fo", "text"),
+             ("--format=json", "--format", "text", "genus", "--manifold", "builtin:CP2", "--spec=ahat")],
+        ),
+        (
+            ("obstruct", "--codim=-1"),
+            [("obstruct", "--codim", "-1"), ("obstruct", "--cod", "-1")],
+        ),
+        (
+            ("rigidity", "--action", HP2_ACTION, "--lambda=-2,3", "--qorder", "2"),
+            [("rigidity", "--action", HP2_ACTION, "--lambda", "-2,3", "--qorder", "2")],
+        ),
+    ],
+    ids=["qorder", "format", "negative-codim", "negative-lambda"],
+)
+def test_spellings_give_the_canonical_bytes(capsys, canonical, spellings):
+    want = run_main(capsys, *canonical)
+    assert want[1]
+    for argv in spellings:
+        assert run_main(capsys, *argv) == want
+
+
+def test_out_before_or_after_the_command_writes_the_stdout_bytes(capsys, tmp_path):
+    argv = ("genus", "--manifold", "builtin:CP2", "--spec", "ahat")
+    code, want = run_main(capsys, *argv)
+    assert code == 0
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert run_main(capsys, "--out", str(before), *argv) == (0, "")
+    assert run_main(capsys, *argv, "--o", str(after)) == (0, "")
+    assert before.read_text(encoding="utf-8") == after.read_text(encoding="utf-8") == want
+
+
+def test_a_cold_job_imports_no_module_after_the_cli():
+    # a stdlib import on the per-job path (argparse builds pull in gettext and locale)
+    # costs every cold CLI process milliseconds that the series kernels never get back
+    probe = (
+        "import contextlib, io, sys\n"
+        "import genuslab.cli as cli\n"
+        "before = set(sys.modules)\n"
+        "assert not {'argparse', 'gettext', 'locale'} & before, sorted({'argparse', 'gettext', 'locale'} & before)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['expand', '--manifold', 'builtin:HP2', '--qorder', '4'])\n"
+        "assert code == 0, code\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
