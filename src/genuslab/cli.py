@@ -17,8 +17,9 @@ value even when it begins with "-" (`--codim -1`).  A long option may be cut
 to a prefix that names it alone (`--qord 6`).  `-h`/`--help` prints the help
 of the command before it, or of genuslab, and exits 0.  Any other misuse
 (no or an unknown command, an unknown or ambiguous option, a missing value or
-required option, a bad integer or choice, a stray argument) writes a usage
-line and "genuslab: error: ..." to stderr, nothing to stdout, and exits 2.
+required option, a bad integer or choice, a stray argument, an --out file
+that cannot be opened for writing) writes a usage line and "genuslab: error:
+..." to stderr, nothing to stdout, and exits 2, before any computation.
 """
 
 from __future__ import annotations
@@ -429,6 +430,11 @@ def parse_args(argv) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
+    try:  # emit writes the file after the work; a path it cannot open fails before it
+        if args.out:
+            open(args.out, "w", encoding="utf-8").close()
+    except OSError as exc:
+        usage_error(f"argument --out: can't open {args.out!r}: {exc.strerror}", args.command)
     try:
         if hasattr(args, "qorder") and args.qorder is None:
             args.qorder = default_qorder()

@@ -16,9 +16,9 @@ compare squared series to avoid square roots of q-series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, NotInvertibleError, StructuralError
 from .genus import (
@@ -33,8 +33,7 @@ from .manifolds import ManifoldModel, builtin
 from .series import QSeries, TruncPoly
 
 
-@dataclass(frozen=True)
-class CuspExpansion:
+class CuspExpansion(NamedTuple):
     delta_series: QSeries
     epsilon_series: QSeries
 
@@ -90,8 +89,7 @@ def verify_modularity(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QOR
     return series.same_to(substituted)
 
 
-@dataclass(frozen=True)
-class NormalizedPhi:
+class NormalizedPhi(NamedTuple):
     """Weight-0 normalized expansion.
 
     `power` is 1 when the series is Phi itself (k even) and 2 when it is

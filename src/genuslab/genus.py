@@ -55,18 +55,15 @@ and `root_sum`.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, isqrt, lcm
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, ResourceCapError, StructuralError
 from .manifolds import ManifoldModel, root_product, root_sum
 from .rings import QQ, as_fraction
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _numerators, _series
-
-log = logging.getLogger(__name__)
 
 # Generic coefficient ring Q[delta, epsilon]; weight(delta) = 2, weight(epsilon) = 4,
 # so caps (12, 6) cover every manifold of real dimension <= 48.
@@ -75,8 +72,7 @@ GENERIC_RING = PolyRing(("delta", "epsilon"), (12, 6), QQ)
 DEFAULT_QORDER = 6
 
 
-@dataclass(frozen=True)
-class GenusSpec:
+class GenusSpec(NamedTuple):
     """Level-2 genus parameters; rationals or the generic generators."""
 
     delta: object
@@ -122,8 +118,7 @@ TRIVIAL = "trivial"
 _BUNDLES = {TANGENT, EXT2_PLUS_TANGENT, TANGENT_CHERN, TRIVIAL}
 
 
-@dataclass(frozen=True)
-class IndexSeries:
+class IndexSeries(NamedTuple):
     """A q-expansion of twisted indices of a manifold of dimension 4k."""
 
     series: QSeries
@@ -160,9 +155,12 @@ def _divide_by_var(p: TruncPoly, new_cap: int) -> TruncPoly:
 
 
 def genus_value(spec: GenusSpec, model: ManifoldModel):
-    """Evaluate the genus on a manifold model (exact scalar or delta/epsilon poly)."""
+    """Evaluate the genus on a manifold model (exact scalar or delta/epsilon poly).
+
+    It is 0 in real dimensions not divisible by 4, which carry no Pontryagin
+    numbers (Q is even).
+    """
     if model.dim_real % 4:
-        log.info("genus vanishes in dimensions not divisible by 4 (%s)", model.name)
         return spec.base_ring.zero() if isinstance(spec.delta, TruncPoly) else Fraction(0)
     if model.dim_real == 0:
         return GENERIC_RING.one() if isinstance(spec.delta, TruncPoly) else Fraction(1)

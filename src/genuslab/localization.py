@@ -23,6 +23,11 @@ which runs the division at s -> den(a) den(1/a) s.  Replacing (a, y) by
 N_(1/a)(y) = -N_a(-y): one build serves {a, 1/a} per (q-order, y-cap), and
 `local_term` composes it with each summand's Chern form.
 
+The records check nothing themselves: every builtin and `load_action` returns
+its action through `CircleActionData.validate`, which requires dim + codim =
+ambient dim for each fixed component and a nonzero weight for each normal
+summand (`load_action` checks the file's schema before it).
+
 Sample points are admissible when no lam^w = 1 for an occurring weight w.
 Rigidity compares exact samples, which certifies less than their number
 suggests.  The bundles are real, so each q^N coefficient of the equivariant
@@ -37,28 +42,22 @@ Q w_max + 1 samples with distinct t.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .genus import DEFAULT_QORDER, SIGNATURE_CUSP, cusp_series, theta_quotient, theta_terms, word_factor_product
-from .manifolds import ManifoldModel, builtin, load_model
+from .manifolds import ManifoldModel, _is_int, _read_json, builtin, euler_characteristic, load_model, parse_form
 from .rings import I_UNIT, QI, QQ, GaussianRational
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _numerators
 
 
-@dataclass(frozen=True)
-class NormalSummand:
+class NormalSummand(NamedTuple):
     chern: dict          # {symbol: Fraction} in the component's generators
     weight: int
 
-    def __post_init__(self):
-        if self.weight == 0:
-            raise ValidationError("normal rotation weights must be nonzero", code="invalid")
 
-
-@dataclass(frozen=True)
-class FixedComponent:
+class FixedComponent(NamedTuple):
     model: ManifoldModel
     normal: tuple[NormalSummand, ...]
 
@@ -70,17 +69,23 @@ class FixedComponent:
         return [s.weight for s in self.normal]
 
 
-@dataclass(frozen=True)
-class CircleActionData:
+class CircleActionData(NamedTuple):
     ambient_dim: int
     components: tuple[FixedComponent, ...]
     provenance: str
     ambient_spin: bool
-    ambient_model: ManifoldModel | None = field(default=None, compare=False)
+    ambient_model: ManifoldModel | None = None
     name: str = ""
+
+    def __eq__(self, other):  # the ambient model is a reference and stays out of comparisons
+        return isinstance(other, CircleActionData) and self[:4] + self[5:] == other[:4] + other[5:]
+
+    __ne__ = object.__ne__  # the negation of __eq__, where tuple's own != compares every field
 
     def validate(self) -> "CircleActionData":
         for comp in self.components:
+            if 0 in comp.weights():
+                raise ValidationError("normal rotation weights must be nonzero", code="invalid")
             if comp.model.dim_real + comp.codim != self.ambient_dim:
                 raise ValidationError(
                     f"component {comp.model.name}: dim {comp.model.dim_real} + "
@@ -186,8 +191,7 @@ def _promote_to_gaussian(series: QSeries) -> QSeries:
 # -- rigidity -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     action: str
     samples: tuple
     qorder: int
@@ -199,9 +203,7 @@ class RigidityReport:
     series: str  # repr of the first sample's series
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["samples"] = [str(s) for s in self.samples]
-        return out
+        return self._asdict() | {"samples": [str(s) for s in self.samples]}
 
 
 def rigidity_check(action: CircleActionData, samples, qorder: int = DEFAULT_QORDER) -> RigidityReport:
@@ -276,8 +278,6 @@ def euler_fixed_check(action: CircleActionData):
     Returns True or False, or None when the ambient value or a component's
     Euler characteristic is unknown (a partial check).
     """
-    from .manifolds import euler_characteristic
-
     total = Fraction(0)
     for comp in action.components:
         m = comp.model
@@ -406,8 +406,6 @@ def _resolve_model_ref(ref):
 
 def load_action(source) -> CircleActionData:
     """Load an action description from a JSON path, file object or dict."""
-    from .manifolds import _is_int, _read_json, parse_form
-
     doc = _read_json(source)
     for field_name in ("ambient", "components"):
         if field_name not in doc:

@@ -15,16 +15,21 @@ characteristic classes.  They put every root into a univariate series f
 divides by delta copies of f(0), so a virtual description and the actual
 bundle give the same characteristic numbers.
 
-Builtin catalog entries are validated at construction by two independent
-classical identities (signature/Euler characteristic/A-hat vanishing).
+The records check nothing themselves.  `load_model` validates a model file:
+generator degrees and caps, distinct symbols, nonzero multiplicities, and each
+form's degree against its entry's kind.  Every model then passes
+`ManifoldModel.validate_dimensions` (degrees, rank, nonzero pairing), and
+builtin catalog entries also `_self_check`: two independent classical
+identities (signature/Euler characteristic/A-hat vanishing).  `_self_check`
+sets the catalog-only `euler`, which equality ignores.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .errors import StructuralError, ValidationError
 from .rings import QQ, as_fraction, format_fraction, parse_fraction
@@ -34,15 +39,13 @@ CHERN = "chern"
 PONTRYAGIN = "pontryagin"
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     symbol: str
     degree: int  # 2 or 4
     cap: int     # nilpotency: symbol^(cap+1) = 0
 
 
-@dataclass(frozen=True)
-class CohomologyModel:
+class CohomologyModel(NamedTuple):
     generators: tuple[Generator, ...]
     pairing: Fraction  # value of the fundamental class on prod(gen^cap)
 
@@ -73,8 +76,7 @@ class CohomologyModel:
         return value if scalar is None else value * scalar
 
 
-@dataclass(frozen=True)
-class TangentEntry:
+class TangentEntry(NamedTuple):
     form: dict          # {symbol: Fraction} linear form in the generators
     mult: int           # signed multiplicity; negative entries invert factors
     kind: str = CHERN   # CHERN: degree-2 root; PONTRYAGIN: degree-4 squared root
@@ -83,8 +85,7 @@ class TangentEntry:
         return ring.linear_form(self.form)
 
 
-@dataclass(frozen=True)
-class TangentData:
+class TangentData(NamedTuple):
     entries: tuple[TangentEntry, ...]
     delta: int  # virtual rank minus actual rank (in complex ranks / root pairs)
 
@@ -98,15 +99,22 @@ class TangentData:
         return "mixed"
 
 
-@dataclass(frozen=True)
-class ManifoldModel:
+class ManifoldModel(NamedTuple):
     name: str
     cohomology: CohomologyModel
     tangent: TangentData
     dim_real: int
     spin: bool
     orientation_note: str = ""
-    euler: Fraction | None = field(default=None, compare=False)
+    euler: Fraction | None = None
+
+    def __eq__(self, other):  # euler is derived from the rest and stays out of comparisons
+        return isinstance(other, ManifoldModel) and self[:-1] == other[:-1]
+
+    __ne__ = object.__ne__  # the negation of __eq__, where tuple's own != compares every field
+
+    def __hash__(self):
+        return hash(self[:-1])
 
     def poly_ring(self, base=QQ) -> PolyRing:
         return self.cohomology.poly_ring(base)
@@ -374,8 +382,7 @@ def _self_check(model: ManifoldModel, kind: str, factors=None) -> ManifoldModel:
                 f"catalog self-check failed for {name}: {label} = {got}, expected {want}",
                 code="catalog-check",
             )
-    object.__setattr__(model, "euler", euler)
-    return model
+    return model._replace(euler=euler)
 
 
 def builtin(name: str) -> ManifoldModel:
@@ -386,9 +393,7 @@ def builtin(name: str) -> ManifoldModel:
 @cache
 def _build(key: str) -> ManifoldModel:
     if key == "pt":
-        m = point()
-        object.__setattr__(m, "euler", Fraction(1))
-        return m
+        return point()._replace(euler=Fraction(1))
     if key.startswith("product(") and key.endswith(")"):
         parts = _split_args(key[len("product(") : -1])
         factors = [builtin(p) for p in parts]

@@ -22,10 +22,10 @@ Three independent layers:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .genus import AHAT_CUSP, DEFAULT_QORDER, cusp_series
@@ -92,8 +92,7 @@ def vanish_count_cyclic_codim(codim: int, order: int) -> int:
     return _ceil(Fraction(codim, 2 * order))
 
 
-@dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(NamedTuple):
     manifold: str
     order: int
     m_value: Fraction
@@ -118,10 +117,8 @@ def cross_check_prediction(model, action, order: int, qorder: int = DEFAULT_QORD
     m_value = m_invariant_min(weight_vectors, order)
     predicted = vanish_count_from_m(m_value) if model.spin else 0
     raw = cusp_series(model, AHAT_CUSP, max(qorder, predicted + 1))
-    first_nonzero = None
-    e = raw.series.lowest_exponent()
-    if e is not None:  # the raw series q^(k/2) phi_0 has integral q-powers, q = s^2
-        first_nonzero = e // 2
+    e = raw.series.lowest_exponent()  # the raw series q^(k/2) phi_0 has integral q-powers, q = s^2
+    first_nonzero = None if e is None else e // 2
     passed = first_nonzero is None or first_nonzero >= predicted
     return PredictionReport(
         manifold=model.name,
@@ -175,21 +172,15 @@ def rfpd_check(table) -> bool:
 # -- lattice normal form ---------------------------------------------------------------
 
 
-@dataclass
-class NormalFormResult:
+class NormalFormResult(NamedTuple):
     matrix: list              # transformed matrix, columns permuted (pivots first)
     column_order: list        # new column order as indices into the original
     transform: list           # integer row-transformation T with A' = (T A) permuted
     covering_degree: int      # |det T|, coprime to p
-    ops: list = field(default_factory=list)  # op log
+    ops: list                 # op log
 
     def to_dict(self) -> dict:
-        return {
-            "matrix": self.matrix,
-            "column_order": self.column_order,
-            "transform": self.transform,
-            "covering_degree": self.covering_degree,
-        }
+        return {k: v for k, v in self._asdict().items() if k != "ops"}
 
 
 def _integer_matrix(matrix) -> list:
@@ -386,8 +377,7 @@ def _rank(words) -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class CodeAuditReport:
+class CodeAuditReport(NamedTuple):
     r: int
     k: int
     weight_distribution: dict
@@ -404,9 +394,8 @@ class CodeAuditReport:
     sublinearity_holds: bool
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["weight_distribution"] = {str(wt): n for wt, n in sorted(self.weight_distribution.items())}
-        return out
+        dist = {str(wt): n for wt, n in sorted(self.weight_distribution.items())}
+        return self._asdict() | {"weight_distribution": dist}
 
 
 def code_audit(matrix, r: int | None = None, k: int | None = None) -> CodeAuditReport:

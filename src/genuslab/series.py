@@ -259,6 +259,8 @@ class TruncPoly:
         return TruncPoly(ring, {exps: c for part in g for exps, c in part.items()}, _clean=True)
 
     def __eq__(self, other):
+        if isinstance(other, TruncPoly) and other.ring.base == self.ring:
+            return NotImplemented  # a polynomial over this ring coerces self, as hashing does
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -266,7 +268,7 @@ class TruncPoly:
 
     def __hash__(self):
         if set(self.coeffs) <= {(0,) * len(self.ring.variables)}:
-            return hash(self.constant_term())  # a constant equals its coefficient
+            return hash(self.constant_term())  # a constant equals its coefficient, on either side
         return hash((self.ring, frozenset(self.coeffs.items())))
 
     def __bool__(self):

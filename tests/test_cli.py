@@ -315,6 +315,10 @@ def test_output_file(tmp_path):
     assert r.returncode == 0
     assert r.stdout == ""
     assert json.loads(out.read_text())["value"] == "-1/8"
+    # an error goes to the same file and replaces the earlier result
+    r = run_cli("genus", "--manifold", "builtin:nosuch", "--out", str(out))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert json.loads(out.read_text())["code"] == "invalid"
 
 
 def test_resource_cap_exits_4(tmp_path):
@@ -452,8 +456,9 @@ def cp2_linear_action():
         {"chern": {"h": "abc"}, "weight": 1},
         {"chern": {"h": [1]}, "weight": 1},
         {"chern": {"h": "1"}, "weight": True},
+        {"chern": {"h": "1"}, "weight": 0},
     ],
-    ids=["chern-list", "chern-string", "coefficient-abc", "coefficient-list", "weight-true"],
+    ids=["chern-list", "chern-string", "coefficient-abc", "coefficient-list", "weight-true", "weight-zero"],
 )
 def test_malformed_normal_entries_exit_2(tmp_path, entry):
     doc = cp2_linear_action()
@@ -668,3 +673,32 @@ def test_a_cold_job_imports_no_module_after_the_cli():
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[]\n"
+
+
+def test_the_cli_imports_no_logging_dataclasses_or_inspect():
+    # dataclasses alone pulls in inspect, dis, ast, tokenize and traceback: tens of
+    # milliseconds of every cold CLI process that no output needs
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import genuslab.cli\n"
+        "print(sorted({'logging', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("out", ["/nonexistent/x.json", "."], ids=["missing-directory", "a-directory"])
+def test_an_out_file_that_cannot_be_opened_exits_2(out):
+    r = run_cli("genus", "--manifold", "builtin:CP2", "--out", out)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "genuslab: error: argument --out: can't open" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_a_zero_weight_in_a_builtin_action_exits_2():  # an action file's is in test_malformed_normal_entries_exit_2
+    r = run_cli("rigidity", "--action", "builtin:HP2_diagonal(0,1,2)", "--lambda", "2,3", "--qorder", "2")
+    assert_validation_exit(r)
+    assert json.loads(r.stdout)["code"] == "invalid"

@@ -1,0 +1,108 @@
+"""Record contracts: every record is immutable, equality skips derived and
+referenced fields, a zero rotation weight is rejected, and the reports
+serialize to fixed dicts."""
+
+from fractions import Fraction
+
+import pytest
+
+from genuslab.cusp import generator_expansions, normalized_phi
+from genuslab.errors import ValidationError
+from genuslab.genus import GenusSpec, cusp_series
+from genuslab.localization import (
+    CircleActionData,
+    FixedComponent,
+    NormalSummand,
+    builtin_action,
+    rigidity_check,
+)
+from genuslab.manifolds import builtin, dump_model, load_model, point
+from genuslab.obstructions import code_audit, cross_check_prediction, lattice_normal_form
+from genuslab.rings import GaussianRational
+from genuslab.suites import suite_roundtrip
+
+
+def records():
+    cp2 = builtin("CP2")
+    action = builtin_action("CP2_linear(0,1,3)")
+    component = action.components[1]
+    return [
+        GenusSpec.signature(),
+        cusp_series(cp2, "signature", 2),
+        generator_expansions("signature", 2),
+        normalized_phi(cp2, "signature", 2),
+        cp2.cohomology.generators[0],
+        cp2.cohomology,
+        cp2.tangent.entries[0],
+        cp2.tangent,
+        cp2,
+        component.normal[0],
+        component,
+        action,
+        rigidity_check(action, [Fraction(2)], 1),
+        cross_check_prediction(builtin("HP2"), [[1, 1]], 2, 2),
+        lattice_normal_form([[1, 2, 3], [0, 1, 1]], 3),
+        code_audit([[1, 1, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0]]),
+    ]
+
+
+def test_there_are_sixteen_distinct_record_types():
+    assert len({type(r) for r in records()}) == 16
+
+
+@pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
+def test_assigning_to_a_record_field_raises(record):
+    for name in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_model_equality_ignores_euler():
+    cp2 = builtin("CP2")
+    loaded = load_model(dump_model(cp2))
+    assert cp2.euler == 3 and loaded.euler is None
+    assert loaded == cp2 and cp2 == loaded and not loaded != cp2
+    assert hash(point()) == hash(builtin("pt")) and point() == builtin("pt")
+    assert loaded != cp2._replace(spin=True)
+    assert [c["status"] for c in suite_roundtrip(2)] == ["PASS", "PASS"]
+
+
+def test_action_equality_ignores_the_ambient_model():
+    action = builtin_action("CP2_linear(0,0,1)")
+    assert action == action._replace(ambient_model=None)
+    assert not action != action._replace(ambient_model=builtin("HP2"))
+    assert action != action._replace(name="other")
+
+
+def test_validate_rejects_a_zero_rotation_weight():
+    # action files and builtins never get this far with weight 0 (tests/test_cli.py); validate is the guard of the rest
+    zero = CircleActionData(2, (FixedComponent(point(), (NormalSummand({}, 0),)),), "test", True)
+    with pytest.raises(ValidationError, match="nonzero"):
+        zero.validate()
+
+
+def test_report_dicts_are_unchanged():
+    # recorded when the records were dataclasses: rigidity and obstruct JSON must not change
+    action = builtin_action("CP2_linear(0,1,3)")
+    assert rigidity_check(action, [Fraction(2), Fraction(-1, 3)], 2).to_dict() == {
+        "action": "CP2_linear(0,1,3)", "samples": ["2", "-1/3"], "qorder": 2, "spin": False,
+        "all_samples_equal": False, "matches_loop_series": False, "q0_constant": True,
+        "status": "OBSERVATIONAL", "series": "(1) + (135/2)*q + (18225/16)*q^2 + O(s^6)",
+    }
+    action = builtin_action("HP2_diagonal(1,2,4)")
+    assert rigidity_check(action, [GaussianRational(0, 1), Fraction(3)], 1).to_dict() == {
+        "action": "HP2_diagonal(1,2,4)", "samples": ["1*i", "3"], "qorder": 1, "spin": True,
+        "all_samples_equal": True, "matches_loop_series": True, "q0_constant": True,
+        "status": "PASS", "series": "(1) + O(s^4)",
+    }
+    assert code_audit([[1, 1, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0]]).to_dict() == {
+        "r": 1, "k": 3, "weight_distribution": {"0": 1, "2": 1, "4": 2}, "dichotomy_holds": False,
+        "closure_applicable": True, "small_weight_closed": True, "closure_inference_consistent": True,
+        "row_odd_counts": [4, 2], "rows_have_two_odd_entries": False, "tail_column_odd_counts": [1, 0, 1, 1],
+        "tail_columns_even_parity": False, "tail_nonzero_columns": 3, "tail_nonzero_le_r": False,
+        "sublinearity_holds": True,
+    }
+    assert lattice_normal_form([[1, 2, 3], [0, 1, 1]], 3).to_dict() == {
+        "matrix": [[1, 0, 1], [0, 1, 1]], "column_order": [0, 1, 2], "transform": [[1, -2], [0, 1]],
+        "covering_degree": 1,
+    }

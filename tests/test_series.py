@@ -90,11 +90,11 @@ def test_base_ring_element_is_a_constant_only_on_the_right():
     assert p - d == -(R.const(d) - p)
     assert p * d == R.const(d) * p
     assert (p + d).ring == (p - d).ring == (p * d).ring == R
-    assert R.const(d) == d
-    assert p != d
-    for op, other in ((operator.add, p), (operator.sub, p), (operator.mul, p), (operator.eq, R.const(d))):
+    assert R.const(d) == d == R.const(d)  # equality coerces from either side, as hashing does
+    assert p != d != p
+    for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(StructuralError):
-            op(d, other)
+            op(d, p)
 
 
 def test_constant_polynomials_hash_as_their_coefficient():
@@ -107,6 +107,15 @@ def test_constant_polynomials_hash_as_their_coefficient():
     assert hash(PolyRing(("t",), (2,), GENERIC_RING).const(d)) == hash(d)
     t = R.gen("t")
     assert len({t + 1, 1 + t, R.const(1) + t}) == 1
+
+
+def test_a_base_ring_constant_is_one_set_element_in_either_order():
+    R = PolyRing(("t",), (2,), GENERIC_RING)
+    d = GENERIC_RING.gen("delta")
+    assert len({R.const(d), d}) == len({d, R.const(d)}) == 1
+    assert {d: 1}[R.const(d)] == {R.const(d): 1}[d] == 1
+    p = R.gen("t") * d
+    assert len({p, d}) == len({d, p}) == 2
 
 
 def test_ring_laws_on_random_sparse_polys():
