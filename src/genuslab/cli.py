@@ -36,15 +36,7 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .genus import (
-    AHAT_CUSP,
-    DEFAULT_QORDER,
-    SIGNATURE_CUSP,
-    GenusSpec,
-    cusp_series,
-    genus_value,
-    pole_order,
-)
+from .genus import AHAT_CUSP, SIGNATURE_CUSP, GenusSpec, cusp_series, genus_value, pole_order
 from .localization import builtin_action, load_action, rigidity_check
 from .manifolds import _is_int, builtin, load_model
 from .obstructions import (
@@ -61,6 +53,7 @@ from .series import QSeries, TruncPoly
 from .suites import run_suite
 
 QORDER_ENV = "GENUSLAB_QORDER"
+DEFAULT_QORDER = 6  # without --qorder and $GENUSLAB_QORDER
 DESCRIPTION = ("Exact workbench for level-2 elliptic genera, twisted indices, localization sums "
                "and symmetry-obstruction combinatorics.")
 
@@ -69,23 +62,10 @@ DESCRIPTION = ("Exact workbench for level-2 elliptic genera, twisted indices, lo
 
 
 def encode_value(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return format_fraction(value)
-    if isinstance(value, GaussianRational):
-        return str(value)
-    if isinstance(value, QSeries):
-        return encode_series(value)
+    """A genus value or coefficient: "p/q" for a rational, {monomial: "p/q"} for a polynomial."""
     if isinstance(value, TruncPoly):
         return encode_poly(value)
-    if isinstance(value, dict):
-        return {str(k): encode_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode_value(v) for v in value]
-    return str(value)
+    return format_fraction(value)
 
 
 def encode_series(series: QSeries) -> dict:
@@ -232,18 +212,11 @@ def cmd_expand(args) -> dict:
         "pole_indeterminate": pole is None,
     }
     if args.cusp == AHAT_CUSP:
-        counts = []
-        upto = min(qorder, (raw.series.order - 1) // 2)
-        for r in range(0, upto):
-            if all(raw.series.coefficient(2 * j) == 0 for j in range(r + 1)):
-                counts.append(r)
-        payload["vanishing_head_indices"] = counts
+        # r counts when the q^0..q^r coefficients vanish; the raw series has only even s-exponents
+        upto, lo = min(qorder, (raw.series.order - 1) // 2), raw.series.lowest_exponent()
+        payload["vanishing_head_indices"] = list(range(upto if lo is None else min(upto, lo // 2)))
         if model.spin:
-            integral = all(
-                getattr(raw.series.coefficient(e), "denominator", 1) == 1
-                for e in raw.series.support()
-            )
-            payload["spin_integrality"] = integral
+            payload["spin_integrality"] = all(c.denominator == 1 for c in raw.series.coeffs)
     return payload
 
 
@@ -364,7 +337,7 @@ COMMANDS = {
 }
 
 
-def render_help(command: str | None = None) -> str:
+def render_help(command: str | None) -> str:
     """The `--help` text of genuslab (command None) or of one command, from the tables."""
     if command is None:
         usage, about, own = "genuslab [OPTION ...] {" + ",".join(COMMANDS) + "} ...", DESCRIPTION, {}

@@ -20,17 +20,10 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .errors import InternalInconsistencyError, NotInvertibleError, StructuralError
-from .genus import (
-    DEFAULT_QORDER,
-    SIGNATURE_CUSP,
-    GenusSpec,
-    IndexSeries,
-    cusp_series,
-    genus_value,
-)
+from .errors import InternalInconsistencyError, StructuralError
+from .genus import SIGNATURE_CUSP, GenusSpec, IndexSeries, cusp_series, genus_value
 from .manifolds import ManifoldModel, builtin
-from .series import QSeries, TruncPoly
+from .series import QSeries
 
 
 class CuspExpansion(NamedTuple):
@@ -39,7 +32,7 @@ class CuspExpansion(NamedTuple):
 
 
 @cache
-def generator_expansions(cusp: str, qorder: int = DEFAULT_QORDER) -> CuspExpansion:
+def generator_expansions(cusp: str, qorder: int) -> CuspExpansion:
     """delta(q), epsilon(q) in the chosen cusp, derived from CP^2 and HP^2."""
     if qorder < 2:
         raise StructuralError("generator expansions need qorder >= 2")
@@ -63,12 +56,10 @@ def generator_expansions(cusp: str, qorder: int = DEFAULT_QORDER) -> CuspExpansi
     return CuspExpansion(delta_series=delta, epsilon_series=epsilon)
 
 
-def substituted_series(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QORDER) -> QSeries:
+def substituted_series(model: ManifoldModel, cusp: str, qorder: int) -> QSeries:
     """The generic genus of the model with delta, epsilon replaced by q-series."""
     expansion = generator_expansions(cusp, qorder)
-    value = genus_value(GenusSpec.generic(), model)
-    if not isinstance(value, TruncPoly):
-        raise StructuralError("substitution needs the generic genus value")
+    value = genus_value(GenusSpec.generic(), model)  # a polynomial in delta, epsilon
     ring = expansion.delta_series.ring
     if value.is_zero():  # e.g. HP3: signature and A-hat both vanish in weight 6
         return ring.zero()
@@ -80,7 +71,7 @@ def substituted_series(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QO
     return result
 
 
-def verify_modularity(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QORDER) -> bool:
+def verify_modularity(model: ManifoldModel, cusp: str, qorder: int) -> bool:
     """Index-series pipeline == modular-substitution pipeline, exactly to order."""
     if model.dim_real % 4:
         raise StructuralError("modularity verification needs dim divisible by 4")
@@ -101,25 +92,23 @@ class NormalizedPhi(NamedTuple):
     power: int
 
 
-def normalized_phi(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QORDER) -> NormalizedPhi:
+def normalized_phi(model: ManifoldModel, cusp: str, qorder: int) -> NormalizedPhi:
     """Index series divided by epsilon^{k/2} (squared identity for odd k)."""
     if model.dim_real % 4:
         raise StructuralError("normalization needs dim divisible by 4")
     return normalized_from_index(cusp_series(model, cusp, qorder), cusp, qorder)
 
 
-def normalized_from_index(ix: IndexSeries, cusp: str, qorder: int = DEFAULT_QORDER) -> NormalizedPhi:
+def normalized_from_index(ix: IndexSeries, cusp: str, qorder: int) -> NormalizedPhi:
     """Normalize an already computed index series using its dimension tag."""
     k = ix.k
     eps = generator_expansions(cusp, max(qorder, 2)).epsilon_series
-    if eps.is_zero():
-        raise NotInvertibleError("epsilon series is zero to the computed order")
     if k % 2 == 0:
         return NormalizedPhi(ix.series * eps ** (-(k // 2)), 1)
     return NormalizedPhi((ix.series * ix.series) * eps ** (-k), 2)
 
 
-def self_intersection_compare(a: IndexSeries, b: IndexSeries, cusp: str, qorder: int = DEFAULT_QORDER) -> bool:
+def self_intersection_compare(a: IndexSeries, b: IndexSeries, cusp: str, qorder: int) -> bool:
     """Weight-0 equality of two index series of possibly different dimensions."""
     na = normalized_from_index(a, cusp, qorder)
     nb = normalized_from_index(b, cusp, qorder)

@@ -15,17 +15,23 @@ so f = u + sum a_n u^n with (n+2)(n+1) a_(n+2) = -2*delta*a_n + 2*epsilon*[u^n] 
 Q is even, so it also takes Pontryagin-style root data, which only knows
 squared roots, once rewritten in v = x^2.
 
-Twisted indices are Kronecker pairings < density(roots) * ch(word), [M] >.
-Index densities per root pair +-x:
+Each cusp (signature, A-hat) names a genus spec and an index density per root
+pair +-x:
 
     A-hat:      x / (e^{x/2} - e^{-x/2})
     signature:  x * (1 + e^{-x}) / (1 - e^{-x})        (= x*coth(x/2))
 
-and the two infinite loop-space words attach, per root pair and q-level n,
+`twisted_index` pairs a density with the character of one of four single
+bundles, < density(roots) * ch(word), [M] >, a rational.  `cusp_series` pairs
+it with the cusp's infinite loop-space word, which attaches per root pair and
+q-level n
 
     loop word (signature cusp):   (1+q^n e^x)(1+q^n e^-x) / ((1-q^n e^x)(1-q^n e^-x))
     A-hat-cusp word:              (1-q^n e^x)(1-q^n e^-x)  for odd n,
-                                  its inverse               for even n.
+                                  its inverse               for even n,
+
+so its q^n coefficients are twisted indices of the bundles that the word
+collects at q-level n.
 
 `index_density` builds every density, keyed by its cusp, from one theta
 quotient.  By the Jacobi triple product (Hirzebruch-Berger-Jung ch. 6; Zagier
@@ -69,8 +75,6 @@ from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _numerators, _seri
 # so caps (12, 6) cover every manifold of real dimension <= 48.
 GENERIC_RING = PolyRing(("delta", "epsilon"), (12, 6), QQ)
 
-DEFAULT_QORDER = 6
-
 
 class GenusSpec(NamedTuple):
     """Level-2 genus parameters; rationals or the generic generators."""
@@ -103,13 +107,10 @@ class GenusSpec(NamedTuple):
         return GENERIC_RING if isinstance(self.delta, TruncPoly) else QQ
 
 
-# Each cusp also names its genus spec and its index density, and has one
-# infinite twisting word; besides those words, four single bundles twist.
+# The two cusps, each with its genus spec, index density and loop-space word,
+# and the four single bundles that `twisted_index` pairs with a density.
 SIGNATURE_CUSP = "signature"
 AHAT_CUSP = "ahat"
-PHI0_WORD = "word-ahat-cusp"
-LOOP_WORD = "word-loop"
-CUSP_WORDS = {SIGNATURE_CUSP: LOOP_WORD, AHAT_CUSP: PHI0_WORD}
 TANGENT = "tangent"                      # complexified real tangent bundle
 EXT2_PLUS_TANGENT = "ext2-plus-tangent"  # Lambda^2 TM + TM, complexified
 TANGENT_CHERN = "tangent-chern"          # virtual holomorphic tangent, ch = sum mult*e^form
@@ -161,9 +162,9 @@ def genus_value(spec: GenusSpec, model: ManifoldModel):
     numbers (Q is even).
     """
     if model.dim_real % 4:
-        return spec.base_ring.zero() if isinstance(spec.delta, TruncPoly) else Fraction(0)
+        return spec.base_ring.zero()
     if model.dim_real == 0:
-        return GENERIC_RING.one() if isinstance(spec.delta, TruncPoly) else Fraction(1)
+        return spec.base_ring.one()
     weight_cap = min(GENERIC_RING.caps[0], 2 * GENERIC_RING.caps[1])  # delta^k, epsilon^(k/2)
     if isinstance(spec.delta, TruncPoly) and model.dim_real // 4 > weight_cap:
         raise ResourceCapError(
@@ -171,7 +172,7 @@ def genus_value(spec: GenusSpec, model: ManifoldModel):
             f"delta/epsilon ring holds weight <= {weight_cap} (real dimension <= {4 * weight_cap})"
         )
     Q = char_series(spec, _density_limits(model))
-    return model.integrate(*root_product(model, Q, split=True))
+    return model.integrate(*root_product(model, Q))
 
 
 def legendre_coefficient(spec: GenusSpec, k: int):
@@ -281,30 +282,19 @@ def _density_limits(model: ManifoldModel) -> int:
     return max(1, xc, 2 * vc)
 
 
-def word_factor_product(model: ManifoldModel, cusp: str, base, split: bool = False):
-    """Tangent product of the `cusp` density over `base`; `split` as in `root_product`."""
-    return root_product(model, index_density(cusp, _density_limits(model), base), split)
+def word_factor_product(model: ManifoldModel, cusp: str, base):
+    """Tangent product of the `cusp` density over `base`, as the pair `root_product` returns."""
+    return root_product(model, index_density(cusp, _density_limits(model), base))
 
 
 # -- twisted indices -----------------------------------------------------------
 
 
-def twisted_index(spec_name: str, model: ManifoldModel, word: str, qorder: int = DEFAULT_QORDER):
-    """< density * ch(word), [M] >: IndexSeries for cusp words, Fraction for bundles."""
-    if spec_name not in CUSP_WORDS:
-        raise StructuralError("twisted indices are computed for 'ahat' or 'signature'")
-    if word in CUSP_WORDS.values():
-        if word != CUSP_WORDS[spec_name]:
-            raise StructuralError(f"the {spec_name} density pairs with the {CUSP_WORDS[spec_name]} word")
-        S = SeriesRing(QQ, 2 * qorder + 2)
-        if model.dim_real % 4:
-            return IndexSeries(S.zero(), 0)
-        value = model.integrate(*word_factor_product(model, spec_name, S, split=True))
-        return IndexSeries(value, model.dim_real // 4)
+def twisted_index(cusp: str, model: ManifoldModel, word: str) -> Fraction:
+    """< density * ch(word), [M] > for the `cusp` density and a single bundle `word`: q-free, rational."""
     if word not in _BUNDLES:
         raise StructuralError(f"unsupported twist word {word!r}")
-    # single-bundle twists: q-free, plain rational arithmetic
-    total, scalar = word_factor_product(model, spec_name, QQ, split=True)
+    total, scalar = word_factor_product(model, cusp, QQ)
     return model.integrate(total * _bundle_character(model, word), scalar)
 
 
@@ -334,15 +324,16 @@ def _bundle_character(model: ManifoldModel, word: str):
 # -- cusp expansion series ------------------------------------------------------
 
 
-def cusp_series(model: ManifoldModel, cusp: str, qorder: int = DEFAULT_QORDER) -> IndexSeries:
-    """The raw weight-2k index series at `cusp`: the twisted index of the cusp's word.
+def cusp_series(model: ManifoldModel, cusp: str, qorder: int) -> IndexSeries:
+    """The raw weight-2k index series at `cusp`, < word density, [M] >, known below q^(qorder+1).
 
     At the A-hat cusp this is q^(k/2) phi_0, Witten's series without its
     q^(-k/2) prefactor; at the signature cusp, the loop-space signature series.
     """
-    if cusp not in CUSP_WORDS:
-        raise StructuralError(f"unknown cusp {cusp!r}")
-    return twisted_index(cusp, model, CUSP_WORDS[cusp], qorder)
+    S = SeriesRing(QQ, 2 * qorder + 2)
+    if model.dim_real % 4:
+        return IndexSeries(S.zero(), 0)
+    return IndexSeries(model.integrate(*word_factor_product(model, cusp, S)), model.dim_real // 4)
 
 
 def pole_order(series: QSeries):

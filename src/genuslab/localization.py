@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .genus import DEFAULT_QORDER, SIGNATURE_CUSP, cusp_series, theta_quotient, theta_terms, word_factor_product
+from .genus import SIGNATURE_CUSP, cusp_series, theta_quotient, theta_terms, word_factor_product
 from .manifolds import ManifoldModel, _is_int, _read_json, builtin, euler_characteristic, load_model, parse_form
 from .rings import I_UNIT, QI, QQ, GaussianRational
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _numerators
@@ -162,21 +162,21 @@ def normal_factor(S: SeriesRing, cap: int, lam, weight: int) -> TruncPoly:
     return factor
 
 
-def local_term(component: FixedComponent, lam, qorder: int = DEFAULT_QORDER) -> QSeries:
+def local_term(component: FixedComponent, lam, qorder: int) -> QSeries:
     """Equivariant local contribution of one fixed component at sample lam."""
     base = base_ring_for(lam)
     lam = base.const(lam)
     S = SeriesRing(base, 2 * qorder + 2)
     model = component.model
     ring = model.poly_ring(S)
-    total, scalar = word_factor_product(model, SIGNATURE_CUSP, S, split=True)
+    total, scalar = word_factor_product(model, SIGNATURE_CUSP, S)
     for summand in component.normal:
         y = ring.linear_form(summand.chern)
         total = total * normal_factor(S, sum(ring.caps), lam, summand.weight).compose(y)
     return model.integrate(total, scalar)
 
 
-def equivariant_series(action: CircleActionData, lam, qorder: int = DEFAULT_QORDER) -> QSeries:
+def equivariant_series(action: CircleActionData, lam, qorder: int) -> QSeries:
     """Sum of the local terms over all fixed components."""
     check_admissible(action, lam)
     terms = [local_term(comp, lam, qorder) for comp in action.components]
@@ -206,7 +206,7 @@ class RigidityReport(NamedTuple):
         return self._asdict() | {"samples": [str(s) for s in self.samples]}
 
 
-def rigidity_check(action: CircleActionData, samples, qorder: int = DEFAULT_QORDER) -> RigidityReport:
+def rigidity_check(action: CircleActionData, samples, qorder: int) -> RigidityReport:
     """Evaluate the localization sum at several exact samples and compare.
 
     Spin ambient: equality across samples and with the nonequivariant series
@@ -249,7 +249,7 @@ def rigidity_check(action: CircleActionData, samples, qorder: int = DEFAULT_QORD
     )
 
 
-def order4_local_identities(qorder: int = DEFAULT_QORDER) -> dict:
+def order4_local_identities(qorder: int) -> dict:
     """The two exact identities for order-4 sample points.
 
     * a normal pair with opposite roots y, -y at lambda = i multiplies to the
@@ -272,23 +272,14 @@ def order4_local_identities(qorder: int = DEFAULT_QORDER) -> dict:
     }
 
 
-def euler_fixed_check(action: CircleActionData):
-    """Sum of component Euler characteristics against the ambient value.
+def euler_fixed_check(action: CircleActionData) -> bool:
+    """Sum of component Euler characteristics against the ambient catalog value.
 
-    Returns True or False, or None when the ambient value or a component's
-    Euler characteristic is unknown (a partial check).
+    The components need Chern-style tangent data, and the ambient model its
+    catalog Euler characteristic.
     """
-    total = Fraction(0)
-    for comp in action.components:
-        m = comp.model
-        if m.tangent.style == "chern":
-            total += euler_characteristic(m)
-        elif m.euler is not None:
-            total += m.euler
-        else:
-            return None
-    expected = action.ambient_model.euler if action.ambient_model is not None else None
-    return None if expected is None else total == expected
+    total = sum(euler_characteristic(comp.model) for comp in action.components)
+    return total == action.ambient_model.euler
 
 
 # -- builtin actions --------------------------------------------------------------
@@ -315,7 +306,7 @@ def builtin_action(name: str) -> CircleActionData:
     raise ValidationError(f"unknown builtin action {name!r}", code="invalid")
 
 
-def cpn_linear_action(weights, name="") -> CircleActionData:
+def cpn_linear_action(weights, name: str) -> CircleActionData:
     """Linear circle action on CP^n with the given coordinate weights.
 
     Fixed components are the sub-projective spaces on equal-weight index
@@ -347,14 +338,14 @@ def cpn_linear_action(weights, name="") -> CircleActionData:
         provenance=f"builtin CP{n}_linear{tuple(weights)}",
         ambient_spin=ambient.spin,
         ambient_model=ambient,
-        name=name or f"CP{n}_linear({','.join(map(str, weights))})",
+        name=name,
     ).validate()
-    if euler_fixed_check(action) is False:
+    if not euler_fixed_check(action):
         raise ValidationError("fixed-point data fails the Euler-characteristic check", code="invalid")
     return action
 
 
-def hpn_diagonal_action(weights, name="") -> CircleActionData:
+def hpn_diagonal_action(weights, name: str) -> CircleActionData:
     """Diagonal circle action on HP^n with distinct positive weights.
 
     Isolated fixed points; the complex tangent weights at point i are
@@ -385,7 +376,7 @@ def hpn_diagonal_action(weights, name="") -> CircleActionData:
         provenance=f"builtin HP{n}_diagonal{tuple(weights)}",
         ambient_spin=True,
         ambient_model=ambient,
-        name=name or f"HP{n}_diagonal({','.join(map(str, weights))})",
+        name=name,
     ).validate()
 
 
@@ -405,7 +396,7 @@ def _resolve_model_ref(ref):
 
 
 def load_action(source) -> CircleActionData:
-    """Load an action description from a JSON path, file object or dict."""
+    """Load an action description from a JSON path or dict."""
     doc = _read_json(source)
     for field_name in ("ambient", "components"):
         if field_name not in doc:
@@ -441,13 +432,13 @@ def load_action(source) -> CircleActionData:
 
 
 def dump_action(action: CircleActionData) -> dict:
-    """Schema dict for an action whose models are catalog entries."""
+    """Schema dict for an action whose models, the ambient one included, are catalog entries."""
     def ref(model: ManifoldModel):
         return "point" if model.dim_real == 0 else f"builtin:{model.name}"
 
     return {
         "name": action.name,
-        "ambient": ref(action.ambient_model) if action.ambient_model else None,
+        "ambient": ref(action.ambient_model),
         "components": [
             {
                 "model": ref(c.model),

@@ -49,7 +49,7 @@ class CohomologyModel(NamedTuple):
     generators: tuple[Generator, ...]
     pairing: Fraction  # value of the fundamental class on prod(gen^cap)
 
-    def poly_ring(self, base=QQ) -> PolyRing:
+    def poly_ring(self, base) -> PolyRing:
         return PolyRing(
             tuple(g.symbol for g in self.generators),
             tuple(g.cap for g in self.generators),
@@ -79,7 +79,7 @@ class CohomologyModel(NamedTuple):
 class TangentEntry(NamedTuple):
     form: dict          # {symbol: Fraction} linear form in the generators
     mult: int           # signed multiplicity; negative entries invert factors
-    kind: str = CHERN   # CHERN: degree-2 root; PONTRYAGIN: degree-4 squared root
+    kind: str           # CHERN: degree-2 root; PONTRYAGIN: degree-4 squared root
 
     def form_poly(self, ring: PolyRing) -> TruncPoly:
         return ring.linear_form(self.form)
@@ -105,7 +105,7 @@ class ManifoldModel(NamedTuple):
     tangent: TangentData
     dim_real: int
     spin: bool
-    orientation_note: str = ""
+    orientation_note: str
     euler: Fraction | None = None
 
     def __eq__(self, other):  # euler is derived from the rest and stays out of comparisons
@@ -173,12 +173,11 @@ def _root_values(model: ManifoldModel, f: TruncPoly):
             yield f_v.compose(entry.form_poly(ring)), entry.mult
 
 
-def root_product(model: ManifoldModel, f: TruncPoly, split: bool = False):
-    """prod f(root)^mult over the tangent entries, divided by f(0)^delta.
+def root_product(model: ManifoldModel, f: TruncPoly):
+    """(prod f(root)^mult over the tangent entries, f(0)^-delta or None when it is 1).
 
-    With `split`, the pair (prod f(root)^mult, f(0)^-delta or None when it is
-    1), for a caller that pairs the product: `integrate` then scales only the
-    paired value, where the division would scale every coefficient.
+    `integrate` takes the pair and scales only the paired value by f(0)^-delta,
+    where a division of the product would scale every coefficient.
     """
     total = None
     for value, mult in _root_values(model, f):
@@ -187,9 +186,7 @@ def root_product(model: ManifoldModel, f: TruncPoly, split: bool = False):
         total = model.poly_ring(f.ring.base).one()
     c0 = f.constant_term()
     scalar = c0 ** -model.tangent.delta if model.tangent.delta and c0 != f.ring.base.one() else None
-    if split:
-        return total, scalar
-    return total if scalar is None else total * scalar
+    return total, scalar
 
 
 def root_sum(model: ManifoldModel, f: TruncPoly) -> TruncPoly:
@@ -202,8 +199,8 @@ _X = PolyRing(("x",), (1,), QQ)  # holds f = x and f = 1 + x
 
 
 def total_chern_class(model: ManifoldModel) -> TruncPoly:
-    """prod (1 + root)^mult over Chern entries; trivial summands contribute 1."""
-    return root_product(model, 1 + _X.gen("x"))
+    """prod (1 + root)^mult over Chern entries; trivial summands contribute 1, so no scalar."""
+    return root_product(model, 1 + _X.gen("x"))[0]
 
 
 def euler_characteristic(model: ManifoldModel) -> Fraction:
@@ -395,18 +392,17 @@ def _build(key: str) -> ManifoldModel:
     if key == "pt":
         return point()._replace(euler=Fraction(1))
     if key.startswith("product(") and key.endswith(")"):
-        parts = _split_args(key[len("product(") : -1])
-        factors = [builtin(p) for p in parts]
+        factors = [builtin(p) for p in _split_args(key[len("product(") : -1]) if p]
         return _self_check(product(factors), "product", factors)
-    if "x" in key and not key.startswith("V("):
-        factors = [builtin(p) for p in key.split("x")]
+    if len(parts := _split_args(key, "x")) > 1:  # a product's name: its factors' names joined by x
+        factors = [builtin(p) for p in parts]
         return _self_check(product(factors), "product", factors)
     if key.startswith("CP"):
         return _self_check(complex_projective_space(_int_arg(key[2:], key)), "cp")
     if key.startswith("HP"):
         return _self_check(quaternionic_projective_space(_int_arg(key[2:], key)), "hp")
     if key.startswith("V(") and key.endswith(")"):
-        args = _split_args(key[2:-1])
+        args = [a for a in _split_args(key[2:-1]) if a]
         if len(args) != 2:
             raise ValidationError(f"V takes two arguments, got {key!r}", code="invalid")
         return _self_check(hypersurface(_int_arg(args[0], key), _int_arg(args[1], key)), "v")
@@ -421,29 +417,28 @@ def _int_arg(text: str, key: str) -> int:
         raise ValidationError(f"malformed builtin name {key!r}", code="invalid") from None
 
 
-def _split_args(text: str):
-    """Split on commas not nested inside parentheses."""
+def _split_args(text: str, sep: str = ","):
+    """Split on `sep` where it is not nested inside parentheses, as `str.split` does; parts are stripped."""
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "," and depth == 0:
+        if ch == sep and depth == 0:
             parts.append("".join(cur).strip())
             cur = []
         else:
             cur.append(ch)
-    if cur:
-        parts.append("".join(cur).strip())
-    return [p for p in parts if p]
+    parts.append("".join(cur).strip())
+    return parts
 
 
 # -- structured-text loader ----------------------------------------------------
 
 
 def load_model(source) -> ManifoldModel:
-    """Load and validate a model from a JSON file path, file object or dict."""
+    """Load and validate a model from a JSON file path or dict."""
     doc = _read_json(source)
     for field_name in ("name", "dim_real", "spin", "generators", "pairing", "tangent"):
         if field_name not in doc:
@@ -551,16 +546,14 @@ def _is_int(value) -> bool:
 
 
 def _read_json(source):
+    """The JSON object of a file path, or a dict as it is."""
     if isinstance(source, dict):
         return source
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"cannot read {source}: {exc}", code="invalid") from exc
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {source}: {exc}", code="invalid") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -28,7 +28,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .genus import AHAT_CUSP, DEFAULT_QORDER, cusp_series
+from .genus import AHAT_CUSP, cusp_series
 from .manifolds import _is_int
 
 CODE_ENUM_CAP = 12  # hard cap on 2r for exhaustive word enumeration; the audit time grows ~4x per row
@@ -56,11 +56,10 @@ def m_invariant(weights, order: int) -> Fraction:
 
 
 def m_invariant_min(weight_vectors, order: int) -> Fraction:
-    """Minimum of m_o over the components of a fixed-point set."""
-    vectors = list(weight_vectors)
-    if not vectors:
+    """Minimum of m_o over the components of a fixed-point set, a list of weight lists."""
+    if not weight_vectors:
         raise StructuralError("need at least one component")
-    return min(m_invariant(ws, order) for ws in vectors)
+    return min(m_invariant(ws, order) for ws in weight_vectors)
 
 
 def codim_fixed(weights, order: int) -> int:
@@ -102,18 +101,13 @@ class PredictionReport(NamedTuple):
     passed: bool
 
 
-def cross_check_prediction(model, action, order: int, qorder: int = DEFAULT_QORDER) -> PredictionReport:
+def cross_check_prediction(model, weight_vectors, order: int, qorder: int) -> PredictionReport:
     """No computed nonzero coefficient may sit below the predicted vanish count.
 
-    `action` provides the fixed-point weight vectors (a CircleActionData or a
-    bare list of weight lists).  A FAIL on a spin manifold signals fabricated
-    fixed-point data or a bug, never geometry.
+    `weight_vectors` holds the rotation weights of each fixed component.  A
+    FAIL on a spin manifold signals fabricated fixed-point data or a bug,
+    never geometry.
     """
-    vectors = getattr(action, "components", None)
-    if vectors is not None:
-        weight_vectors = [comp.weights() for comp in action.components]
-    else:
-        weight_vectors = [list(ws) for ws in action]
     m_value = m_invariant_min(weight_vectors, order)
     predicted = vanish_count_from_m(m_value) if model.spin else 0
     raw = cusp_series(model, AHAT_CUSP, max(qorder, predicted + 1))
@@ -239,7 +233,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def lattice_normal_form(matrix, p: int = 2) -> NormalFormResult:
+def lattice_normal_form(matrix, p: int) -> NormalFormResult:
     """Bring an integer weight matrix to the diagonal-left-block shape.
 
     Phase 1 uses unimodular row operations and a column permutation to reach
@@ -398,16 +392,13 @@ class CodeAuditReport(NamedTuple):
         return self._asdict() | {"weight_distribution": dist}
 
 
-def code_audit(matrix, r: int | None = None, k: int | None = None) -> CodeAuditReport:
+def code_audit(matrix) -> CodeAuditReport:
     """Exhaustive audit of the mod-2 row code of a 2r x 2k weight matrix."""
     rows = _integer_matrix(matrix)
     nrows, ncols = len(rows), len(rows[0])
     if nrows % 2 or ncols % 2:
         raise ValidationError("weight matrices have 2r rows and 2k columns", code="invalid")
-    r = nrows // 2 if r is None else int(r)
-    k = ncols // 2 if k is None else int(k)
-    if 2 * r != nrows or 2 * k != ncols:
-        raise ValidationError("given r,k do not match the matrix shape", code="invalid")
+    r, k = nrows // 2, ncols // 2
     code = BinaryCode(rows)
     words = list(code.words())
     weights = [w.bit_count() for w in words]

@@ -69,7 +69,7 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re, im=0):
         object.__setattr__(self, "re", as_fraction(re))
         object.__setattr__(self, "im", as_fraction(im))
 

@@ -56,13 +56,13 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .errors import NotInvertibleError, StructuralError
-from .rings import QQ, GaussianField, GaussianRational, RationalField, as_fraction, power
+from .rings import GaussianField, GaussianRational, RationalField, as_fraction, power
 
 
 class PolyRing:
     """Descriptor for TruncPoly values with fixed variables, caps and base ring."""
 
-    def __init__(self, variables, caps, base=QQ):
+    def __init__(self, variables, caps, base):
         variables = tuple(variables)
         caps = tuple(int(c) for c in caps)
         if len(variables) != len(caps):
@@ -100,12 +100,10 @@ class PolyRing:
         return TruncPoly(self, {(0,) * len(self.variables): c})
 
     def gen(self, symbol):
-        """The generator `symbol` as a polynomial."""
+        """The generator `symbol` as a polynomial (zero under a cap 0)."""
         if symbol not in self.variables:
             raise StructuralError(f"{symbol!r} is not a variable of {self.name}")
         i = self.variables.index(symbol)
-        if self.caps[i] == 0:
-            return self.zero()
         exps = tuple(1 if j == i else 0 for j in range(len(self.variables)))
         return TruncPoly(self, {exps: self.base.one()})
 
@@ -294,19 +292,15 @@ class TruncPoly:
         return [self.coeffs.get((e,), zero) for e in range(self.ring.caps[0] + 1)]
 
     def compose(self, value):
-        """Substitute `value` (zero constant term) for the variable.
+        """Substitute the TruncPoly `value` (zero constant term) for the variable.
 
         `value` may live in any polynomial ring whose base ring can absorb
         this polynomial's coefficients via multiplication.
         """
         self._univar()
-        if isinstance(value, TruncPoly):
-            if not value.ring.base.is_zero(value.constant_term()):
-                raise StructuralError("composition point needs zero constant term")
-            target = value.ring
-        else:
-            raise StructuralError("compose expects a TruncPoly argument")
-        out = target.zero()
+        if not value.ring.base.is_zero(value.constant_term()):
+            raise StructuralError("composition point needs zero constant term")
+        out = value.ring.zero()
         # Horner from the top coefficient down
         for c in reversed(self.univar_coeffs()):
             out = out * value + c
@@ -356,7 +350,7 @@ class SeriesRing:
     independently through arithmetic.
     """
 
-    def __init__(self, base=QQ, order=12):
+    def __init__(self, base, order):
         if not isinstance(base, (RationalField, GaussianField)):
             raise StructuralError(f"q-series coefficients must be in Q or Q(i), not {base!r}")
         self.base = base
@@ -553,17 +547,10 @@ class QSeries:
         im = None if self._im is None else [x * y for x, y in zip(self._im, f)]
         return _series(self.ring, self.lo, self._den * v ** (self.lo + n), re, im, self.order)
 
-    def same_to(self, other, upto: int | None = None) -> bool:
-        """Equality of coefficients below min(guarantees) (or below `upto`)."""
+    def same_to(self, other) -> bool:
+        """Equality of coefficients below min(guarantees)."""
         o = self._coerce(other)
-        hi = min(self.order, o.order)
-        if upto is not None:
-            if upto > hi:
-                raise StructuralError(
-                    f"comparison to s^{upto} requested but series only known below s^{hi}"
-                )
-            hi = upto
-        lo = min(self.lo, o.lo)
+        hi, lo = min(self.order, o.order), min(self.lo, o.lo)
         return self._window(lo, hi, o._den) == o._window(lo, hi, self._den)
 
     def _window(self, lo: int, hi: int, scale: int):

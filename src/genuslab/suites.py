@@ -52,7 +52,7 @@ CATALOG_FOR_EXPANSIONS = ("CP2", "CP4", "HP2", "HP3", "V(4,4)", "product(CP2,CP2
 MODULARITY_SET = ("CP4", "CP6", "HP2", "HP3", "V(4,4)", "product(CP2,CP2)")
 
 
-def _check(name: str, passed: bool, detail: str = "") -> dict:
+def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "status": "PASS" if passed else "FAIL", "detail": detail}
 
 
@@ -257,9 +257,9 @@ def suite_obstruction(qorder: int) -> list:
         ("CP2_linear(0,1,2)", (2,)),
     ):
         action = builtin_action(action_name)
-        ambient = action.ambient_model
+        vectors = [c.weights() for c in action.components]
         ok = all(
-            cross_check_prediction(ambient, action, o, min(qorder, 3)).passed for o in orders
+            cross_check_prediction(action.ambient_model, vectors, o, min(qorder, 3)).passed for o in orders
         )
         out.append(_check(f"prediction-cross-check-{action_name}", ok, ""))
     return out

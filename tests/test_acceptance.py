@@ -160,8 +160,9 @@ def test_criterion_10_obstruction_oracles():
         ("CP4_linear(0,1,2,3,4)", (2,)),
     ):
         action = builtin_action(action_name)
+        vectors = [c.weights() for c in action.components]
         for o in orders:
-            assert cross_check_prediction(action.ambient_model, action, o, 3).passed
+            assert cross_check_prediction(action.ambient_model, vectors, o, 3).passed
     _report(10, "m_o/codim agree with enumeration; predictions consistent on actions")
 
 

@@ -131,6 +131,19 @@ def test_self_intersection_empty_vs_zero():
     assert self_intersection_compare(zero, zero, SIGNATURE_CUSP, 4)
 
 
+@pytest.mark.parametrize("cusp", [SIGNATURE_CUSP, AHAT_CUSP])
+def test_self_intersection_across_odd_and_even_k(cusp):
+    # dimensions 4 and 8 (k = 1, 2): the odd-k series is compared squared
+    def series(name):
+        return cusp_series(builtin(name), cusp, 4)
+
+    # both normalized genera vanish
+    assert self_intersection_compare(series("product(HP1,HP1)"), series("HP1"), cusp, 4)
+    # Phi(CP2 x CP2)^2 = delta^4 / epsilon^2 is not Phi(CP2)^2 = delta^2 / epsilon
+    assert not self_intersection_compare(series("product(CP2,CP2)"), series("CP2"), cusp, 4)
+    assert not self_intersection_compare(series("CP2"), series("product(CP2,CP2)"), cusp, 4)
+
+
 def test_modularity_rejects_wrong_dimension():
     with pytest.raises(StructuralError):
         verify_modularity(builtin("CP3"), SIGNATURE_CUSP, 4)

@@ -97,6 +97,13 @@ def test_unknown_builtin():
         builtin("V(0,1)")
 
 
+@pytest.mark.parametrize("name", ["product(V(4,4),CP2)", "product(CP2,V(4,4))", "product(HP2,V(2,2),CP1)"])
+def test_product_name_names_the_product(name):
+    # a product's name joins its factors' names with x, hypersurfaces V(n,l) first or not
+    model = builtin(name)
+    assert builtin(model.name) == model
+
+
 # -- loader ---------------------------------------------------------------------
 
 

@@ -101,7 +101,7 @@ def test_cross_check_hp2_builtin_action():
     m = builtin("HP2")
     action = builtin_action("HP2_diagonal(1,2,4)")
     for o in (2, 4):
-        report = cross_check_prediction(m, action, o, 3)
+        report = cross_check_prediction(m, [c.weights() for c in action.components], o, 3)
         assert report.passed
         assert report.m_value <= 1  # tangent twist survives at index 1
 

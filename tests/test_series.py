@@ -120,7 +120,7 @@ def test_a_base_ring_constant_is_one_set_element_in_either_order():
 
 def test_ring_laws_on_random_sparse_polys():
     rng = random.Random(7)
-    R = PolyRing(("x", "y"), (6, 5))
+    R = PolyRing(("x", "y"), (6, 5), QQ)
     for _ in range(40):
         polys = []
         for _ in range(3):
@@ -155,7 +155,7 @@ def test_inverse_of_constant():
 
 def test_inverse_random_round_trip():
     rng = random.Random(11)
-    R = PolyRing(("x", "y"), (4, 4))
+    R = PolyRing(("x", "y"), (4, 4), QQ)
     for _ in range(100):
         coeffs = {(0, 0): Fraction(rng.choice([1, -1, 2, 3, 5]), rng.randint(1, 4))}
         for _ in range(rng.randint(0, 5)):

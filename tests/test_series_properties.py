@@ -207,16 +207,13 @@ def test_inverse_and_powers(case, n):
 
 
 @PROPERTY
-@given(cases(), st.integers(-5, 5), st.integers(-6, 0))
-def test_shift_and_comparison(case, k, back):
+@given(cases(), st.integers(-5, 5))
+def test_shift_and_comparison(case, k):
     (a, da), (b, db) = case[0]
     assert agrees(a.shift(k), da.shift(k))
     hi = min(a.order, b.order)
     assert a.same_to(b) == da.same_to(db, hi)
-    assert a.same_to(b, hi + back) == da.same_to(db, hi + back)
     assert (a == b) == da.same_to(db, hi)
-    with pytest.raises(StructuralError):
-        a.same_to(b, hi + 1)
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 """Source hygiene: every name imported in src/ and tests/ is used in its module,
-and every private function or class of the package is named outside its definition."""
+and every function, class or method of the package is named in the package
+outside its own definition, so that no entry point serves only the tests."""
 
 import ast
 from pathlib import Path
@@ -42,18 +43,25 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def unnamed_privates(sources) -> list:
-    """Private (`_name`, not dunder) functions and classes that no variable or attribute read names."""
+def unnamed_definitions(sources) -> list:
+    """Functions, classes and methods (not dunders) that no variable or attribute read names
+    outside their own definition."""
     defined, named = set(), set()
+
+    def scan(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                defined.add(node.name)
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            named.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            scan(child, inside)
+
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.add(node.name)
-            elif isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+        scan(ast.parse(source), frozenset())
     return sorted(defined - named)
 
 
@@ -76,9 +84,24 @@ def test_no_unused_imports(path):
 
 def test_scan_flags_an_unnamed_private():
     defining = "class _A:\n    def _b(self):\n        return self._c()\n\n    def _c(self):\n        pass\n\n\ndef __d__():\n    pass\n"
-    assert unnamed_privates([defining]) == ["_A", "_b"]
-    assert unnamed_privates([defining, "from m import _A\n\n_A()._b()\n"]) == []
+    assert unnamed_definitions([defining]) == ["_A", "_b"]
+    assert unnamed_definitions([defining, "from m import _A\n\n_A()._b()\n"]) == []
+
+
+def test_scan_flags_an_unnamed_public():
+    # a recursive call and a class naming itself stay inside their own definitions
+    defining = "def walk(n):\n    return walk(n - 1)\n\n\nclass Box:\n    def copy(self):\n        return Box()\n"
+    assert unnamed_definitions([defining]) == ["Box", "copy", "walk"]
+    assert unnamed_definitions([defining, "from m import Box, walk\n\nwalk(Box().copy())\n"]) == []
+
+
+def package_unnamed() -> list:
+    return unnamed_definitions(path.read_text(encoding="utf-8") for path in PACKAGE)
 
 
 def test_every_private_definition_is_named_in_the_package():
-    assert unnamed_privates(path.read_text(encoding="utf-8") for path in PACKAGE) == []
+    assert [name for name in package_unnamed() if name.startswith("_")] == []
+
+
+def test_every_public_definition_is_named_in_the_package():
+    assert [name for name in package_unnamed() if not name.startswith("_")] == []
