@@ -12,8 +12,11 @@ From f'^2 = 1 - 2*delta*f^2 + epsilon*f^4, differentiating gives
     f'' = -2*delta*f + 2*epsilon*f^3,    f(0) = 0, f'(0) = 1,
 
 so f = u + sum a_n u^n with (n+2)(n+1) a_(n+2) = -2*delta*a_n + 2*epsilon*[u^n] f^3.
-Q is even, so it also takes Pontryagin-style root data, which only knows
-squared roots, once rewritten in v = x^2.
+f is odd, and [u^n] f^3 = sum_i a_i [u^(n-i)] f^2 over odd i, where the even
+coefficients [u^m] f^2 = sum_i a_i a_(m-i) need only a_j with j < m: each step
+is a few base-ring sums over coefficients already known.  Q is even, so it
+also takes Pontryagin-style root data, which only knows squared roots, once
+rewritten in v = x^2.
 
 Each cusp (signature, A-hat) names a genus spec and an index density per root
 pair +-x:
@@ -57,6 +60,16 @@ C = den(a) den(1/a), where only the s^0 terms 1 +- 1/a keep a denominator,
 and `QSeries.rescale` scales back exactly.  Genus values, word densities and
 bundle characters all reach the tangent roots through `manifolds.root_product`
 and `root_sum`.
+
+`char_series`, `genus_value`, `index_density` and `cusp_series` are
+`functools.cache`d for the life of the process, keyed by genus specs, models
+(hashable as the `manifolds` docstring states), cusps, orders and base rings;
+their values are immutable, so every caller may share them.  The suites of
+`verify --suite all` ask for the same values again and again: the catalog
+self-checks and the A-hat-vanishing and expansion suites evaluate the same
+A-hat genera, the generating and modularity suites the same generic genera,
+and the cusp bootstrap and the modularity, rigidity and expansion checks take
+the same cusp series.  One process computes each of them once.
 """
 
 from __future__ import annotations
@@ -129,17 +142,22 @@ class IndexSeries(NamedTuple):
 # -- characteristic series ------------------------------------------------------
 
 
+@cache
 def char_series(spec: GenusSpec, order: int) -> TruncPoly:
     """Q(x) = x / f(x) to x-order `order`; even in x.
 
-    f = g^{-1} comes from the recurrence in the module docstring, odd n < order.
+    f's odd coefficients a_n, n <= order + 1, come from the scalar recurrence
+    in the module docstring.
     """
-    ring = PolyRing(("u",), (order + 1,), spec.base_ring)
-    f = ring.gen("u")
+    zero = spec.base_ring.zero()
+    a = {1: spec.base_ring.one()}
+    square = {}  # [u^m] f^2 for even m
     for n in range(1, order, 2):
-        rhs = (f * f * f).coefficient((n,)) * (2 * spec.epsilon) - f.coefficient((n,)) * (2 * spec.delta)
-        f = f + TruncPoly(ring, {(n + 2,): rhs * Fraction(1, (n + 1) * (n + 2))})
-    return _divide_by_var(f, order).inverse()
+        square[n - 1] = sum((a[i] * a[n - 1 - i] for i in range(1, n - 1, 2)), zero)
+        cube = sum((a[i] * square[n - i] for i in range(1, n + 1, 2)), zero)
+        rhs = cube * (2 * spec.epsilon) - a[n] * (2 * spec.delta)
+        a[n + 2] = rhs * Fraction(1, (n + 1) * (n + 2))
+    return TruncPoly(PolyRing(("u",), (order,), spec.base_ring), {(n - 1,): c for n, c in a.items()}).inverse()
 
 
 def _divide_by_var(p: TruncPoly, new_cap: int) -> TruncPoly:
@@ -155,6 +173,7 @@ def _divide_by_var(p: TruncPoly, new_cap: int) -> TruncPoly:
 # -- genus values --------------------------------------------------------------
 
 
+@cache
 def genus_value(spec: GenusSpec, model: ManifoldModel):
     """Evaluate the genus on a manifold model (exact scalar or delta/epsilon poly).
 
@@ -324,6 +343,7 @@ def _bundle_character(model: ManifoldModel, word: str):
 # -- cusp expansion series ------------------------------------------------------
 
 
+@cache
 def cusp_series(model: ManifoldModel, cusp: str, qorder: int) -> IndexSeries:
     """The raw weight-2k index series at `cusp`, < word density, [M] >, known below q^(qorder+1).
 

@@ -23,6 +23,15 @@ which runs the division at s -> den(a) den(1/a) s.  Replacing (a, y) by
 N_(1/a)(y) = -N_a(-y): one build serves {a, 1/a} per (q-order, y-cap), and
 `local_term` composes it with each summand's Chern form.
 
+`local_term` is cached for the life of the process, like the `genus` values
+it builds on, so a component met again at the same sample and q-order is
+summed once.  Fixed components are hashable for this: a component hashes its
+model (the `manifolds` hash contract) and its rotation weights, while the
+normal summands' Chern forms, which are dicts, stay out of the hash but not
+out of the comparison.  The key also holds the sample's type, as
+Fraction(2) == GaussianRational(2) and the two hash alike, but `base_ring_for`
+gives them different rings.
+
 The records check nothing themselves: every builtin and `load_action` returns
 its action through `CircleActionData.validate`, which requires dim + codim =
 ambient dim for each fixed component and a nonzero weight for each normal
@@ -43,6 +52,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -67,6 +77,9 @@ class FixedComponent(NamedTuple):
 
     def weights(self) -> list[int]:
         return [s.weight for s in self.normal]
+
+    def __hash__(self):  # consistent with __eq__; the Chern forms are dicts and do not hash
+        return hash((self.model, *self.weights()))
 
 
 class CircleActionData(NamedTuple):
@@ -162,6 +175,7 @@ def normal_factor(S: SeriesRing, cap: int, lam, weight: int) -> TruncPoly:
     return factor
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: a sample's type picks its ring (module docstring)
 def local_term(component: FixedComponent, lam, qorder: int) -> QSeries:
     """Equivariant local contribution of one fixed component at sample lam."""
     base = base_ring_for(lam)

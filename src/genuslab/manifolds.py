@@ -22,6 +22,12 @@ form's degree against its entry's kind.  Every model then passes
 builtin catalog entries also `_self_check`: two independent classical
 identities (signature/Euler characteristic/A-hat vanishing).  `_self_check`
 sets the catalog-only `euler`, which equality ignores.
+
+Models are hashable, so that `genus` can cache values per model.  A model
+hashes its name and dimension: equal models share both, and the tangent
+entries hold their forms as dicts, which do not hash.  Two models that differ
+only in `euler` are equal and hash alike, as `product([builtin("CP2")] * 2)`
+and `builtin("product(CP2,CP2)")` do.
 """
 
 from __future__ import annotations
@@ -113,8 +119,8 @@ class ManifoldModel(NamedTuple):
 
     __ne__ = object.__ne__  # the negation of __eq__, where tuple's own != compares every field
 
-    def __hash__(self):
-        return hash(self[:-1])
+    def __hash__(self):  # consistent with __eq__; the tangent forms are dicts and do not hash
+        return hash((self.name, self.dim_real))
 
     def poly_ring(self, base=QQ) -> PolyRing:
         return self.cohomology.poly_ring(base)
@@ -332,9 +338,8 @@ def _self_check(model: ManifoldModel, kind: str, factors=None) -> ManifoldModel:
     from . import genus  # local import: genus consumes models, catalog checks use genus
 
     name = model.name
-    euler = None
-    if model.tangent.style == CHERN and model.dim_real > 0:
-        euler = euler_characteristic(model)
+    chi = euler_characteristic(model) if model.tangent.style == CHERN else None
+    euler = chi if model.dim_real > 0 else None
     checks = []
     if kind == "cp":
         n = model.dim_real // 2
@@ -362,8 +367,8 @@ def _self_check(model: ManifoldModel, kind: str, factors=None) -> ManifoldModel:
         euler = Fraction(1)
         for factor in factors:
             euler *= factor.euler
-        if model.tangent.style == CHERN:
-            checks.append(("euler-multiplicative", euler_characteristic(model), euler))
+        if chi is not None:
+            checks.append(("euler-multiplicative", chi, euler))
         sig_product = Fraction(1)
         computable = all(f.dim_real % 4 == 0 for f in factors)
         if computable and model.dim_real % 4 == 0:

@@ -12,8 +12,7 @@ Three independent layers:
 * integer weight-matrix normal form: restricted row operations
   b_i <- alpha*b_i + beta*b_j (i < j, alpha coprime to p, beta = 0 mod p)
   after a unimodular preconditioning with column permutation, producing an
-  exactly diagonal left block with unit diagonal mod p.  The op log is part
-  of the result so tests can audit every step.
+  exactly diagonal left block with unit diagonal mod p.
 
 * binary-code audit: exhaustive enumeration of all 2^(2r) words of the mod-2
   row code, with the weight/co-weight dichotomy, closure of the small-weight
@@ -171,23 +170,31 @@ class NormalFormResult(NamedTuple):
     column_order: list        # new column order as indices into the original
     transform: list           # integer row-transformation T with A' = (T A) permuted
     covering_degree: int      # |det T|, coprime to p
-    ops: list                 # op log
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in self._asdict().items() if k != "ops"}
+        return self._asdict()
 
 
 def _integer_matrix(matrix) -> list:
-    """A copy of a non-empty rectangular matrix of integers; anything else is a ValidationError."""
+    """A copy of a non-empty rectangular matrix of integers; anything else is a ValidationError.
+
+    One pass over the rows.  A row that is no non-empty list is reported
+    first, then a ragged matrix, then an entry that is no int.
+    """
     if not isinstance(matrix, (list, tuple)) or not matrix:
         raise ValidationError("matrix must be a non-empty list of rows", code="invalid")
-    if not all(isinstance(row, (list, tuple)) and row for row in matrix):
-        raise ValidationError("matrix rows must be non-empty lists", code="invalid")
-    if any(len(row) != len(matrix[0]) for row in matrix):
+    rows, ragged, non_int = [], False, False
+    for row in matrix:
+        if not isinstance(row, (list, tuple)) or not row:
+            raise ValidationError("matrix rows must be non-empty lists", code="invalid")
+        ragged = ragged or len(row) != len(matrix[0])
+        non_int = non_int or {*map(type, row)} != {int}  # bools and floats are not entries
+        rows.append(list(row))
+    if ragged:
         raise ValidationError("ragged matrix", code="invalid")
-    if not all(type(x) is int for row in matrix for x in row):  # bools and floats are not entries
+    if non_int:
         raise ValidationError("matrix entries must be integers", code="invalid")
-    return [list(row) for row in matrix]
+    return rows
 
 
 def _mod_rank(rows, p: int) -> int:
@@ -254,19 +261,16 @@ def lattice_normal_form(matrix, p: int) -> NormalFormResult:
             f"rows are not independent mod {p}: effectiveness violated", code="rank"
         )
     T = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    ops: list = []
     pivots: list[int] = []
 
     def row_add(dst, src, factor):
         A[dst] = [a + factor * b for a, b in zip(A[dst], A[src])]
         T[dst] = [a + factor * b for a, b in zip(T[dst], T[src])]
-        ops.append(("add", dst, src, factor))
 
     def row_swap(i, j):
         if i != j:
             A[i], A[j] = A[j], A[i]
             T[i], T[j] = T[j], T[i]
-            ops.append(("swap", i, j))
 
     # phase 1: unimodular preconditioning
     for i in range(nrows):
@@ -291,7 +295,6 @@ def lattice_normal_form(matrix, p: int) -> NormalFormResult:
             if A[i][pivot_col] < 0:
                 A[i] = [-x for x in A[i]]
                 T[i] = [-x for x in T[i]]
-                ops.append(("negate", i))
         # clearing above mod p
         for u in range(i):
             rem = A[u][pivot_col] % p
@@ -311,7 +314,6 @@ def lattice_normal_form(matrix, p: int) -> NormalFormResult:
                 raise StructuralError("phase-1 postcondition violated (beta not 0 mod p)")
             A[i] = [alpha * a + beta * b for a, b in zip(A[i], A[j])]
             T[i] = [alpha * a + beta * b for a, b in zip(T[i], T[j])]
-            ops.append(("restricted", i, j, alpha, beta))
             degree *= abs(alpha)
     order = pivots + [c for c in range(ncols) if c not in pivots]
     permuted = [[row[c] for c in order] for row in A]
@@ -320,7 +322,6 @@ def lattice_normal_form(matrix, p: int) -> NormalFormResult:
         column_order=order,
         transform=T,
         covering_degree=degree,
-        ops=ops,
     )
     # postconditions: exact diagonal left block, units mod p
     for i in range(nrows):
@@ -405,21 +406,17 @@ def code_audit(matrix) -> CodeAuditReport:
     dist: dict[int, int] = {}
     for wt in weights:
         dist[wt] = dist.get(wt, 0) + 1
-    dichotomy = all(wt <= 2 * r or (2 * k - wt) <= 2 * r - 2 for wt in weights)
+    dichotomy = all(wt <= 2 * r or (2 * k - wt) <= 2 * r - 2 for wt in dist)
     closure_applicable = 2 * k >= 6 * r
     small_closed = None
-    small = [w for w, wt in zip(words, weights) if wt <= 2 * r]
     if closure_applicable:
         # the small words hold 0, so they are closed under XOR exactly when they are their own span
-        small_set = set(small)
+        small_set = {w for w, wt in zip(words, weights) if wt <= 2 * r}
         small_closed = len(small_set) == 1 << _rank(small_set)
-    row_odd = [sum(1 for x in row if x % 2) for row in rows]
-    tail_cols = list(range(2 * r, 2 * k))
-    tail_odd = [sum(1 for row in rows if row[c] % 2) for c in tail_cols]
+    row_odd = [m.bit_count() for m in code.masks]  # the masks hold each entry mod 2
+    tail_odd = [sum(m >> c & 1 for m in code.masks) for c in range(2 * r, 2 * k)]
     weight_of = dict(zip(words, weights))
-    sublinear = all(
-        (a ^ b).bit_count() <= weight_of[a] + weight_of[b] for a, b in combinations(weight_of, 2)
-    )
+    sublinear = all((a ^ b).bit_count() <= wa + wb for (a, wa), (b, wb) in combinations(weight_of.items(), 2))
     inference_ok = (not (dichotomy and closure_applicable)) or bool(small_closed)
     return CodeAuditReport(
         r=r,

@@ -239,10 +239,11 @@ def suite_obstruction(qorder: int) -> list:
     out.append(_check("reduced-weight-exhaustive", exhaustive, "o <= 6, |w| <= 12"))
     rng = random.Random(20240817)
     vectors_ok = True
+    nonzero = [w for w in range(-12, 13) if w != 0]
     for _ in range(500):
         o = rng.randint(2, 6)
         d = rng.randint(1, 8)
-        ws = [rng.choice([w for w in range(-12, 13) if w != 0]) for _ in range(d)]
+        ws = [rng.choice(nonzero) for _ in range(d)]
         expected = Fraction(sum(_oracle_reduced(w, o) for w in ws), o)
         if m_invariant(ws, o) != expected:
             vectors_ok = False
@@ -270,19 +271,24 @@ def suite_codes(qorder: int) -> list:
     sublinear_ok = True
     predicates_ok = True
     r, k = 2, 6
+    parity = int("1" * 12, 16)  # the low bit of each of 12 four-bit columns
     for _ in range(1000):
-        bits = rng.getrandbits(48)  # one random 4x12 matrix over {0, 1}
-        A = [[bits >> (12 * i + j) & 1 for j in range(12)] for i in range(4)]
+        # one random 4x12 matrix over {0, 1}: bit 12 i + j of the draw is entry (i, j)
+        bits = f"{rng.getrandbits(48):048b}"[::-1]
+        rows = [bits[12 * i:12 * i + 12] for i in range(4)]
+        A = [list(map(int, row)) for row in rows]
         report = code_audit(A)
         if not report.sublinearity_holds:
             sublinear_ok = False
             break
-        # independent oracle for the named predicates: the sums of all row subsets, doubled row by row
-        words = [[0] * 12]
-        for row in A:
-            words += [[(a + b) % 2 for a, b in zip(w, row)] for w in words]
-        dich = all(wt <= 2 * r or 2 * k - wt <= 2 * r - 2 for wt in map(sum, words))
-        rows_odd = all(sum(x % 2 for x in row) == 2 for row in A)
+        # independent oracle for the named predicates: the sums of all row subsets, doubled row by
+        # row, as integers with one 4-bit column per entry (a column sum stays below 16); the
+        # parity of each column sum is its low bit
+        words = [0]
+        for row in rows:
+            words += [w + int(row, 16) for w in words]
+        dich = all(wt <= 2 * r or 2 * k - wt <= 2 * r - 2 for wt in ((w & parity).bit_count() for w in words))
+        rows_odd = all(row.count("1") == 2 for row in rows)
         if dich != report.dichotomy_holds or rows_odd != report.rows_have_two_odd_entries:
             predicates_ok = False
             break

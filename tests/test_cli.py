@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, deterministic machine-readable output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -159,6 +160,33 @@ def test_obstruct_matrix_file(tmp_path):
     payload = json.loads(r.stdout)
     assert payload["normal_form"]["covering_degree"] == 1
     assert payload["code_audit"]["sublinearity_holds"] is True
+
+
+PIN_MATRICES = {
+    "m1.json": "[[1, 2, 3, 4, 5, 6], [0, 1, 1, 2, 3, 5]]",
+    "m2.json": "[[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8], [1, 4, 1, 4, 2, 1, 3, 5], [1, 7, 3, 2, 0, 5, 0, 8]]",
+}
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (("--matrix-file", "m1.json"), "9c63a0db523a54eca487ce8b2bacd590693974f1898e519320436ac424d53d83"),
+        (("--matrix-file", "m1.json", "--p", "3"), "b26ffad156b525e46b27c602729e9c3cccf0c1a368a0764034f232486ae640b0"),
+        (("--matrix-file", "m2.json"), "8f1eac491bf0ee0dc770b253157827478eb31a6ea805bb504a384bff29e0b64d"),
+        (("--matrix-file", "m2.json", "--p", "3"), "ac66ca3a06a299647066829ddb212c3e35783ea8d5c78f9c4e054e12b8c59eb6"),
+        (("--codim", "8"), "15cd14ddffce3d0f64bb5976d9a622b4c23f2f4ee0e176178c56ee511a19b79d"),
+        (("--codim", "6", "--order", "3"), "b1b7d88ae9da4ab49de14cca76e614257add4e2c41652b9c591cca207de72284"),
+        (("--weights", "[1,3,-4,6]", "--order", "4"), "6f353fa0bd0f784f183e4709baa87a5deecdf1c0d451e683a1922b3037d6319b"),
+    ],
+)
+def test_obstruct_output_bytes_are_pinned(tmp_path, args, digest):
+    # SHA-256 of stdout, recorded before the code audit's rewrite; no bench pool runs obstruct
+    for name, text in PIN_MATRICES.items():
+        (tmp_path / name).write_text(text)
+    r = run_cli("obstruct", *(str(tmp_path / a) if a in PIN_MATRICES else a for a in args))
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
 NORMAL_FORM_SAMPLE = "[[1,0,1,1],[0,1,1,1]]"

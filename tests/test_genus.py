@@ -82,6 +82,26 @@ def test_char_series_matches_the_integral_chain(spec):
         assert Q.coeffs == {e: c for e, c in oracle.coeffs.items() if e[0] <= order}
 
 
+def cube_oracle(spec, order):
+    """Q = x / f from the recurrence with [u^n] f^3 read off the whole cube f * f * f at every step."""
+    ring = PolyRing(("u",), (order + 1,), spec.base_ring)
+    f = ring.gen("u")
+    for n in range(1, order, 2):
+        rhs = (f * f * f).coefficient((n,)) * (2 * spec.epsilon) - f.coefficient((n,)) * (2 * spec.delta)
+        f = f + TruncPoly(ring, {(n + 2,): rhs * Fraction(1, (n + 1) * (n + 2))})
+    x_over_f = TruncPoly(PolyRing(("u",), (order,), spec.base_ring), {(e - 1,): c for (e,), c in f.coeffs.items()})
+    return x_over_f.inverse()
+
+
+@pytest.mark.parametrize(
+    "spec", [GenusSpec.signature(), GenusSpec.ahat(), GenusSpec.generic()], ids=["signature", "ahat", "generic"]
+)
+def test_char_series_matches_the_cube_construction(spec):
+    for order in range(1, 13):
+        Q, oracle = char_series(spec, order), cube_oracle(spec, order)
+        assert Q.ring == oracle.ring and Q.coeffs == oracle.coeffs
+
+
 def test_ahat_char_series():
     Q = char_series(GenusSpec.ahat(), 6)
     assert Q.coefficient((0,)) == 1

@@ -21,7 +21,7 @@ from genuslab.localization import (
     rigidity_check,
 )
 from genuslab.manifolds import builtin
-from genuslab.rings import GaussianRational, I_UNIT, QI
+from genuslab.rings import GaussianRational, I_UNIT, QI, QQ
 from genuslab.series import PolyRing, QSeries, SeriesRing
 
 
@@ -80,6 +80,19 @@ def test_point_component_counts_its_pairing():
     component = FixedComponent(point2, (NormalSummand({}, 1),))
     action = CircleActionData(2, (component,), "test", True, builtin("CP1"))
     assert euler_fixed_check(action) is True
+
+
+@pytest.mark.parametrize("weights", [(5, 7), (5, 11)], ids=["rational-first", "gaussian-first"])
+def test_local_term_keeps_rational_and_gaussian_samples_apart(weights):
+    # Fraction(2) == GaussianRational(2) and the two hash alike, but they name different rings;
+    # each weight pair is a component no other test meets, so its first call is never a cache hit
+    c = FixedComponent(builtin("pt"), tuple(NormalSummand({}, w) for w in weights))
+    samples = [Fraction(2), GaussianRational(2)]
+    if weights == (5, 11):
+        samples.reverse()
+    terms = {type(lam): local_term(c, lam, 4) for lam in samples}
+    assert terms[Fraction].ring.base == QQ and terms[GaussianRational].ring.base == QI
+    assert terms[Fraction].coeffs == terms[GaussianRational].coeffs
 
 
 def test_hp1_cancellation_to_all_orders():

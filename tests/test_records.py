@@ -2,7 +2,10 @@
 referenced fields, a zero rotation weight is rejected, and the reports
 serialize to fixed dicts."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +19,10 @@ from genuslab.localization import (
     builtin_action,
     rigidity_check,
 )
-from genuslab.manifolds import builtin, dump_model, load_model, point
+from genuslab.manifolds import builtin, dump_model, load_model, point, product
 from genuslab.obstructions import code_audit, cross_check_prediction, lattice_normal_form
 from genuslab.rings import GaussianRational
-from genuslab.suites import suite_roundtrip
+from genuslab.suites import CATALOG_FOR_EXPANSIONS, MODULARITY_SET, suite_roundtrip
 
 
 def records():
@@ -106,3 +109,37 @@ def test_report_dicts_are_unchanged():
         "matrix": [[1, 0, 1], [0, 1, 1]], "column_order": [0, 1, 2], "transform": [[1, -2], [0, 1]],
         "covering_degree": 1,
     }
+
+
+JOBS = Path(__file__).resolve().parent.parent / "bench" / "jobs.py"
+
+
+def pool_models_and_components(monkeypatch):
+    """The catalog models and fixed components that the benchmark pools and the verify suites name."""
+    spec = importlib.util.spec_from_file_location("bench_jobs", JOBS)
+    jobs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, jobs)  # dataclasses look their module up
+    spec.loader.exec_module(jobs)
+    names = {*CATALOG_FOR_EXPANSIONS, *MODULARITY_SET, "pt", "CP3", "CP5", "CP7", "HP1", "HP3", "product(HP2,HP2)"}
+    names |= {f"V({n},{n})" for n in range(1, 11)}
+    actions = {"HP2_diagonal(1,2,4)", "HP1_diagonal(1,2)", "CP2_linear(0,1,2)", "CP2_linear(0,0,1)"}
+    for argv in (job for pool in jobs.POOLS.values() for job in pool):
+        for flag, found in (("--manifold", names), ("--action", actions)):
+            if flag in argv:
+                found.add(argv[argv.index(flag) + 1].removeprefix("builtin:"))
+    components = [c for a in sorted(actions) for c in builtin_action(a).components]
+    models = [builtin(n) for n in sorted(names)] + [c.model for c in components]
+    return models, components
+
+
+def test_models_and_components_of_the_pools_hash(monkeypatch):
+    models, components = pool_models_and_components(monkeypatch)
+    assert len(models) > 30 and len(components) > 15
+    for record in models + components:
+        assert hash(record) == hash(record._replace())
+
+
+def test_a_product_and_its_catalog_entry_are_equal_and_hash_alike():
+    built, catalog = product([builtin("CP2")] * 2), builtin("product(CP2,CP2)")
+    assert built.euler is None and catalog.euler == 9
+    assert built == catalog and hash(built) == hash(catalog)
