@@ -63,13 +63,14 @@ and `root_sum`.
 
 `char_series`, `genus_value`, `index_density` and `cusp_series` are
 `functools.cache`d for the life of the process, keyed by genus specs, models
-(hashable as the `manifolds` docstring states), cusps, orders and base rings;
-their values are immutable, so every caller may share them.  The suites of
-`verify --suite all` ask for the same values again and again: the catalog
-self-checks and the A-hat-vanishing and expansion suites evaluate the same
-A-hat genera, the generating and modularity suites the same generic genera,
-and the cusp bootstrap and the modularity, rigidity and expansion checks take
-the same cusp series.  One process computes each of them once.
+(hashable as the `manifolds` docstring states), cusps, orders and base rings.
+A spec holds rationals or the generic generators, so equal specs share one
+base ring.  The values are immutable, so every caller may share them.  The
+suites of `verify --suite all` ask for the same values again and again: the
+catalog self-checks and the A-hat-vanishing and expansion suites evaluate the
+same A-hat genera, the generating and modularity suites the same generic
+genera, and the cusp bootstrap and the modularity, rigidity and expansion
+checks take the same cusp series.  One process computes each of them once.
 """
 
 from __future__ import annotations
