@@ -49,17 +49,21 @@ where both denominators vanish at x = 0.  Over q-series these are the word
 densities; the q-free densities of the single-bundle twists are their s^0
 columns, e.g. (1 + e^-x) / ((1 - e^-x) / x) = x*coth(x/2), so over Q the same
 quotient runs over series known below s^1.  `theta_quotient` divides two such
-sums, given as terms (e, c, r) for c s^e e^(rx), at most two per s-exponent.
-Column k of the numerator P and denominator D is sum c r^k/k! s^e, and
-N_n = D_0^-1 (P_n - sum_(j >= 1) D_j N_(n-j)) takes one inverse, with
-denominator a_0^order for the s^0 numerator a_0 of D_0 over its common
-denominator.  In the localization N-factor Theta_+(a e^x) / Theta_-(a e^x)
-the terms carry a^n and a^(-n-1) at s^(n(n+1)), and a_0 grows like
-(den(a) den(1/a))^sqrt(order); so the division runs at s -> C s with
-C = den(a) den(1/a), where only the s^0 terms 1 +- 1/a keep a denominator,
-and `QSeries.rescale` scales back exactly.  Genus values, word densities and
-bundle characters all reach the tangent roots through `manifolds.root_product`
-and `root_sum`.
+sums, each (den, rden, terms) with integer terms (e, re, im, r) for
+(re + i im)/den s^e e^(r x/rden), at most two per s-exponent.  Column k of the
+numerator P and denominator D is sum (re + i im) r^k s^e / (den rden^k k!),
+from int products alone, and N_n = D_0^-1 (P_n - sum_(j >= 1) D_j N_(n-j))
+takes one inverse, with denominator a_0^order for the s^0 numerator a_0 of D_0
+over den.  The densities have den = 1 (rden = 2 for the A-hat half-integer
+exponents).  In the localization N-factor Theta_+(a e^x) / Theta_-(a e^x) the
+terms carry a^n and a^(-n-1) at s^(n(n+1)), and a_0 grows like
+(den(a) den(1/a))^sqrt(order); so `theta_terms` gives them at s -> C s with
+C = den(a) den(1/a), where only the s^0 terms 1 +- 1/a keep a denominator, the
+one den = den(1/a): with a = (p + qi)/d and 1/a = (u + vi)/d', each term times
+d' is (p + qi)^n d^(e-n) d'^(e+1) or (u + vi)^(n+1) d^e d'^(e-n) at e = n(n+1),
+a Gaussian integer.  `QSeries.rescale` scales back exactly.  Genus values, word
+densities and bundle characters all reach the tangent roots through
+`manifolds.root_product` and `root_sum`.
 
 `char_series`, `genus_value`, `index_density` and `cusp_series` are
 `functools.cache`d for the life of the process, keyed by genus specs, models
@@ -77,7 +81,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, isqrt, lcm
+from math import comb, factorial, gcd, isqrt
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, ResourceCapError, StructuralError
@@ -235,20 +239,30 @@ def _exp_x(ring: PolyRing, scale: Fraction) -> TruncPoly:
     return TruncPoly(ring, {(j,): ring.base.const(c) for j, c in enumerate(coeffs)})
 
 
-def theta_terms(a, sign: int, order: int) -> list:
-    """Terms (e, c, r) of Theta_sign(a e^x) as in the module docstring, n(n+1) < order among them."""
-    return [t for n in range(isqrt(order) + 1)  # n(n+1) >= order once n > isqrt(order)
-            for t in ((n * n + n, (sign * a) ** n, n), (n * n + n, (sign / a) ** (n + 1), -n - 1))]
+def theta_terms(S: SeriesRing, a) -> tuple:
+    """(num, den, scale) of `theta_quotient` for Theta_+(a e^x) / Theta_-(a e^x), from int pairs."""
+    d, (p,), im = _numerators(S, [a])
+    q = im[0] if im else 0
+    g = gcd(d * p, d * q, p * p + q * q)  # 1/a = d (p - qi) / (p^2 + q^2) = (u + vi) / d'
+    u, v, d_inv = d * p // g, -d * q // g, (p * p + q * q) // g
+    plus, x, y, z, w = [], 1, 0, u, v  # x + yi = (p + qi)^n, z + wi = (u + vi)^(n+1)
+    for n in range(isqrt(S.order) + 1):  # n(n+1) >= order once n > isqrt(order)
+        e = n * n + n
+        f, h = d ** (e - n) * d_inv ** (e + 1), d ** e * d_inv ** (e - n)  # a^n, a^(-n-1) times scale^e d'
+        plus += [(e, x * f, y * f, n), (e, z * h, w * h, -n - 1)]
+        x, y, z, w = x * p - y * q, x * q + y * p, z * u - w * v, z * v + w * u
+    minus = [(e, x, y, r) if r % 2 == 0 else (e, -x, -y, r) for e, x, y, r in plus]  # Theta_-: sign (-1)^r
+    return (d_inv, 1, plus), (d_inv, 1, minus), d * d_inv
 
 
 def theta_quotient(X: PolyRing, num, den, scale: int = 1) -> TruncPoly:
-    """(sum c s^e e^(r x) over `num`) / (the same over `den`) in X = S[x], from terms (e, c, r).
+    """(sum over `num`) / (sum over `den`) in X = S[x], from sums (den, rden, terms) given at s -> scale * s.
 
     The denominator gets one more x-order, so that a zero x^0 column can be
-    divided out; the division runs at s -> scale * s (module docstring).
+    divided out; the quotient is scaled back to s (module docstring).
     """
     S, cap = X.base, X.caps[0]
-    P, D = _theta_columns(S, num, cap, scale), _theta_columns(S, den, cap + 1, scale)
+    P, D = _theta_columns(S, num, cap), _theta_columns(S, den, cap + 1)
     D = D[1:] if D[0].is_zero() else D
     inv, N = D[0].inverse(), []
     for n in range(cap + 1):
@@ -256,21 +270,19 @@ def theta_quotient(X: PolyRing, num, den, scale: int = 1) -> TruncPoly:
     return TruncPoly(X, {(n,): c.rescale(Fraction(1, scale)) for n, c in enumerate(N)})  # drops zero columns
 
 
-def _theta_columns(S: SeriesRing, terms, cap: int, scale: int) -> list:
-    """The x^k columns, k <= cap, of sum c (scale s)^e e^(r x): sum c scale^e r^k / k! s^e over e < S.order."""
-    es, cs, rs = zip(*((e, c * scale ** e, Fraction(r)) for e, c, r in terms if e < S.order))
-    den, re, im = _numerators(S, cs)
-    rd = lcm(*(r.denominator for r in rs))
-    rs = [r.numerator * (rd // r.denominator) for r in rs]
+def _theta_columns(S: SeriesRing, theta, cap: int) -> list:
+    """The x^k columns, k <= cap, of a sum (den, rden, terms) as in the module docstring, over e < S.order."""
+    den, rden, terms = theta
+    terms = [t for t in terms if t[0] < S.order]
 
-    def column(part, k):  # sum x r^k over the terms, at their s-exponents
+    def column(part, k):  # sum of the numerators t[part] (1: re, 2: im) times r^k, at their s-exponents
         out = [0] * S.order
-        for e, x, r in zip(es, part, rs):
-            out[e] += x * r ** k
+        for t in terms:
+            out[t[0]] += t[part] * t[3] ** k
         return out
 
-    return [_series(S, 0, den * rd ** k * factorial(k), column(re, k), im and column(im, k), S.order)
-            for k in range(cap + 1)]
+    return [_series(S, 0, den * rden ** k * factorial(k), column(1, k), column(2, k) if S.gaussian else None,
+                    S.order) for k in range(cap + 1)]
 
 
 @cache
@@ -282,14 +294,14 @@ def index_density(cusp: str, xmax: int, base) -> TruncPoly:
     """
     S = base if isinstance(base, SeriesRing) else SeriesRing(QQ, 1)
     if cusp == SIGNATURE_CUSP:
-        num, den = theta_terms(Fraction(1), 1, S.order), theta_terms(Fraction(1), -1, S.order)
+        theta = theta_terms(S, 1)
     elif cusp == AHAT_CUSP:
         ns = range(-isqrt(S.order), isqrt(S.order) + 1)
-        num = [(2 * n * n, (-1) ** abs(n), Fraction(2 * n - 1, 2)) for n in ns]
-        den = [(2 * n * n + 2 * n, (-1) ** abs(n), n) for n in ns]
+        theta = ((1, 2, [(2 * n * n, (-1) ** abs(n), 0, 2 * n - 1) for n in ns]),
+                 (1, 1, [(2 * n * n + 2 * n, (-1) ** abs(n), 0, n) for n in ns]))
     else:
         raise StructuralError(f"unknown density {cusp!r}")
-    dens = theta_quotient(PolyRing(("x",), (xmax + xmax % 2,), S), num, den)
+    dens = theta_quotient(PolyRing(("x",), (xmax + xmax % 2,), S), *theta)
     if S is base:
         return dens
     return TruncPoly(PolyRing(("x",), dens.ring.caps, base), {e: c.coefficient(0) for e, c in dens.coeffs.items()})
@@ -304,6 +316,8 @@ def _density_limits(model: ManifoldModel) -> int:
 
 def word_factor_product(model: ManifoldModel, cusp: str, base):
     """Tangent product of the `cusp` density over `base`, as the pair `root_product` returns."""
+    if not model.tangent.entries and not model.tangent.delta:  # no tangent roots: 1, and no density
+        return model.poly_ring(base).one(), None
     return root_product(model, index_density(cusp, _density_limits(model), base))
 
 

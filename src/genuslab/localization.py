@@ -21,7 +21,13 @@ at z = a e^y: `normal_factor` hands `theta_terms` of a to `theta_quotient`,
 which runs the division at s -> den(a) den(1/a) s.  Replacing (a, y) by
 (1/a, -y) swaps the level factors and negates the q-free one, so
 N_(1/a)(y) = -N_a(-y): one build serves {a, 1/a} per (q-order, y-cap), and
-`local_term` composes it with each summand's Chern form.
+`local_term` composes it with each summand's Chern form.  `sample_power`
+computes lam^w once per sample and weight, for `check_admissible` and for
+`normal_factor`'s a and 1/a alike; the N-factor cache stays keyed by a, so
+lam = i and lam = -i share their builds too.  A point component has y-cap 0:
+its local term multiplies the constant series of its N-factors, with no
+composition, and its empty tangent product builds no density
+(`genus.word_factor_product`).
 
 `local_term` is cached for the life of the process, like the `genus` values
 it builds on, so a component met again at the same sample and q-order is
@@ -58,8 +64,8 @@ from typing import NamedTuple
 from .errors import ValidationError
 from .genus import SIGNATURE_CUSP, cusp_series, theta_quotient, theta_terms, word_factor_product
 from .manifolds import ManifoldModel, _is_int, _read_json, builtin, euler_characteristic, load_model, parse_form
-from .rings import I_UNIT, QI, QQ, GaussianRational
-from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _numerators
+from .rings import I_UNIT, QI, QQ, GaussianRational, format_fraction
+from .series import PolyRing, QSeries, SeriesRing, TruncPoly
 
 
 class NormalSummand(NamedTuple):
@@ -107,12 +113,6 @@ class CircleActionData(NamedTuple):
                 )
         return self
 
-    def all_weights(self) -> list[int]:
-        out = []
-        for comp in self.components:
-            out.extend(comp.weights())
-        return out
-
 
 def detect_parity(action: CircleActionData):
     """'even' if every fixed codimension is 0 mod 4, 'odd' if 2 mod 4, else None."""
@@ -140,14 +140,17 @@ def check_admissible(action: CircleActionData, lam) -> None:
     """No lambda^w may equal 1 for any occurring weight w."""
     base = base_ring_for(lam)
     lam = base.const(lam)
-    one = base.one()
-    if lam == one or base.is_zero(lam):
+    if lam == 1 or base.is_zero(lam):
         raise ValidationError(f"sample {lam} is not admissible", code="inadmissible")
-    for w in action.all_weights():
-        if lam ** w == one:
-            raise ValidationError(
-                f"sample {lam} is inadmissible: lambda^{w} = 1", code="inadmissible"
-            )
+    for w in (w for comp in action.components for w in comp.weights()):
+        if sample_power(base, lam, w) == 1:
+            raise ValidationError(f"sample {lam} is inadmissible: lambda^{w} = 1", code="inadmissible")
+
+
+@lru_cache(maxsize=None)
+def sample_power(base, lam, weight: int):
+    """lam^weight in `base`, computed once per sample and weight."""
+    return base.const(lam) ** weight
 
 
 # -- local terms ----------------------------------------------------------------
@@ -158,19 +161,18 @@ _N_FACTOR_CACHE: dict = {}
 
 def normal_factor(S: SeriesRing, cap: int, lam, weight: int) -> TruncPoly:
     """N-factor N_a, a = lam^weight, of a normal summand as a series in y over S to y^cap."""
-    a = S.base.const(lam) ** weight
-    if a == S.base.one():
+    a = sample_power(S.base, lam, weight)
+    if a == 1:
         raise ValidationError(f"sample inadmissible on weight {weight}", code="inadmissible")
     key = (S, cap, a)
     if key in _N_FACTOR_CACHE:
         return _N_FACTOR_CACHE[key]
-    flipped = _N_FACTOR_CACHE.get((S, cap, 1 / a))
+    flipped = _N_FACTOR_CACHE.get((S, cap, sample_power(S.base, lam, -weight)))
     Y = PolyRing(("y",), (cap,), S)
     if flipped is not None:
         factor = TruncPoly(Y, {(n,): c if n % 2 else -c for (n,), c in flipped.coeffs.items()}, _clean=True)
     else:  # s -> den(a) den(1/a) s clears every denominator but those of the s^0 terms
-        scale = _numerators(S, [a])[0] * _numerators(S, [1 / a])[0]
-        factor = theta_quotient(Y, theta_terms(a, 1, S.order), theta_terms(a, -1, S.order), scale)
+        factor = theta_quotient(Y, *theta_terms(S, a))
     _N_FACTOR_CACHE[key] = factor
     return factor
 
@@ -183,10 +185,11 @@ def local_term(component: FixedComponent, lam, qorder: int) -> QSeries:
     S = SeriesRing(base, 2 * qorder + 2)
     model = component.model
     ring = model.poly_ring(S)
+    cap = sum(ring.caps)
     total, scalar = word_factor_product(model, SIGNATURE_CUSP, S)
     for summand in component.normal:
-        y = ring.linear_form(summand.chern)
-        total = total * normal_factor(S, sum(ring.caps), lam, summand.weight).compose(y)
+        factor = normal_factor(S, cap, lam, summand.weight)
+        total = total * (factor.compose(ring.linear_form(summand.chern)) if cap else factor.constant_term())
     return model.integrate(total, scalar)
 
 
@@ -217,7 +220,7 @@ class RigidityReport(NamedTuple):
     series: str  # repr of the first sample's series
 
     def to_dict(self) -> dict:
-        return self._asdict() | {"samples": [str(s) for s in self.samples]}
+        return self._asdict() | {"samples": [format_fraction(s) for s in self.samples]}
 
 
 def rigidity_check(action: CircleActionData, samples, qorder: int) -> RigidityReport:

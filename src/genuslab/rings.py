@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotInvertibleError, StructuralError
+from .errors import NotInvertibleError, ResourceCapError, StructuralError
 
 
 def as_fraction(value) -> Fraction:
@@ -47,9 +47,12 @@ def parse_fraction(text: str) -> Fraction:
         raise StructuralError(f"not a rational literal: {text!r}") from exc
 
 
-def format_fraction(a: Fraction) -> str:
-    """Canonical string form "p/q" (or "p" when the denominator is 1)."""
-    return str(a)
+def format_fraction(a) -> str:
+    """Canonical "p/q" (or "p") of an exact scalar; past the int-to-str digit limit, a ResourceCapError."""
+    try:
+        return str(a)
+    except ValueError as exc:
+        raise ResourceCapError(f"an exact value is too long to print: {exc}") from None
 
 
 def power(x, n: int):

@@ -56,7 +56,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .errors import NotInvertibleError, StructuralError
-from .rings import GaussianField, GaussianRational, RationalField, as_fraction, power
+from .rings import GaussianField, GaussianRational, RationalField, as_fraction, format_fraction, power
 
 
 class PolyRing:
@@ -575,7 +575,7 @@ class QSeries:
             return f"O(s^{self.order})"
         parts = []
         for e in self.support():
-            c = self._value(e - self.lo)
+            c = format_fraction(self._value(e - self.lo))
             if e == 0:
                 parts.append(f"({c})")
             elif e % 2 == 0:

@@ -392,6 +392,15 @@ def test_fabricated_spin_action_exits_3(tmp_path):
     assert json.loads(r.stdout)["code"] == "internal-inconsistency"
 
 
+@pytest.mark.parametrize("sample", ["1e1000", "7" * 1001], ids=["1e1000", "1001-digit-integer"])
+def test_a_value_too_long_to_print_is_a_resource_cap(sample):
+    # the run completes; its series has integers past Python's int-to-str digit limit
+    r = run_cli("rigidity", "--action", "builtin:CP2_linear(0,1,3)", "--lambda", sample, "--qorder", "2")
+    assert r.returncode == 4
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["code"] == "resource-cap"
+
+
 def assert_validation_exit(r):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr

@@ -4,6 +4,11 @@
 exit code and stdout SHA-256 accepted as correct.  Every job of the three
 pools is replayed here in-process, so a change to any output byte fails
 tier-1 tests, not only the benchmark.  The file is only read.
+
+That replay runs warm, in file order.  The rigidity jobs replay once more
+cold, with every cache emptied before each job as in a fresh process, so
+that a fault in the order in which samples share cached N-factors fails
+here too.
 """
 
 import contextlib
@@ -42,3 +47,12 @@ def test_output_matches_golden_digest(key, exit_code, sha256):
         code = main(key.split(" "))  # job keys are argv joined by single spaces
     assert code == exit_code
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == sha256
+
+
+RIGIDITY_JOBS = [job for job in JOBS if job[0].startswith("rigidity ")]
+
+
+@pytest.mark.parametrize("key,exit_code,sha256", RIGIDITY_JOBS, ids=[key for key, _, _ in RIGIDITY_JOBS])
+def test_rigidity_output_matches_golden_digest_cold(empty_caches, key, exit_code, sha256):
+    empty_caches()
+    test_output_matches_golden_digest(key, exit_code, sha256)

@@ -291,3 +291,23 @@ def test_rigidity_degree_bound_in_t_is_sharp():
         if n:
             for m in (d - 1, d):
                 assert any(interpolate(points[:m], t) != y for t, y in points[m:]), (n, m)
+
+
+@pytest.mark.parametrize("name", ["HP2_diagonal(1,2,4)", "CP2_linear(0,1,3)"])
+@pytest.mark.parametrize(
+    "samples", [(I_UNIT, -I_UNIT, Fraction(2)), (Fraction(2), -I_UNIT, I_UNIT)], ids=["i,-i,2", "2,-i,i"]
+)
+def test_a_sample_gives_the_same_series_cold_and_after_other_samples(empty_caches, name, samples):
+    # -i reuses the N-factors that i built (and the reverse), so a cache-order fault shows here
+    action = builtin_action(name)
+
+    def exactly(series):
+        return series.ring, series.lo, series.order, series.coeffs
+
+    cold = {}
+    for lam in samples:
+        empty_caches()
+        cold[lam] = exactly(equivariant_series(action, lam, 8))
+    empty_caches()
+    for lam in samples:
+        assert exactly(equivariant_series(action, lam, 8)) == cold[lam]

@@ -169,3 +169,41 @@ def test_one_build_per_pair_of_inverse_weights(builds, name, count):
     # CP3: weights +-1, +-2, +-3; HP3(1,2,3,5): +-1..+-4 and -5..-8
     equivariant_series(builtin_action(name), Fraction(2), 4)
     assert len(builds) == count
+
+
+OFF_LATTICE = [GaussianRational(Fraction(2, 3), Fraction(-1, 3)), GaussianRational(3, -2)]
+
+
+@pytest.mark.parametrize("cap", [0, 3])
+@pytest.mark.parametrize("w", [1, -2, 5, -8, 8])
+@pytest.mark.parametrize("lam", OFF_LATTICE, ids=["(2-i)/3", "3-2i"])
+def test_gaussian_samples_off_the_unit_lattice_are_the_level_product(lam, w, cap):
+    # a = (p + qi)/d with d > 1 or |p|, |q| > 1: both int pairs and both denominators are nontrivial
+    S = SeriesRing(QI, 12)
+    assert exactly(normal_factor(S, cap, lam, w)) == exactly(n_factor_oracle(S, cap, lam, w))
+
+
+@pytest.mark.parametrize("cap", [0, 2])
+@pytest.mark.parametrize("w", [1, 2, 3, 5])
+def test_i_and_minus_i_share_one_build(builds, w, cap):
+    # (-i)^w = 1/i^w: the factor at -i is derived from the one at i
+    S = SeriesRing(QI, 18)
+    for lam in (I_UNIT, -I_UNIT):
+        assert exactly(normal_factor(S, cap, lam, w)) == exactly(n_factor_oracle(S, cap, lam, w))
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("lam", [Fraction(2), I_UNIT], ids=["2", "i"])
+def test_a_point_builds_no_density(empty_caches, lam):
+    # the local term of a fixed point is the product of its N-factors' constant series
+    point = builtin_action("HP2_diagonal(1,2,4)").components[0]
+    assert point.model.dim_real == 0
+    empty_caches()
+    term = localization.local_term(point, lam, 4)
+    assert index_density.cache_info().misses == 0
+    S = SeriesRing(QI if isinstance(lam, GaussianRational) else QQ, 10)
+    factors = [n_factor_oracle(S, 0, lam, w).constant_term() for w in point.weights()]
+    product = factors[0]
+    for f in factors[1:]:
+        product = product * f
+    assert (term.lo, term.order, term.coeffs) == (product.lo, product.order, product.coeffs)
