@@ -251,6 +251,8 @@ def cmd_rigidity(args) -> dict:
 
 def cmd_obstruct(args) -> dict:
     payload: dict = {"command": "obstruct"}
+    if args.order is not None and args.order < 2:  # in every mode, before any work
+        raise ValidationError("order must be >= 2", code="invalid")
     if args.weights:
         try:
             weights = json.loads(args.weights)
@@ -328,7 +330,7 @@ COMMANDS = {
     }),
     "obstruct": (cmd_obstruct, "m_o, vanishing predictions, normal forms, code audit", {
         "--weights": ("weights", str, None, "JSON list of rotation weights"),
-        "--order": ("order", int, None, "order of the cyclic isotropy group"),
+        "--order": ("order", int, None, "order of the cyclic isotropy group, >= 2"),
         "--codim": ("codim", int, None, "codimension of the fixed-point set"),
         "--matrix-file": ("matrix_file", str, None, "JSON integer matrix file"),
         "--p": ("p", int, 2, "prime of the lattice normal form"),

@@ -20,14 +20,16 @@ generator degrees and caps, distinct symbols, nonzero multiplicities, and each
 form's degree against its entry's kind.  Every model then passes
 `ManifoldModel.validate_dimensions` (degrees, rank, nonzero pairing), and
 builtin catalog entries also `_self_check`: two independent classical
-identities (signature/Euler characteristic/A-hat vanishing).  `_self_check`
-sets the catalog-only `euler`, which equality ignores.
+identities (signature/Euler characteristic/A-hat vanishing).  A builtin that
+fails one is a bug, not bad input, so the failure is an
+`InternalInconsistencyError`.  `_self_check` sets the catalog-only `euler`,
+which equality ignores.
 
-Models are hashable, so that `genus` can cache values per model.  A model
-hashes its name and dimension: equal models share both, and the tangent
-entries hold their forms as dicts, which do not hash.  Two models that differ
-only in `euler` are equal and hash alike, as `product([builtin("CP2")] * 2)`
-and `builtin("product(CP2,CP2)")` do.
+Models are hashable, so that `genus` and `euler_characteristic` can cache
+values per model.  A model hashes its name and dimension: equal models share
+both, and the tangent entries hold their forms as dicts, which do not hash.
+Two models that differ only in `euler` are equal and hash alike, as
+`product([builtin("CP2")] * 2)` and `builtin("product(CP2,CP2)")` do.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .errors import StructuralError, ValidationError
+from .errors import InternalInconsistencyError, StructuralError, ValidationError
 from .rings import QQ, as_fraction, format_fraction, parse_fraction
 from .series import PolyRing, TruncPoly
 
@@ -209,8 +211,14 @@ def total_chern_class(model: ManifoldModel) -> TruncPoly:
     return root_product(model, 1 + _X.gen("x"))[0]
 
 
+@cache
 def euler_characteristic(model: ManifoldModel) -> Fraction:
-    """Top Chern number; requires Chern-style tangent data."""
+    """Top Chern number; requires Chern-style tangent data.
+
+    Cached per process, as `genus.genus_value` is: the catalog self-check of a
+    model computes it, and later callers with the built model (whose `euler`
+    equality ignores) reuse it.
+    """
     return model.integrate(total_chern_class(model))
 
 
@@ -380,9 +388,8 @@ def _self_check(model: ManifoldModel, kind: str, factors=None) -> ManifoldModel:
             )
     for label, got, want in checks:
         if got != want:
-            raise ValidationError(
-                f"catalog self-check failed for {name}: {label} = {got}, expected {want}",
-                code="catalog-check",
+            raise InternalInconsistencyError(
+                f"catalog self-check failed for {name}: {label} = {got}, expected {want}"
             )
     return model._replace(euler=euler)
 

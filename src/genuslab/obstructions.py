@@ -17,13 +17,19 @@ Three independent layers:
 * binary-code audit: exhaustive enumeration of all 2^(2r) words of the mod-2
   row code, with the weight/co-weight dichotomy, closure of the small-weight
   subset, per-row odd-entry counts and tail-column parities as named booleans.
+  Each row is reduced mod 2 once, to one byte per entry.  The words come in
+  subset order, built by doubling: word i is the XOR of the rows at the set
+  bits of i, so words[i] ^ words[j] == words[i ^ j], and sublinearity
+  compares weights[i ^ j] with weights[i] + weights[j] over index pairs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import gcd
+from operator import and_, le, xor
 from typing import NamedTuple
 
 from .errors import ResourceCapError, StructuralError, ValidationError
@@ -31,6 +37,7 @@ from .genus import AHAT_CUSP, cusp_series
 from .manifolds import _is_int
 
 CODE_ENUM_CAP = 12  # hard cap on 2r for exhaustive word enumeration; the audit time grows ~4x per row
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # the bytes 0 and 1 as the digits of a binary string
 
 
 def _ceil(x: Fraction) -> int:
@@ -348,17 +355,16 @@ class BinaryCode:
             raise ResourceCapError(
                 f"enumeration cap exceeded: {len(rows)} generators > {CODE_ENUM_CAP}"
             )
-        self.masks = [
-            sum((x % 2) << c for c, x in enumerate(row)) for row in rows
-        ]
+        self.low_bits = [bytes(map(and_, row, repeat(1))) for row in rows]  # each entry mod 2, one byte each
+        # bit c of a row's mask is entry c mod 2: the low bits as the digits b"0"/b"1", last column first
+        self.masks = [int(bits[::-1].translate(_DIGITS), 2) for bits in self.low_bits]
 
-    def words(self):
-        """All 2^rows code words, one per subset of rows, in Gray-code order: one XOR per word."""
-        word = 0
-        yield word
-        for i in range(1, 1 << len(self.masks)):
-            word ^= self.masks[(i & -i).bit_length() - 1]
-            yield word
+    def words(self) -> list:
+        """All 2^rows code words in subset order: word i is the XOR of the rows at the set bits of i."""
+        words = [0]
+        for mask in self.masks:  # doubling: the words that take this row follow those that do not
+            words += [*map(xor, words, repeat(mask))]
+        return words
 
 
 def _rank(words) -> int:
@@ -370,6 +376,19 @@ def _rank(words) -> int:
         if w:
             basis[w.bit_length()] = w
     return len(basis)
+
+
+def _sublinear(weights) -> bool:
+    """wt(a + b) <= wt(a) + wt(b) for every two code words, from the weights of the words in subset order.
+
+    words[i] ^ words[j] == words[i ^ j], so the index pairs i < j give every sum of two words.  Two
+    equal words sum to the zero word, and the zero word words[0] added to a word gives that word:
+    such pairs hold trivially, so the pairs with 1 <= i < j give the check over distinct words.
+    """
+    for i, j in combinations(range(1, len(weights)), 2):
+        if weights[i ^ j] > weights[i] + weights[j]:
+            return False
+    return True
 
 
 class CodeAuditReport(NamedTuple):
@@ -401,23 +420,24 @@ def code_audit(matrix) -> CodeAuditReport:
         raise ValidationError("weight matrices have 2r rows and 2k columns", code="invalid")
     r, k = nrows // 2, ncols // 2
     code = BinaryCode(rows)
-    words = list(code.words())
-    weights = [w.bit_count() for w in words]
-    dist: dict[int, int] = {}
-    for wt in weights:
-        dist[wt] = dist.get(wt, 0) + 1
+    words = code.words()
+    weights = [*map(int.bit_count, words)]
+    dist = dict(Counter(weights))
     dichotomy = all(wt <= 2 * r or (2 * k - wt) <= 2 * r - 2 for wt in dist)
     closure_applicable = 2 * k >= 6 * r
     small_closed = None
     if closure_applicable:
         # the small words hold 0, so they are closed under XOR exactly when they are their own span
-        small_set = {w for w, wt in zip(words, weights) if wt <= 2 * r}
+        small_set = {*compress(words, map(le, weights, repeat(2 * r)))}
         small_closed = len(small_set) == 1 << _rank(small_set)
-    row_odd = [m.bit_count() for m in code.masks]  # the masks hold each entry mod 2
-    tail_odd = [sum(m >> c & 1 for m in code.masks) for c in range(2 * r, 2 * k)]
-    weight_of = dict(zip(words, weights))
-    sublinear = all((a ^ b).bit_count() <= wa + wb for (a, wa), (b, wb) in combinations(weight_of.items(), 2))
+    row_odd = [*map(int.bit_count, code.masks)]  # the masks hold each entry mod 2
+    # the low-bit rows as little-endian integers, one byte per column: a sum of at most CODE_ENUM_CAP
+    # rows carries into no other byte, so its bytes are the column counts of odd entries
+    column_odd = sum(map(int.from_bytes, code.low_bits, repeat("little"))).to_bytes(ncols, "little")
+    tail_odd = [*column_odd[2 * r:]]
+    sublinear = _sublinear(weights)
     inference_ok = (not (dichotomy and closure_applicable)) or bool(small_closed)
+    tail_nonzero = len(tail_odd) - tail_odd.count(0)
     return CodeAuditReport(
         r=r,
         k=k,
@@ -430,7 +450,7 @@ def code_audit(matrix) -> CodeAuditReport:
         rows_have_two_odd_entries=all(c == 2 for c in row_odd),
         tail_column_odd_counts=tail_odd,
         tail_columns_even_parity=all(c % 2 == 0 for c in tail_odd),
-        tail_nonzero_columns=sum(1 for c in tail_odd if c > 0),
-        tail_nonzero_le_r=sum(1 for c in tail_odd if c > 0) <= r,
+        tail_nonzero_columns=tail_nonzero,
+        tail_nonzero_le_r=tail_nonzero <= r,
         sublinearity_holds=sublinear,
     )

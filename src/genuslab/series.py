@@ -30,7 +30,7 @@ whose `const` is the one way to make a constant:
   min(a.order + lo_b, b.order + lo_a), inverse order = a.order - 2 lo_a, where
   a known-zero series has lo = order) and coefficient extraction beyond the
   guarantee raises.  `a ** n` is `rings.power` on a, or on its one inverse
-  for n < 0.
+  for n < 0; a series computes its inverse once and keeps it.
 
 A `QSeries` stores Python-int numerators over one positive common
 denominator, in lowest terms: one numerator list over Q, a real and an
@@ -397,7 +397,7 @@ class QSeries:
     over Q(i); `_im` is None over Q).  `coeffs` is the read-only exact view.
     """
 
-    __slots__ = ("ring", "lo", "order", "_den", "_re", "_im", "_coeffs")
+    __slots__ = ("ring", "lo", "order", "_den", "_re", "_im", "_coeffs", "_inverse")
 
     def __init__(self, ring: SeriesRing, lo: int, coeffs, order: int):
         _store(self, ring, lo, *_numerators(ring, coeffs), order)
@@ -522,7 +522,16 @@ class QSeries:
         return power(self.inverse() if n < 0 else self, abs(n))
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse; the leading coefficient must be nonzero."""
+        """Multiplicative inverse; the leading coefficient must be nonzero.
+
+        The series keeps it, as values are immutable: a constant term that
+        `TruncPoly` powers and `root_product`'s scalar both invert is inverted once.
+        """
+        if self._inverse is None:
+            self._inverse = self._invert()
+        return self._inverse
+
+    def _invert(self) -> "QSeries":
         if self.is_zero():
             raise NotInvertibleError("cannot invert a series with no known nonzero term")
         n = self.order - self.lo  # known unit-part length
@@ -652,7 +661,7 @@ def _store(s: QSeries, ring, lo, den, re, im, order) -> QSeries:
             den //= g
             re = [x // g for x in re]
             im = None if im is None else [x // g for x in im]
-    s.ring, s.lo, s.order, s._den, s._re, s._im, s._coeffs = ring, lo, order, den, re, im, None
+    s.ring, s.lo, s.order, s._den, s._re, s._im, s._coeffs, s._inverse = ring, lo, order, den, re, im, None, None
     return s
 
 

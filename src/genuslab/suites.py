@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat
 from math import comb
+from operator import add, and_
 
 from .cusp import (
     generator_expansions,
@@ -50,6 +52,7 @@ from .obstructions import (
 
 CATALOG_FOR_EXPANSIONS = ("CP2", "CP4", "HP2", "HP3", "V(4,4)", "product(CP2,CP2)")
 MODULARITY_SET = ("CP4", "CP6", "HP2", "HP3", "V(4,4)", "product(CP2,CP2)")
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")  # the digits of a binary string as the bytes 0 and 1
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -211,13 +214,15 @@ def suite_localterms(qorder: int) -> list:
 
 def suite_expansion(qorder: int) -> list:
     out = []
+    # the checks read the s^0 and s^2 coefficients only; at the job's q-order the series are
+    # those that the cusp bootstrap and the modularity suite have built
     for name in CATALOG_FOR_EXPANSIONS:
         m = builtin(name)
-        raw = cusp_series(m, AHAT_CUSP, min(qorder, 4)).series
+        raw = cusp_series(m, AHAT_CUSP, qorder).series
         ok0 = raw.coefficient(0) == genus_value(GenusSpec.ahat(), m)
         ok1 = raw.coefficient(2) == -twisted_index("ahat", m, TANGENT)
         out.append(_check(f"expansion-head-{name}", ok0 and ok1, "A-hat and tangent twist"))
-    hp2 = cusp_series(builtin("HP2"), AHAT_CUSP, 3).series
+    hp2 = cusp_series(builtin("HP2"), AHAT_CUSP, qorder).series
     out.append(_check("expansion-HP2-q-coefficient-nonzero", hp2.coefficient(2) != 0, ""))
     return out
 
@@ -276,7 +281,8 @@ def suite_codes(qorder: int) -> list:
         # one random 4x12 matrix over {0, 1}: bit 12 i + j of the draw is entry (i, j)
         bits = f"{rng.getrandbits(48):048b}"[::-1]
         rows = [bits[12 * i:12 * i + 12] for i in range(4)]
-        A = [list(map(int, row)) for row in rows]
+        entries = bits.encode().translate(_BIT_VALUES)
+        A = [[*entries[12 * i:12 * i + 12]] for i in range(4)]
         report = code_audit(A)
         if not report.sublinearity_holds:
             sublinear_ok = False
@@ -286,8 +292,9 @@ def suite_codes(qorder: int) -> list:
         # parity of each column sum is its low bit
         words = [0]
         for row in rows:
-            words += [w + int(row, 16) for w in words]
-        dich = all(wt <= 2 * r or 2 * k - wt <= 2 * r - 2 for wt in ((w & parity).bit_count() for w in words))
+            words += [*map(add, words, repeat(int(row, 16)))]
+        weights = {*map(int.bit_count, map(and_, words, repeat(parity)))}
+        dich = all(wt <= 2 * r or 2 * k - wt <= 2 * r - 2 for wt in weights)
         rows_odd = all(row.count("1") == 2 for row in rows)
         if dich != report.dichotomy_holds or rows_odd != report.rows_have_two_odd_entries:
             predicates_ok = False

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from genuslab import suites
+from genuslab import genus, suites
 from genuslab.cli import COMMANDS, GLOBAL_OPTIONS, main
 from genuslab.errors import InternalInconsistencyError
 
@@ -465,6 +465,51 @@ def test_non_geometric_obstruct_inputs_exit_2():
         assert_validation_exit(r)
         assert json.loads(r.stdout)["code"] == "invalid"
     assert run_cli("obstruct", "--codim", "0").returncode == 0
+
+
+ORDER_BELOW_TWO = {"code": "invalid", "error": "order must be >= 2"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--weights", "[]", "--order", "0"),   # a ZeroDivisionError traceback with exit 1 before
+        ("--weights", "[]", "--order", "1"),   # exit 0 with m = 0 before
+        ("--weights", "[]", "--order", "-2"),  # the same
+        ("--weights", "[1]", "--order", "0"),
+        ("--weights", "[1,2]", "--order", "1"),
+        ("--codim", "4", "--order", "1"),
+        ("--codim", "0", "--order", "0"),
+        ("--fixdim", "[[8,[4,0]]]", "--order", "1"),  # a mode that reads no order
+        ("--matrix-file", "m.json", "--order", "-1"),
+    ],
+)
+def test_an_order_below_two_exits_2_in_every_mode(capsys, tmp_path, args):
+    (tmp_path / "m.json").write_text(NORMAL_FORM_SAMPLE)
+    code, out = run_main(capsys, "obstruct", *(str(tmp_path / a) if a == "m.json" else a for a in args))
+    assert code == 2
+    assert json.loads(out) == ORDER_BELOW_TWO
+
+
+def test_an_empty_weight_list_with_order_zero_is_no_traceback():
+    r = run_cli("obstruct", "--weights", "[]", "--order", "0")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stdout) == ORDER_BELOW_TWO
+
+
+def test_a_failed_catalog_self_check_exits_3(capsys, monkeypatch, empty_caches):
+    # a builtin that fails a classical identity is a bug, not bad input
+    empty_caches()
+    real = genus.genus_value
+    monkeypatch.setattr(genus, "genus_value", lambda spec, model: real(spec, model) * 2)
+    code, out = run_main(capsys, "genus", "--manifold", "builtin:HP2")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["code"] == "internal-inconsistency"
+    assert payload["error"] == "catalog self-check failed for HP2: signature = 2, expected 1"
+    monkeypatch.undo()
+    empty_caches()
 
 
 def write_json(tmp_path, doc):

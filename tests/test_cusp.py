@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from genuslab import suites
 from genuslab.cusp import (
     generator_expansions,
     normalized_phi,
@@ -156,3 +157,16 @@ def test_raw_vs_normalized_never_conflated():
     assert raw.q_coefficient(0) == 0
     n = normalized_phi(builtin("HP2"), AHAT_CUSP, 4)
     assert n.series.q_coefficient(0) != 0
+
+
+@pytest.mark.parametrize("qorder", [4, 6])
+def test_the_expansion_checks_reuse_the_series_of_the_modularity_suite(empty_caches, qorder):
+    # the head checks ask for the A-hat series at the job's q-order, which the cusp bootstrap
+    # (CP2, HP2, CP4) and the modularity suite (the rest) have built
+    empty_caches()
+    suites.suite_modularity(qorder)
+    misses = cusp_series.cache_info().misses
+    checks = suites.suite_expansion(qorder)
+    assert [c["status"] for c in checks] == ["PASS"] * 7
+    assert cusp_series.cache_info().misses == misses
+    empty_caches()

@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from genuslab import series
 from genuslab.errors import StructuralError
 from genuslab.genus import (
     AHAT_CUSP,
@@ -446,3 +447,25 @@ def test_pole_order_zero_series_is_indeterminate():
     zero = cusp_series(builtin("CP3"), AHAT_CUSP, 3)  # dim not divisible by 4
     assert zero.k == 0
     assert pole_order(zero.series) is None
+
+
+# -- one inverse per constant term --------------------------------------------------------
+
+
+def test_a_cold_cusp_series_inverts_each_series_once(empty_caches, monkeypatch):
+    # HP4 has entries of multiplicity 10 and -1 and delta 1: both powers and the f(0)^-1 scalar
+    # invert the density's constant term f(0), which the series now keeps; with the theta
+    # quotient's one inverse, two series are inverted (four before)
+    empty_caches()
+    model = builtin("HP4")  # the catalog self-check inverts no q-series
+    calls = []
+    real = series._inverse_ints
+
+    def counting(a, den, n):
+        calls.append(n)
+        return real(a, den, n)
+
+    monkeypatch.setattr(series, "_inverse_ints", counting)
+    cusp_series(model, AHAT_CUSP, 6)
+    assert len(calls) == 2
+    empty_caches()

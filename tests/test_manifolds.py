@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from genuslab import suites
 from genuslab.errors import StructuralError, ValidationError
 from genuslab.manifolds import (
     builtin,
@@ -190,3 +191,13 @@ def test_betti_counts():
     assert builtin("CP4").cohomology.betti_count() == 5
     assert builtin("HP2").cohomology.betti_count() == 3
     assert builtin("product(CP2,CP2)").cohomology.betti_count() == 9
+
+
+def test_the_euler_suite_reuses_the_catalog_values(empty_caches):
+    # the self-check of each V(n,n) computes its Euler characteristic; the suite asks again
+    empty_caches()
+    checks = suites.suite_euler(4)
+    assert [c["status"] for c in checks] == ["PASS"] * 8
+    info = euler_characteristic.cache_info()
+    assert (info.misses, info.hits) == (8, 8)
+    empty_caches()

@@ -1,5 +1,7 @@
 """Obstruction combinatorics against brute-force oracles."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from genuslab import suites
 from genuslab.errors import ResourceCapError, ValidationError
 from genuslab.localization import builtin_action
 from genuslab.manifolds import builtin
@@ -323,6 +326,79 @@ def test_closure_by_rank_is_closure_by_pairs():
         assert code_audit(rows).small_weight_closed == closed
         outcomes[closed] += 1
     assert min(outcomes[True], outcomes[False]) >= 30
+
+
+def reference_audit(rows) -> dict:
+    """The 14 audit fields as `CodeAuditReport.to_dict` gives them, from subset sums, pairs of distinct
+    words and per-column sums of the entries mod 2."""
+    r, k = len(rows) // 2, len(rows[0]) // 2
+    words = oracle_words(rows)
+    dist = Counter(sum(w) for w in words)
+    dichotomy = all(sum(w) <= 2 * r or 2 * k - sum(w) <= 2 * r - 2 for w in words)
+    applicable = 2 * k >= 6 * r
+    closed = None
+    if applicable:
+        small = {w for w in words if sum(w) <= 2 * r}
+        closed = all(tuple((x + y) % 2 for x, y in zip(a, b)) in small for a in small for b in small)
+    distinct = sorted(set(words))
+    sublinear = all(
+        sum((x + y) % 2 for x, y in zip(a, b)) <= sum(a) + sum(b) for i, a in enumerate(distinct) for b in distinct[i + 1:]
+    )
+    row_odd = [sum(x % 2 for x in row) for row in rows]
+    tail_odd = [sum(row[c] % 2 for row in rows) for c in range(2 * r, 2 * k)]
+    nonzero = len([c for c in tail_odd if c])
+    return {
+        "r": r,
+        "k": k,
+        "weight_distribution": {str(wt): dist[wt] for wt in sorted(dist)},
+        "dichotomy_holds": dichotomy,
+        "closure_applicable": applicable,
+        "small_weight_closed": closed,
+        "closure_inference_consistent": not (dichotomy and applicable) or bool(closed),
+        "row_odd_counts": row_odd,
+        "rows_have_two_odd_entries": all(c == 2 for c in row_odd),
+        "tail_column_odd_counts": tail_odd,
+        "tail_columns_even_parity": all(c % 2 == 0 for c in tail_odd),
+        "tail_nonzero_columns": nonzero,
+        "tail_nonzero_le_r": nonzero <= r,
+        "sublinearity_holds": sublinear,
+    }
+
+
+def test_code_audit_matches_the_reference_on_every_field():
+    # entries of both signs; zero, duplicate and sum rows repeat words, which the weight
+    # distribution counts and the pairs over distinct words skip
+    rng = random.Random(2021)
+    outcomes = Counter()
+    for _ in range(150):
+        r, k = rng.randint(1, 4), rng.randint(1, 8)
+        rows = [[rng.randint(-5, 5) for _ in range(2 * k)] for _ in range(2 * r)]
+        for _ in range(rng.randint(0, 2 * r - 1)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows[rng.randrange(2 * r)] = rng.choice([[0] * (2 * k), list(a), [x + y for x, y in zip(a, b)]])
+        report = code_audit(rows).to_dict()
+        expected = reference_audit(rows)
+        assert list(report) == list(expected)
+        assert report == expected, rows
+        outcomes[expected["small_weight_closed"], expected["dichotomy_holds"]] += 1
+    assert len(outcomes) >= 4
+
+
+def test_the_codes_suite_draws_the_recorded_matrices(monkeypatch):
+    # SHA-256 of the JSON list of the 1000 matrices that suite_codes hands to code_audit, recorded
+    # before the audit's rewrite: a drifted draw could still print PASS
+    drawn = []
+
+    def record(matrix):
+        drawn.append(matrix)
+        return code_audit(matrix)
+
+    monkeypatch.setattr(suites, "code_audit", record)
+    checks = suites.suite_codes(4)
+    assert [c["status"] for c in checks] == ["PASS", "PASS"]
+    assert len(drawn) == 1000
+    digest = hashlib.sha256(json.dumps(drawn).encode()).hexdigest()
+    assert digest == "7f32521aa0cb9cb105361016dd3431aded6095ba6628292eabf6aedf37aa655f"
 
 
 def test_code_audit_shape_checks():
