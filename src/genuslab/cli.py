@@ -30,6 +30,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
+from .cusp import normalized
 from .errors import (
     GenuslabError,
     InternalInconsistencyError,
@@ -199,7 +200,7 @@ def cmd_expand(args) -> dict:
     model = resolve(args.manifold, "manifold", builtin, load_model)
     qorder = args.qorder
     raw = cusp_series(model, args.cusp, qorder)
-    series = raw.series.shift(-raw.k) if args.cusp == AHAT_CUSP else raw.series  # phi_0 = q^(-k/2) raw
+    series = normalized(raw, args.cusp)
     pole = pole_order(series)
     payload = {
         "command": "expand",
@@ -249,11 +250,22 @@ def cmd_rigidity(args) -> dict:
     return payload
 
 
+OBSTRUCT_MODES = {  # flag: dest
+    "--weights": "weights", "--codim": "codim", "--matrix-file": "matrix_file", "--fixdim": "fixdim",
+}
+
+
 def cmd_obstruct(args) -> dict:
     payload: dict = {"command": "obstruct"}
+    given = [flag for flag, dest in OBSTRUCT_MODES.items() if getattr(args, dest) is not None]
+    if len(given) != 1:  # before any work
+        raise ValidationError(
+            f"obstruct takes exactly one of {', '.join(OBSTRUCT_MODES)}; got {', '.join(given) or 'none'}",
+            code="invalid",
+        )
     if args.order is not None and args.order < 2:  # in every mode, before any work
         raise ValidationError("order must be >= 2", code="invalid")
-    if args.weights:
+    if args.weights is not None:
         try:
             weights = json.loads(args.weights)
         except json.JSONDecodeError as exc:
@@ -276,7 +288,7 @@ def cmd_obstruct(args) -> dict:
             payload.update({"order": args.order, "source": "cyclic-codim",
                             "vanish_count": vanish_count_cyclic_codim(args.codim, args.order)})
         return payload
-    if args.matrix_file:
+    if args.matrix_file is not None:
         try:
             with open(args.matrix_file, "r", encoding="utf-8") as fh:
                 matrix = json.load(fh)
@@ -285,16 +297,12 @@ def cmd_obstruct(args) -> dict:
         normal_form = lattice_normal_form(matrix, args.p).to_dict()  # before the audit's code-word cap
         payload.update({"normal_form": normal_form, "code_audit": code_audit(matrix).to_dict(), "p": args.p})
         return payload
-    if args.fixdim:
-        try:
-            table = json.loads(args.fixdim)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad fixdim table: {exc}", code="invalid") from exc
-        payload.update({"fixdim": table, "restricted": rfpd_check(table)})
-        return payload
-    raise ValidationError(
-        "obstruct needs one of --weights, --codim, --matrix-file, --fixdim", code="invalid"
-    )
+    try:
+        table = json.loads(args.fixdim)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"bad fixdim table: {exc}", code="invalid") from exc
+    payload.update({"fixdim": table, "restricted": rfpd_check(table)})
+    return payload
 
 
 # -- entry point --------------------------------------------------------------------------

@@ -10,8 +10,12 @@ epsilon(q) are the cusp series of CP^2 and HP^2, whose genera are delta and
 epsilon.  The epsilon-consistency identity epsilon = 3*delta^2 - 2*(series of
 CP^4) pins the bootstrap against an independent manifold in both cusps.
 
-Weight-0 comparisons divide a cusp series by epsilon^{k/2} and, for odd k,
-compare squared series to avoid square roots of q-series.
+The normalization makes epsilon exactly 1 at the signature cusp and exactly
+q = s^2 at the A-hat cusp (Hirzebruch-Berger-Jung ch. 6; Zagier 1988), and
+`generator_expansions` checks both identities.  So the weight-0 series
+phi / epsilon^(k/2) needs no division and no square root for odd k: it is the
+raw series at the signature cusp and its shift by k s-powers, phi_0 =
+q^(-k/2) raw, at the A-hat cusp (`normalized`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, StructuralError
-from .genus import SIGNATURE_CUSP, GenusSpec, IndexSeries, cusp_series, genus_value
+from .genus import AHAT_CUSP, SIGNATURE_CUSP, GenusSpec, IndexSeries, cusp_series, genus_value
 from .manifolds import ManifoldModel, builtin
 from .series import QSeries
 
@@ -37,17 +41,14 @@ def generator_expansions(cusp: str, qorder: int) -> CuspExpansion:
     if qorder < 2:
         raise StructuralError("generator expansions need qorder >= 2")
     delta = cusp_series(builtin("CP2"), cusp, qorder).series
-    epsilon = cusp_series(builtin("HP2"), cusp, qorder).series
-    if cusp == SIGNATURE_CUSP:
-        if delta.q_coefficient(0) != 1 or epsilon.q_coefficient(0) != 1:
-            raise InternalInconsistencyError(
-                "signature-cusp generators must have constant term 1"
-            )
-    else:
-        if delta.q_coefficient(0) != Fraction(-1, 8):
-            raise InternalInconsistencyError("A-hat-cusp delta must start at -1/8")
-        if epsilon.lowest_exponent() != 2:
-            raise InternalInconsistencyError("A-hat-cusp epsilon must start at q^1")
+    hp2 = cusp_series(builtin("HP2"), cusp, qorder)
+    epsilon = hp2.series
+    if delta.q_coefficient(0) != (1 if cusp == SIGNATURE_CUSP else Fraction(-1, 8)):
+        raise InternalInconsistencyError(f"{cusp}-cusp delta has constant term {delta.q_coefficient(0)}")
+    if not normalized(hp2, cusp).same_to(epsilon.ring.one()):
+        raise InternalInconsistencyError(
+            f"{cusp}-cusp epsilon is not exactly {'1' if cusp == SIGNATURE_CUSP else 'q'}"
+        )
     cp4 = cusp_series(builtin("CP4"), cusp, qorder).series
     if not epsilon.same_to(delta * delta * 3 - cp4 * 2):
         raise InternalInconsistencyError(
@@ -80,42 +81,18 @@ def verify_modularity(model: ManifoldModel, cusp: str, qorder: int) -> bool:
     return series.same_to(substituted)
 
 
-class NormalizedPhi(NamedTuple):
-    """Weight-0 normalized expansion.
-
-    `power` is 1 when the series is Phi itself (k even) and 2 when it is
-    Phi^2 (k odd, avoiding square roots of q-series); comparisons must square
-    a power-1 series before matching it against a power-2 one.
-    """
-
-    series: QSeries
-    power: int
+def normalized(ix: IndexSeries, cusp: str) -> QSeries:
+    """phi / epsilon^(k/2): the raw series at the signature cusp, phi_0 = q^(-k/2) raw at the A-hat cusp."""
+    return ix.series.shift(-ix.k) if cusp == AHAT_CUSP else ix.series
 
 
-def normalized_phi(model: ManifoldModel, cusp: str, qorder: int) -> NormalizedPhi:
-    """Index series divided by epsilon^{k/2} (squared identity for odd k)."""
+def normalized_phi(model: ManifoldModel, cusp: str, qorder: int) -> QSeries:
+    """The weight-0 normalized series of the model (`normalized`)."""
     if model.dim_real % 4:
         raise StructuralError("normalization needs dim divisible by 4")
-    return normalized_from_index(cusp_series(model, cusp, qorder), cusp, qorder)
+    return normalized(cusp_series(model, cusp, qorder), cusp)
 
 
-def normalized_from_index(ix: IndexSeries, cusp: str, qorder: int) -> NormalizedPhi:
-    """Normalize an already computed index series using its dimension tag."""
-    k = ix.k
-    eps = generator_expansions(cusp, max(qorder, 2)).epsilon_series
-    if k % 2 == 0:
-        return NormalizedPhi(ix.series * eps ** (-(k // 2)), 1)
-    return NormalizedPhi((ix.series * ix.series) * eps ** (-k), 2)
-
-
-def self_intersection_compare(a: IndexSeries, b: IndexSeries, cusp: str, qorder: int) -> bool:
+def self_intersection_compare(a: IndexSeries, b: IndexSeries, cusp: str) -> bool:
     """Weight-0 equality of two index series of possibly different dimensions."""
-    na = normalized_from_index(a, cusp, qorder)
-    nb = normalized_from_index(b, cusp, qorder)
-    sa, sb = na.series, nb.series
-    if na.power != nb.power:
-        if na.power == 1:
-            sa = sa * sa
-        else:
-            sb = sb * sb
-    return sa.same_to(sb)
+    return normalized(a, cusp).same_to(normalized(b, cusp))

@@ -38,10 +38,11 @@ out of the comparison.  The key also holds the sample's type, as
 Fraction(2) == GaussianRational(2) and the two hash alike, but `base_ring_for`
 gives them different rings.
 
-The records check nothing themselves: every builtin and `load_action` returns
-its action through `CircleActionData.validate`, which requires dim + codim =
-ambient dim for each fixed component and a nonzero weight for each normal
-summand (`load_action` checks the file's schema before it).
+An action reads its dimension and spin from its ambient model.  The records
+check nothing themselves: every builtin and `load_action` returns its action
+through `CircleActionData.validate`, which requires dim + codim = the ambient
+model's dimension for each fixed component and a nonzero weight for each
+normal summand (`load_action` checks the file's schema before it).
 
 Sample points are admissible when no lam^w = 1 for an occurring weight w.
 Rigidity compares exact samples, which certifies less than their number
@@ -89,26 +90,19 @@ class FixedComponent(NamedTuple):
 
 
 class CircleActionData(NamedTuple):
-    ambient_dim: int
     components: tuple[FixedComponent, ...]
     provenance: str
-    ambient_spin: bool
-    ambient_model: ManifoldModel | None = None
+    ambient_model: ManifoldModel
     name: str = ""
-
-    def __eq__(self, other):  # the ambient model is a reference and stays out of comparisons
-        return isinstance(other, CircleActionData) and self[:4] + self[5:] == other[:4] + other[5:]
-
-    __ne__ = object.__ne__  # the negation of __eq__, where tuple's own != compares every field
 
     def validate(self) -> "CircleActionData":
         for comp in self.components:
             if 0 in comp.weights():
                 raise ValidationError("normal rotation weights must be nonzero", code="invalid")
-            if comp.model.dim_real + comp.codim != self.ambient_dim:
+            if comp.model.dim_real + comp.codim != self.ambient_model.dim_real:
                 raise ValidationError(
                     f"component {comp.model.name}: dim {comp.model.dim_real} + "
-                    f"codim {comp.codim} != ambient {self.ambient_dim}",
+                    f"codim {comp.codim} != ambient {self.ambient_model.dim_real}",
                     code="dimension-mismatch",
                 )
         return self
@@ -126,7 +120,7 @@ def detect_parity(action: CircleActionData):
 
 def odd_action_forces_zero(action: CircleActionData) -> bool:
     """Spin ambient with odd action: the normalized genus vanishes identically."""
-    return bool(action.ambient_spin) and detect_parity(action) == "odd"
+    return action.ambient_model.spin and detect_parity(action) == "odd"
 
 
 # -- sample points -------------------------------------------------------------
@@ -243,13 +237,13 @@ def rigidity_check(action: CircleActionData, samples, qorder: int) -> RigidityRe
     q0s = [v.q_coefficient(0) for v in values]
     q0_constant = all(c == q0s[0] for c in q0s)
     matches = None
-    if action.ambient_model is not None and action.ambient_model.dim_real % 4 == 0:
+    if action.ambient_model.dim_real % 4 == 0:
         loop = cusp_series(action.ambient_model, SIGNATURE_CUSP, qorder).series
         if gaussian:
             loop = _promote_to_gaussian(loop)
         matches = all(v.same_to(loop) for v in values)
         q0_constant = q0_constant and q0s[0] == loop.q_coefficient(0)
-    if action.ambient_spin:
+    if action.ambient_model.spin:
         status = "PASS" if all_equal and matches in (True, None) else "FAIL"
     else:
         status = "OBSERVATIONAL" if q0_constant else "FAIL"
@@ -257,7 +251,7 @@ def rigidity_check(action: CircleActionData, samples, qorder: int) -> RigidityRe
         action=action.name or action.provenance,
         samples=samples,
         qorder=qorder,
-        spin=action.ambient_spin,
+        spin=action.ambient_model.spin,
         all_samples_equal=all_equal,
         matches_loop_series=matches,
         q0_constant=q0_constant,
@@ -350,10 +344,8 @@ def cpn_linear_action(weights, name: str) -> CircleActionData:
             normal.append(NormalSummand(dict(h), wj - value))
         components.append(FixedComponent(model, tuple(normal)))
     action = CircleActionData(
-        ambient_dim=2 * n,
         components=tuple(components),
         provenance=f"builtin CP{n}_linear{tuple(weights)}",
-        ambient_spin=ambient.spin,
         ambient_model=ambient,
         name=name,
     ).validate()
@@ -388,10 +380,8 @@ def hpn_diagonal_action(weights, name: str) -> CircleActionData:
             normal.append(NormalSummand({}, -(aj + ai)))
         components.append(FixedComponent(pt, tuple(normal)))
     return CircleActionData(
-        ambient_dim=4 * n,
         components=tuple(components),
         provenance=f"builtin HP{n}_diagonal{tuple(weights)}",
-        ambient_spin=True,
         ambient_model=ambient,
         name=name,
     ).validate()
@@ -439,10 +429,8 @@ def load_action(source) -> CircleActionData:
             normal.append(NormalSummand(form, weight))
         components.append(FixedComponent(model, tuple(normal)))
     return CircleActionData(
-        ambient_dim=ambient.dim_real,
         components=tuple(components),
         provenance=str(doc.get("name", "user action file")),
-        ambient_spin=ambient.spin,
         ambient_model=ambient,
         name=str(doc.get("name", "")),
     ).validate()

@@ -204,25 +204,6 @@ def _integer_matrix(matrix) -> list:
     return rows
 
 
-def _mod_rank(rows, p: int) -> int:
-    work = [[x % p for x in row] for row in rows]
-    rank, col, ncols = 0, 0, len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col] % p), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        for r in range(len(work)):
-            if r != rank and work[r][col] % p:
-                f = (work[r][col] * inv) % p
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981  # Miller-Rabin on _PRIME_BASES is exact below this
 
@@ -263,10 +244,6 @@ def lattice_normal_form(matrix, p: int) -> NormalFormResult:
     nrows, ncols = len(A), len(A[0])
     if nrows > ncols:
         raise ValidationError("more rows than columns", code="invalid")
-    if _mod_rank(A, p) < nrows:
-        raise ValidationError(
-            f"rows are not independent mod {p}: effectiveness violated", code="rank"
-        )
     T = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     pivots: list[int] = []
 
@@ -288,8 +265,8 @@ def lattice_normal_form(matrix, p: int) -> NormalFormResult:
             if any(A[t][c] % p for t in range(i, nrows)):
                 pivot_col = c
                 break
-        if pivot_col is None:  # unreachable given the rank check
-            raise ValidationError("rank collapse during elimination", code="rank")
+        if pivot_col is None:  # rows i.. vanish mod p, rows 0..i-1 are independent mod p
+            raise ValidationError(f"rows are not independent mod {p}: effectiveness violated", code="rank")
         t = next(t for t in range(i, nrows) if A[t][pivot_col] % p)
         row_swap(i, t)
         pivots.append(pivot_col)

@@ -99,13 +99,12 @@ def suite_normalization(qorder: int) -> list:
         )
     )
     n = normalized_phi(builtin("HP2"), SIGNATURE_CUSP, qorder)
-    ok = n.power == 1 and n.series.same_to(n.series.ring.one())
-    out.append(_check("hp2-normalized-is-one", ok, f"to q-order {qorder}"))
+    out.append(_check("hp2-normalized-is-one", n.same_to(n.ring.one()), f"to q-order {qorder}"))
     n2 = normalized_phi(builtin("product(HP2,HP2)"), SIGNATURE_CUSP, max(2, qorder - 1))
     out.append(
         _check(
             "hp2xhp2-normalized-is-one",
-            n2.series.same_to(n2.series.ring.one()),
+            n2.same_to(n2.ring.one()),
             "normalized genus is multiplicative",
         )
     )
@@ -265,7 +264,7 @@ def suite_obstruction(qorder: int) -> list:
         action = builtin_action(action_name)
         vectors = [c.weights() for c in action.components]
         ok = all(
-            cross_check_prediction(action.ambient_model, vectors, o, min(qorder, 3)).passed for o in orders
+            cross_check_prediction(action.ambient_model, vectors, o, qorder).passed for o in orders
         )
         out.append(_check(f"prediction-cross-check-{action_name}", ok, ""))
     return out
@@ -318,24 +317,23 @@ def suite_selfintersection(qorder: int) -> list:
     out.append(
         _check(
             "self-intersection-HP2-fixed-set",
-            self_intersection_compare(a, b, SIGNATURE_CUSP, q),
+            self_intersection_compare(a, b, SIGNATURE_CUSP),
             "normalized series of HP2 vs a point",
         )
     )
     out.append(
         _check(
             "self-intersection-identity",
-            self_intersection_compare(a, a, SIGNATURE_CUSP, q),
+            self_intersection_compare(a, a, SIGNATURE_CUSP),
             "identical manifolds compare equal",
         )
     )
     # odd-action detection: codimensions 2 mod 4 on a spin ambient force the
     # zero series; an empty self-intersection then compares against 0
     synthetic = CircleActionData(
-        ambient_dim=12,
         components=(FixedComponent(builtin("HP2"), (NormalSummand({}, 1),)),),
         provenance="synthetic odd action",
-        ambient_spin=True,
+        ambient_model=builtin("HP3"),
     )
     zero = cusp_series(builtin("CP3"), AHAT_CUSP, q)  # identically zero series
     out.append(
@@ -343,7 +341,7 @@ def suite_selfintersection(qorder: int) -> list:
             "odd-action-zero-claim",
             detect_parity(synthetic) == "odd"
             and odd_action_forces_zero(synthetic)
-            and self_intersection_compare(zero, zero, SIGNATURE_CUSP, q),
+            and self_intersection_compare(zero, zero, SIGNATURE_CUSP),
             "codim 2 mod 4 detected; zero series compares to zero",
         )
     )

@@ -239,6 +239,25 @@ def test_obstruct_without_inputs_exits_2():
     assert r.returncode == 2
 
 
+def test_obstruct_given_several_modes_exits_2():
+    # the first mode ran and the rest were ignored, with exit 0
+    r = run_cli("obstruct", "--weights", "[1]", "--order", "2", "--codim", "4", "--fixdim", "[[8,[4,4]]]")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stdout) == {
+        "code": "invalid",
+        "error": "obstruct takes exactly one of --weights, --codim, --matrix-file, --fixdim; "
+        "got --weights, --codim, --fixdim",
+    }
+
+
+def test_several_obstruct_modes_are_refused_before_any_work(capsys, tmp_path):
+    # an unreadable matrix file is not opened
+    code, out = run_main(capsys, "obstruct", "--matrix-file", str(tmp_path / "missing.json"), "--codim", "2")
+    assert code == 2
+    assert json.loads(out)["error"].endswith("; got --codim, --matrix-file")
+
+
 def test_verify_small_suite():
     r = run_cli("verify", "--suite", "localterms", "--qorder", "4")
     assert r.returncode == 0

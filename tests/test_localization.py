@@ -78,7 +78,7 @@ def test_point_component_counts_its_pairing():
         }
     )
     component = FixedComponent(point2, (NormalSummand({}, 1),))
-    action = CircleActionData(2, (component,), "test", True, builtin("CP1"))
+    action = CircleActionData((component,), "test", builtin("CP1"))
     assert euler_fixed_check(action) is True
 
 
@@ -133,7 +133,7 @@ def test_rigidity_hp1_pass_with_zero():
 def test_rigidity_cp2_observational():
     a = builtin_action("CP2_linear(0,1,2)")
     report = rigidity_check(a, [Fraction(2), Fraction(3)], 3)
-    assert not a.ambient_spin
+    assert not a.ambient_model.spin
     assert report.q0_constant           # signature rigidity holds regardless
     assert report.status == "OBSERVATIONAL"
 
@@ -151,12 +151,11 @@ def test_parity_detection():
     hp = builtin_action("HP2_diagonal(1,2,4)")
     assert detect_parity(hp) == "even"  # codim 8 at each point
     odd = CircleActionData(
-        ambient_dim=8,
         components=(
             FixedComponent(builtin("CP3"), (NormalSummand({}, 1),)),
         ),
         provenance="synthetic",
-        ambient_spin=True,
+        ambient_model=builtin("HP2"),  # dimension 8, spin
     )
     assert detect_parity(odd) == "odd"
     assert odd_action_forces_zero(odd)
@@ -231,7 +230,7 @@ def test_action_file_round_trip(tmp_path):
     p = tmp_path / "action.json"
     p.write_text(json.dumps(doc))
     b = load_action(str(p))
-    assert b.ambient_dim == a.ambient_dim
+    assert b.ambient_model == a.ambient_model
     assert len(b.components) == len(a.components)
     s1 = equivariant_series(a, Fraction(2), 3)
     s2 = equivariant_series(b, Fraction(2), 3)

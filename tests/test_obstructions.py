@@ -11,6 +11,7 @@ import pytest
 
 from genuslab import suites
 from genuslab.errors import ResourceCapError, ValidationError
+from genuslab.genus import cusp_series
 from genuslab.localization import builtin_action
 from genuslab.manifolds import builtin
 from genuslab.obstructions import (
@@ -123,6 +124,31 @@ def test_cross_check_zero_series_trivially_passes():
     report = cross_check_prediction(m, [[1, 1, 1]], 2, 3)
     assert report.passed
     assert report.first_nonzero_index is None
+
+
+@pytest.mark.parametrize("qorder", [4, 6, 8])
+def test_the_obstruction_suite_reuses_the_series_of_the_modularity_suite(empty_caches, qorder):
+    # the cross-checks ask for the A-hat series at the job's q-order: CP2's and HP2's come from the
+    # cusp bootstrap, and HP1's is the one new build
+    empty_caches()
+    suites.suite_modularity(qorder)
+    misses = cusp_series.cache_info().misses
+    assert all(c["status"] == "PASS" for c in suites.suite_obstruction(qorder))
+    assert cusp_series.cache_info().misses == misses + 1
+    # the reports are those at q-order 3: the first nonzero index lies below both
+    found = {}
+    for name in ("HP2_diagonal(1,2,4)", "HP1_diagonal(1,2)", "CP2_linear(0,1,2)"):
+        action = builtin_action(name)
+        vectors = [c.weights() for c in action.components]
+        report = cross_check_prediction(action.ambient_model, vectors, 2, qorder)
+        assert report == cross_check_prediction(action.ambient_model, vectors, 2, 3)
+        found[name] = (report.first_nonzero_index, report.predicted_vanishing, report.passed)
+    assert found == {
+        "HP2_diagonal(1,2,4)": (1, 1, True),
+        "HP1_diagonal(1,2)": (None, 1, True),
+        "CP2_linear(0,1,2)": (0, 0, True),
+    }
+    empty_caches()
 
 
 def test_rfpd():

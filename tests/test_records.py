@@ -1,6 +1,6 @@
-"""Record contracts: every record is immutable, equality skips derived and
-referenced fields, a zero rotation weight is rejected, and the reports
-serialize to fixed dicts."""
+"""Record contracts: every record is immutable, model equality skips the
+derived Euler characteristic, a zero rotation weight is rejected, and the
+reports serialize to fixed dicts."""
 
 import importlib.util
 import sys
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from genuslab.cusp import generator_expansions, normalized_phi
+from genuslab.cusp import generator_expansions
 from genuslab.errors import ValidationError
 from genuslab.genus import GenusSpec, cusp_series
 from genuslab.localization import (
@@ -33,7 +33,6 @@ def records():
         GenusSpec.signature(),
         cusp_series(cp2, "signature", 2),
         generator_expansions("signature", 2),
-        normalized_phi(cp2, "signature", 2),
         cp2.cohomology.generators[0],
         cp2.cohomology,
         cp2.tangent.entries[0],
@@ -49,8 +48,8 @@ def records():
     ]
 
 
-def test_there_are_sixteen_distinct_record_types():
-    assert len({type(r) for r in records()}) == 16
+def test_there_are_fifteen_distinct_record_types():
+    assert len({type(r) for r in records()}) == 15
 
 
 @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
@@ -70,16 +69,9 @@ def test_model_equality_ignores_euler():
     assert [c["status"] for c in suite_roundtrip(2)] == ["PASS", "PASS"]
 
 
-def test_action_equality_ignores_the_ambient_model():
-    action = builtin_action("CP2_linear(0,0,1)")
-    assert action == action._replace(ambient_model=None)
-    assert not action != action._replace(ambient_model=builtin("HP2"))
-    assert action != action._replace(name="other")
-
-
 def test_validate_rejects_a_zero_rotation_weight():
     # action files and builtins never get this far with weight 0 (tests/test_cli.py); validate is the guard of the rest
-    zero = CircleActionData(2, (FixedComponent(point(), (NormalSummand({}, 0),)),), "test", True)
+    zero = CircleActionData((FixedComponent(point(), (NormalSummand({}, 0),)),), "test", builtin("CP1"))
     with pytest.raises(ValidationError, match="nonzero"):
         zero.validate()
 

@@ -1,16 +1,22 @@
-"""Characteristic series, q-free densities and the generating series against sympy.
+"""Characteristic series, q-free densities, the generating series and the
+rank check of the lattice normal form against sympy.
 
 sympy is used only here, as an oracle that shares no code with `genuslab`:
 each closed form is expanded by sympy to x^16 and compared coefficient by
-coefficient with the exact polynomial.
+coefficient with the exact polynomial, and sympy's rank over GF(p) decides
+which matrices the normal form must reject.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
+from genuslab.errors import ValidationError
 from genuslab.genus import GENERIC_RING, GenusSpec, char_series, index_density, legendre_coefficient
+from genuslab.obstructions import lattice_normal_form
 from genuslab.rings import QQ
 
 X = sympy.Symbol("x")
@@ -63,3 +69,28 @@ def test_legendre_coefficients_match_sympy():
             (D ** i * E ** j * Fraction(int(c.p), int(c.q)) for (i, j), c in terms), GENERIC_RING.zero()
         )
         assert legendre_coefficient(GenusSpec.generic(), k) == expected, k
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_normal_form_rejects_exactly_the_rows_dependent_mod_p(p):
+    # sympy's rank over GF(p) is the oracle; at p = 3 the first matrix shows its dependence only
+    # at the last row
+    rng = random.Random(p)
+    samples = [[[1, 0, 0], [0, 1, 0], [1, 1, 3]]]
+    for _ in range(150):
+        nrows = rng.randint(1, 4)
+        ncols = rng.randint(nrows, 5)
+        samples.append([[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)])
+    deficient = 0
+    for A in samples:
+        field = sympy.GF(p)
+        rank = DomainMatrix([[field(x) for x in row] for row in A], (len(A), len(A[0])), field).rank()
+        if rank == len(A):
+            lattice_normal_form(A, p)
+            continue
+        deficient += 1
+        message = f"^rows are not independent mod {p}: effectiveness violated$"
+        with pytest.raises(ValidationError, match=message) as info:
+            lattice_normal_form(A, p)
+        assert info.value.code == "rank"
+    assert deficient >= 10
