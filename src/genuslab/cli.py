@@ -265,6 +265,10 @@ def cmd_obstruct(args) -> dict:
         )
     if args.order is not None and args.order < 2:  # in every mode, before any work
         raise ValidationError("order must be >= 2", code="invalid")
+    for flag, value, modes in (("--p", args.p, ("--matrix-file",)),
+                               ("--order", args.order, ("--weights", "--codim"))):
+        if value is not None and given[0] not in modes:  # an option the mode never reads, before any work
+            raise ValidationError(f"{given[0]} does not take {flag}", code="invalid")
     if args.weights is not None:
         try:
             weights = json.loads(args.weights)
@@ -294,8 +298,9 @@ def cmd_obstruct(args) -> dict:
                 matrix = json.load(fh)
         except (OSError, ValueError) as exc:  # unreadable file, bad encoding or bad JSON
             raise ValidationError(f"cannot read matrix file: {exc}", code="invalid") from exc
-        normal_form = lattice_normal_form(matrix, args.p).to_dict()  # before the audit's code-word cap
-        payload.update({"normal_form": normal_form, "code_audit": code_audit(matrix).to_dict(), "p": args.p})
+        p = 2 if args.p is None else args.p
+        normal_form = lattice_normal_form(matrix, p).to_dict()  # before the audit's code-word cap
+        payload.update({"normal_form": normal_form, "code_audit": code_audit(matrix).to_dict(), "p": p})
         return payload
     try:
         table = json.loads(args.fixdim)
@@ -338,10 +343,10 @@ COMMANDS = {
     }),
     "obstruct": (cmd_obstruct, "m_o, vanishing predictions, normal forms, code audit", {
         "--weights": ("weights", str, None, "JSON list of rotation weights"),
-        "--order": ("order", int, None, "order of the cyclic isotropy group, >= 2"),
+        "--order": ("order", int, None, "order of the cyclic isotropy group, >= 2; with --weights or --codim"),
         "--codim": ("codim", int, None, "codimension of the fixed-point set"),
         "--matrix-file": ("matrix_file", str, None, "JSON integer matrix file"),
-        "--p": ("p", int, 2, "prime of the lattice normal form"),
+        "--p": ("p", int, None, "prime of the lattice normal form; with --matrix-file (default: 2)"),
         "--fixdim": ("fixdim", str, None, "JSON table of (dim, [component dims])"),
     }),
 }

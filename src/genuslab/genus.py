@@ -77,6 +77,10 @@ modularity suites the same generic genera, the catalog self-checks and the
 euler suite the same Euler characteristics, and the cusp bootstrap and the
 modularity, rigidity and expansion checks take the same cusp series, the
 expansion checks at the job's q-order.  One process computes each of them once.
+
+These and the package's other process caches are all `functools` caches: the
+others are `manifolds._build` (the catalog), `cusp.generator_expansions`, and
+`localization.sample_power` and `localization._n_factor` (the N-factors).
 """
 
 from __future__ import annotations
@@ -101,19 +105,18 @@ class GenusSpec(NamedTuple):
 
     delta: object
     epsilon: object
-    name: str
 
     @classmethod
     def generic(cls) -> "GenusSpec":
-        return cls(GENERIC_RING.gen("delta"), GENERIC_RING.gen("epsilon"), "generic")
+        return cls(GENERIC_RING.gen("delta"), GENERIC_RING.gen("epsilon"))
 
     @classmethod
     def signature(cls) -> "GenusSpec":
-        return cls(Fraction(1), Fraction(1), "signature")
+        return cls(Fraction(1), Fraction(1))
 
     @classmethod
     def ahat(cls) -> "GenusSpec":
-        return cls(Fraction(-1, 8), Fraction(0), "ahat")
+        return cls(Fraction(-1, 8), Fraction(0))
 
     @classmethod
     def named(cls, name: str) -> "GenusSpec":

@@ -17,32 +17,27 @@ with the loop-space signature density as T-factor and, per normal summand
 
 The Jacobi triple product writes Theta_+-(z) (the `genus` docstring) as
 prod_n (1 - q^n)(1 +- q^n z)(1 +- q^(n-1)/z), so N_a(y) = Theta_+(z) / Theta_-(z)
-at z = a e^y: `normal_factor` hands `theta_terms` of a to `theta_quotient`,
+at z = a e^y: `_n_factor` hands `theta_terms` of a to `theta_quotient`,
 which runs the division at s -> den(a) den(1/a) s.  Replacing (a, y) by
 (1/a, -y) swaps the level factors and negates the q-free one, so
 N_(1/a)(y) = -N_a(-y): one build serves {a, 1/a} per (q-order, y-cap), and
 `local_term` composes it with each summand's Chern form.  `sample_power`
 computes lam^w once per sample and weight, for `check_admissible` and for
-`normal_factor`'s a and 1/a alike; the N-factor cache stays keyed by a, so
-lam = i and lam = -i share their builds too.  A point component has y-cap 0:
-its local term multiplies the constant series of its N-factors, with no
-composition, and its empty tangent product builds no density
-(`genus.word_factor_product`).
-
-`local_term` is cached for the life of the process, like the `genus` values
-it builds on, so a component met again at the same sample and q-order is
-summed once.  Fixed components are hashable for this: a component hashes its
-model (the `manifolds` hash contract) and its rotation weights, while the
-normal summands' Chern forms, which are dicts, stay out of the hash but not
-out of the comparison.  The key also holds the sample's type, as
-Fraction(2) == GaussianRational(2) and the two hash alike, but `base_ring_for`
-gives them different rings.
+`normal_factor`'s a alike.  The N-factors are `functools.cache`d per (series
+ring, y-cap, a).  Of {a, 1/a}, the first in (re, im) order is built, whichever
+of the two is asked for first, and the other is derived from it, so lam = i
+and lam = -i share their builds too.  A point component has y-cap 0: its local term
+multiplies the constant series of its N-factors, with no composition, and its
+empty tangent product builds no density (`genus.word_factor_product`).
 
 An action reads its dimension and spin from its ambient model.  The records
 check nothing themselves: every builtin and `load_action` returns its action
 through `CircleActionData.validate`, which requires dim + codim = the ambient
 model's dimension for each fixed component and a nonzero weight for each
 normal summand (`load_action` checks the file's schema before it).
+`cpn_linear_action` also checks its recipe's fixed components against the
+Euler characteristic of CP^n; a builtin that fails it is a bug, not bad input,
+so the failure is an `InternalInconsistencyError`.
 
 Sample points are admissible when no lam^w = 1 for an occurring weight w.
 Rigidity compares exact samples, which certifies less than their number
@@ -59,10 +54,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import InternalInconsistencyError, ValidationError
 from .genus import SIGNATURE_CUSP, cusp_series, theta_quotient, theta_terms, word_factor_product
 from .manifolds import ManifoldModel, _is_int, _read_json, builtin, euler_characteristic, load_model, parse_form
 from .rings import I_UNIT, QI, QQ, GaussianRational, format_fraction
@@ -85,13 +80,9 @@ class FixedComponent(NamedTuple):
     def weights(self) -> list[int]:
         return [s.weight for s in self.normal]
 
-    def __hash__(self):  # consistent with __eq__; the Chern forms are dicts and do not hash
-        return hash((self.model, *self.weights()))
-
 
 class CircleActionData(NamedTuple):
     components: tuple[FixedComponent, ...]
-    provenance: str
     ambient_model: ManifoldModel
     name: str = ""
 
@@ -141,7 +132,7 @@ def check_admissible(action: CircleActionData, lam) -> None:
             raise ValidationError(f"sample {lam} is inadmissible: lambda^{w} = 1", code="inadmissible")
 
 
-@lru_cache(maxsize=None)
+@cache
 def sample_power(base, lam, weight: int):
     """lam^weight in `base`, computed once per sample and weight."""
     return base.const(lam) ** weight
@@ -150,28 +141,29 @@ def sample_power(base, lam, weight: int):
 # -- local terms ----------------------------------------------------------------
 
 
-_N_FACTOR_CACHE: dict = {}
-
-
 def normal_factor(S: SeriesRing, cap: int, lam, weight: int) -> TruncPoly:
     """N-factor N_a, a = lam^weight, of a normal summand as a series in y over S to y^cap."""
     a = sample_power(S.base, lam, weight)
     if a == 1:
         raise ValidationError(f"sample inadmissible on weight {weight}", code="inadmissible")
-    key = (S, cap, a)
-    if key in _N_FACTOR_CACHE:
-        return _N_FACTOR_CACHE[key]
-    flipped = _N_FACTOR_CACHE.get((S, cap, sample_power(S.base, lam, -weight)))
-    Y = PolyRing(("y",), (cap,), S)
-    if flipped is not None:
-        factor = TruncPoly(Y, {(n,): c if n % 2 else -c for (n,), c in flipped.coeffs.items()}, _clean=True)
-    else:  # s -> den(a) den(1/a) s clears every denominator but those of the s^0 terms
-        factor = theta_quotient(Y, *theta_terms(S, a))
-    _N_FACTOR_CACHE[key] = factor
-    return factor
+    return _n_factor(S, cap, a)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a sample's type picks its ring (module docstring)
+@cache
+def _n_factor(S: SeriesRing, cap: int, a) -> TruncPoly:
+    """N_a to y^cap: built for the first of {a, 1/a} in (re, im) order, the other as N_a(y) = -N_(1/a)(-y)."""
+    inv = S.base.invert(a)
+    if _re_im(inv) < _re_im(a):
+        flipped = _n_factor(S, cap, inv)
+        return TruncPoly(flipped.ring, {(n,): c if n % 2 else -c for (n,), c in flipped.coeffs.items()}, _clean=True)
+    # s -> den(a) den(1/a) s clears every denominator but those of the s^0 terms
+    return theta_quotient(PolyRing(("y",), (cap,), S), *theta_terms(S, a))
+
+
+def _re_im(a) -> tuple:
+    return (a.re, a.im) if isinstance(a, GaussianRational) else (a, 0)
+
+
 def local_term(component: FixedComponent, lam, qorder: int) -> QSeries:
     """Equivariant local contribution of one fixed component at sample lam."""
     base = base_ring_for(lam)
@@ -248,7 +240,7 @@ def rigidity_check(action: CircleActionData, samples, qorder: int) -> RigidityRe
     else:
         status = "OBSERVATIONAL" if q0_constant else "FAIL"
     return RigidityReport(
-        action=action.name or action.provenance,
+        action=action.name,
         samples=samples,
         qorder=qorder,
         spin=action.ambient_model.spin,
@@ -296,7 +288,7 @@ def euler_fixed_check(action: CircleActionData) -> bool:
 # -- builtin actions --------------------------------------------------------------
 
 
-_ACTION_RE = re.compile(r"^(CP|HP)(\d+)_(linear|diagonal)\(([-\d,\s]+)\)$")
+_ACTION_RE = re.compile(r"^(CP|HP)(\d+)_(linear|diagonal)\((\s*-?\d+\s*(?:,\s*-?\d+\s*)*)\)$")  # integer weights
 
 
 def builtin_action(name: str) -> CircleActionData:
@@ -345,12 +337,13 @@ def cpn_linear_action(weights, name: str) -> CircleActionData:
         components.append(FixedComponent(model, tuple(normal)))
     action = CircleActionData(
         components=tuple(components),
-        provenance=f"builtin CP{n}_linear{tuple(weights)}",
         ambient_model=ambient,
         name=name,
     ).validate()
     if not euler_fixed_check(action):
-        raise ValidationError("fixed-point data fails the Euler-characteristic check", code="invalid")
+        raise InternalInconsistencyError(
+            f"builtin action {name}: fixed-point data fails the Euler-characteristic check"
+        )
     return action
 
 
@@ -381,7 +374,6 @@ def hpn_diagonal_action(weights, name: str) -> CircleActionData:
         components.append(FixedComponent(pt, tuple(normal)))
     return CircleActionData(
         components=tuple(components),
-        provenance=f"builtin HP{n}_diagonal{tuple(weights)}",
         ambient_model=ambient,
         name=name,
     ).validate()
@@ -430,9 +422,8 @@ def load_action(source) -> CircleActionData:
         components.append(FixedComponent(model, tuple(normal)))
     return CircleActionData(
         components=tuple(components),
-        provenance=str(doc.get("name", "user action file")),
         ambient_model=ambient,
-        name=str(doc.get("name", "")),
+        name=str(doc.get("name", "user action file")),
     ).validate()
 
 

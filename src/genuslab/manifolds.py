@@ -15,10 +15,12 @@ characteristic classes.  They put every root into a univariate series f
 divides by delta copies of f(0), so a virtual description and the actual
 bundle give the same characteristic numbers.
 
-The records check nothing themselves.  `load_model` validates a model file:
-generator degrees and caps, distinct symbols, nonzero multiplicities, and each
-form's degree against its entry's kind.  Every model then passes
-`ManifoldModel.validate_dimensions` (degrees, rank, nonzero pairing), and
+The records check nothing themselves.  A model reads its real dimension from
+its generators' degrees and caps.  `load_model` validates a model file:
+generator degrees and caps, distinct symbols, nonzero multiplicities, each
+form's degree against its entry's kind, and the declared `dim_real` against
+the generators.  Every model then passes `ManifoldModel.validate_dimensions`
+(tangent rank, nonzero pairing), and
 builtin catalog entries also `_self_check`: two independent classical
 identities (signature/Euler characteristic/A-hat vanishing).  A builtin that
 fails one is a bug, not bad input, so the failure is an
@@ -111,7 +113,6 @@ class ManifoldModel(NamedTuple):
     name: str
     cohomology: CohomologyModel
     tangent: TangentData
-    dim_real: int
     spin: bool
     orientation_note: str
     euler: Fraction | None = None
@@ -124,6 +125,10 @@ class ManifoldModel(NamedTuple):
     def __hash__(self):  # consistent with __eq__; the tangent forms are dicts and do not hash
         return hash((self.name, self.dim_real))
 
+    @property
+    def dim_real(self) -> int:
+        return self.cohomology.dim_real
+
     def poly_ring(self, base=QQ) -> PolyRing:
         return self.cohomology.poly_ring(base)
 
@@ -131,16 +136,6 @@ class ManifoldModel(NamedTuple):
         return self.cohomology.integrate(cls, scalar)
 
     def validate_dimensions(self):
-        if self.cohomology.dim_real != self.dim_real:
-            raise ValidationError(
-                f"{self.name}: generator degrees sum to {self.cohomology.dim_real}, "
-                f"declared dimension is {self.dim_real}",
-                code="dimension-mismatch",
-            )
-        if self.dim_real % 2:
-            raise ValidationError(
-                f"{self.name}: odd real dimension", code="dimension-mismatch"
-            )
         ranks = sum(e.mult for e in self.tangent.entries) - self.tangent.delta
         if self.dim_real and ranks != self.dim_real // 2:
             raise ValidationError(
@@ -235,7 +230,6 @@ def point() -> ManifoldModel:
         name="pt",
         cohomology=CohomologyModel((), Fraction(1)),
         tangent=TangentData((), 0),
-        dim_real=0,
         spin=True,
         orientation_note="positively oriented point",
     )
@@ -252,7 +246,6 @@ def complex_projective_space(n: int) -> ManifoldModel:
         name=f"CP{n}",
         cohomology=coh,
         tangent=tangent,
-        dim_real=2 * n,
         spin=(n % 2 == 1),
         orientation_note="complex orientation; sign(CP^{2m}) = +1",
     )
@@ -275,7 +268,6 @@ def quaternionic_projective_space(n: int) -> ManifoldModel:
         name=f"HP{n}",
         cohomology=coh,
         tangent=tangent,
-        dim_real=4 * n,
         spin=True,
         orientation_note="orientation with sign(HP^n) = +1 for even n",
     )
@@ -298,7 +290,6 @@ def hypersurface(n: int, degree: int) -> ManifoldModel:
         name=f"V({n},{degree})",
         cohomology=coh,
         tangent=tangent,
-        dim_real=2 * n,
         spin=((n + 2 - degree) % 2 == 0),
         orientation_note="complex orientation; <h^n,[V]> = degree",
     )
@@ -316,7 +307,6 @@ def product(factors) -> ManifoldModel:
     pairing = Fraction(1)
     entries = []
     delta = 0
-    dim = 0
     for i, m in enumerate(factors, start=1):
         rename = {g.symbol: f"{g.symbol}{i}" for g in m.cohomology.generators}
         gens.extend(
@@ -329,12 +319,10 @@ def product(factors) -> ManifoldModel:
                 TangentEntry({rename[s]: c for s, c in e.form.items()}, e.mult, e.kind)
             )
         delta += m.tangent.delta
-        dim += m.dim_real
     model = ManifoldModel(
         name="x".join(m.name for m in factors),
         cohomology=CohomologyModel(tuple(gens), pairing),
         tangent=TangentData(tuple(entries), delta),
-        dim_real=dim,
         spin=all(m.spin for m in factors),
         orientation_note="product orientation",
     )
@@ -497,11 +485,17 @@ def load_model(source) -> ManifoldModel:
             raise ValidationError("entry form must be a non-empty mapping", code="schema")
         root_degree = 2 if t["style"] == CHERN else 4  # a root, or a squared root
         entries.append(TangentEntry(parse_form(form, gens, root_degree), mult, t["style"]))
+    cohomology = CohomologyModel(tuple(gens), pairing)
+    if cohomology.dim_real != doc["dim_real"]:
+        raise ValidationError(
+            f"{doc['name']}: generator degrees sum to {cohomology.dim_real}, "
+            f"declared dimension is {doc['dim_real']}",
+            code="dimension-mismatch",
+        )
     model = ManifoldModel(
         name=doc["name"],
-        cohomology=CohomologyModel(tuple(gens), pairing),
+        cohomology=cohomology,
         tangent=TangentData(tuple(entries), t["delta"]),
-        dim_real=doc["dim_real"],
         spin=doc["spin"],
         orientation_note=str(doc.get("orientation_note", "")),
     )

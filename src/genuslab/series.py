@@ -397,7 +397,7 @@ class QSeries:
     over Q(i); `_im` is None over Q).  `coeffs` is the read-only exact view.
     """
 
-    __slots__ = ("ring", "lo", "order", "_den", "_re", "_im", "_coeffs", "_inverse")
+    __slots__ = ("ring", "lo", "order", "_den", "_re", "_im", "_inverse")
 
     def __init__(self, ring: SeriesRing, lo: int, coeffs, order: int):
         _store(self, ring, lo, *_numerators(ring, coeffs), order)
@@ -407,9 +407,7 @@ class QSeries:
     @property
     def coeffs(self) -> tuple:
         """Stored coefficients from `lo` on, as Fractions or GaussianRationals."""
-        if self._coeffs is None:
-            self._coeffs = tuple(self._value(i) for i in range(len(self._re)))
-        return self._coeffs
+        return tuple(self._value(i) for i in range(len(self._re)))
 
     def _value(self, i: int):
         if self._im is None:
@@ -661,7 +659,7 @@ def _store(s: QSeries, ring, lo, den, re, im, order) -> QSeries:
             den //= g
             re = [x // g for x in re]
             im = None if im is None else [x // g for x in im]
-    s.ring, s.lo, s.order, s._den, s._re, s._im, s._coeffs, s._inverse = ring, lo, order, den, re, im, None, None
+    s.ring, s.lo, s.order, s._den, s._re, s._im, s._inverse = ring, lo, order, den, re, im, None
     return s
 
 

@@ -332,8 +332,8 @@ def suite_selfintersection(qorder: int) -> list:
     # zero series; an empty self-intersection then compares against 0
     synthetic = CircleActionData(
         components=(FixedComponent(builtin("HP2"), (NormalSummand({}, 1),)),),
-        provenance="synthetic odd action",
         ambient_model=builtin("HP3"),
+        name="synthetic odd action",
     )
     zero = cusp_series(builtin("CP3"), AHAT_CUSP, q)  # identically zero series
     out.append(

@@ -4,8 +4,6 @@ import sys
 
 import pytest
 
-from genuslab import localization
-
 
 def _empty_caches():
     for name, module in list(sys.modules.items()):
@@ -13,10 +11,9 @@ def _empty_caches():
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
-    localization._N_FACTOR_CACHE.clear()
 
 
 @pytest.fixture
 def empty_caches():
-    """A function that empties every functools cache of the package and the N-factor cache, as in a fresh process."""
+    """A function that empties every cache of the package, as in a fresh process: each is a functools cache."""
     return _empty_caches

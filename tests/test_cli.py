@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from genuslab import genus, suites
+from genuslab import genus, localization, suites
 from genuslab.cli import COMMANDS, GLOBAL_OPTIONS, main
 from genuslab.errors import InternalInconsistencyError
 
@@ -256,6 +256,31 @@ def test_several_obstruct_modes_are_refused_before_any_work(capsys, tmp_path):
     code, out = run_main(capsys, "obstruct", "--matrix-file", str(tmp_path / "missing.json"), "--codim", "2")
     assert code == 2
     assert json.loads(out)["error"].endswith("; got --codim, --matrix-file")
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (("--weights", "[1,2]", "--order", "3", "--p", "4"), "--weights does not take --p"),
+        (("--fixdim", "[[8,[4,0]]]", "--order", "5"), "--fixdim does not take --order"),
+        (("--matrix-file", "m.json", "--order", "3"), "--matrix-file does not take --order"),
+        (("--codim", "4", "--p", "7"), "--codim does not take --p"),
+    ],
+    ids=["weights-p", "fixdim-order", "matrix-order", "codim-p"],
+)
+def test_an_obstruct_option_that_the_mode_never_reads_exits_2(capsys, tmp_path, args, error):
+    # each exited 0 with the option ignored; 4 is not even a prime
+    (tmp_path / "m.json").write_text(NORMAL_FORM_SAMPLE)
+    code, out = run_main(capsys, "obstruct", *(str(tmp_path / a) if a == "m.json" else a for a in args))
+    assert code == 2
+    assert json.loads(out) == {"code": "invalid", "error": error}
+
+
+def test_an_unread_obstruct_option_is_refused_before_any_work(capsys, tmp_path):
+    # the matrix file is not opened
+    code, out = run_main(capsys, "obstruct", "--matrix-file", str(tmp_path / "missing.json"), "--order", "3")
+    assert code == 2
+    assert json.loads(out)["error"] == "--matrix-file does not take --order"
 
 
 def test_verify_small_suite():
@@ -529,6 +554,25 @@ def test_a_failed_catalog_self_check_exits_3(capsys, monkeypatch, empty_caches):
     assert payload["error"] == "catalog self-check failed for HP2: signature = 2, expected 1"
     monkeypatch.undo()
     empty_caches()
+
+
+@pytest.mark.parametrize("name", ["CP2_linear(0,,1)", "CP2_linear(0,--1,1)", "CP2_linear(-)", "HP1_diagonal(1,-)"])
+def test_a_builtin_action_with_a_malformed_weight_exits_2(capsys, name):
+    # each ended in a ValueError traceback (found by tests/test_fuzz_cli.py)
+    code, out = run_main(capsys, "rigidity", "--action", f"builtin:{name}", "--lambda", "2")
+    assert code == 2
+    assert json.loads(out) == {"code": "invalid", "error": f"unknown builtin action {name!r}"}
+
+
+def test_a_builtin_action_that_fails_the_euler_check_exits_3(capsys, monkeypatch):
+    # a builtin recipe that fails a classical identity is a bug, not bad input; it exited 2
+    monkeypatch.setattr(localization, "euler_fixed_check", lambda action: False)
+    code, out = run_main(capsys, "rigidity", "--action", "builtin:CP2_linear(0,1,2)", "--lambda", "2")
+    assert code == 3
+    assert json.loads(out) == {
+        "code": "internal-inconsistency",
+        "error": "builtin action CP2_linear(0,1,2): fixed-point data fails the Euler-characteristic check",
+    }
 
 
 def write_json(tmp_path, doc):

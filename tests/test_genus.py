@@ -70,7 +70,7 @@ def chain_oracle(spec, order):
         GenusSpec.signature(),
         GenusSpec.ahat(),
         GenusSpec.generic(),
-        GenusSpec(Fraction(2), Fraction(-3, 7), "rational"),
+        GenusSpec(Fraction(2), Fraction(-3, 7)),
     ],
     ids=["signature", "ahat", "generic", "rational"],
 )
@@ -161,14 +161,14 @@ def test_char_series_satisfies_the_first_order_equation():
 
 def test_legendre_central_binomials():
     # (1 - 4t^2)^{-1/2} = sum C(2k, k) t^{2k}
-    spec = GenusSpec(Fraction(2), Fraction(0), "rational")
+    spec = GenusSpec(Fraction(2), Fraction(0))
     assert [legendre_coefficient(spec, k) for k in range(8)] == [comb(2 * k, k) for k in range(8)]
 
 
 def test_legendre_geometric_when_epsilon_is_delta_squared():
     # (1 - 2 d t^2 + d^2 t^4)^{-1/2} = (1 - d t^2)^{-1}, i.e. P_k(1) = 1
     assert [legendre_coefficient(GenusSpec.signature(), k) for k in range(8)] == [1] * 8
-    spec = GenusSpec(Fraction(-3, 5), Fraction(9, 25), "rational")
+    spec = GenusSpec(Fraction(-3, 5), Fraction(9, 25))
     assert [legendre_coefficient(spec, k) for k in range(8)] == [Fraction(-3, 5) ** k for k in range(8)]
 
 
@@ -179,7 +179,7 @@ def test_legendre_round_trips():
     t = R.gen("t")
     for _ in range(25):
         spec = GenusSpec(
-            Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(rng.randint(-5, 5), rng.randint(1, 5)), "rational"
+            Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         )
         S = TruncPoly(R, {(2 * k,): legendre_coefficient(spec, k) for k in range(7)})
         assert S * S * (1 - 2 * spec.delta * t ** 2 + spec.epsilon * t ** 4) == R.one()

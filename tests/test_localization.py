@@ -78,14 +78,14 @@ def test_point_component_counts_its_pairing():
         }
     )
     component = FixedComponent(point2, (NormalSummand({}, 1),))
-    action = CircleActionData((component,), "test", builtin("CP1"))
+    action = CircleActionData((component,), builtin("CP1"), "test")
     assert euler_fixed_check(action) is True
 
 
 @pytest.mark.parametrize("weights", [(5, 7), (5, 11)], ids=["rational-first", "gaussian-first"])
 def test_local_term_keeps_rational_and_gaussian_samples_apart(weights):
-    # Fraction(2) == GaussianRational(2) and the two hash alike, but they name different rings;
-    # each weight pair is a component no other test meets, so its first call is never a cache hit
+    # Fraction(2) == GaussianRational(2) and the two hash alike, but they name different rings,
+    # whichever is evaluated first; the N-factor cache keys on the ring as well as on lam^w
     c = FixedComponent(builtin("pt"), tuple(NormalSummand({}, w) for w in weights))
     samples = [Fraction(2), GaussianRational(2)]
     if weights == (5, 11):
@@ -154,8 +154,8 @@ def test_parity_detection():
         components=(
             FixedComponent(builtin("CP3"), (NormalSummand({}, 1),)),
         ),
-        provenance="synthetic",
         ambient_model=builtin("HP2"),  # dimension 8, spin
+        name="synthetic",
     )
     assert detect_parity(odd) == "odd"
     assert odd_action_forces_zero(odd)

@@ -71,7 +71,7 @@ def test_model_equality_ignores_euler():
 
 def test_validate_rejects_a_zero_rotation_weight():
     # action files and builtins never get this far with weight 0 (tests/test_cli.py); validate is the guard of the rest
-    zero = CircleActionData((FixedComponent(point(), (NormalSummand({}, 0),)),), "test", builtin("CP1"))
+    zero = CircleActionData((FixedComponent(point(), (NormalSummand({}, 0),)),), builtin("CP1"), "test")
     with pytest.raises(ValidationError, match="nonzero"):
         zero.validate()
 
@@ -106,8 +106,8 @@ def test_report_dicts_are_unchanged():
 JOBS = Path(__file__).resolve().parent.parent / "bench" / "jobs.py"
 
 
-def pool_models_and_components(monkeypatch):
-    """The catalog models and fixed components that the benchmark pools and the verify suites name."""
+def pool_models(monkeypatch):
+    """The catalog models that the benchmark pools and the verify suites name, with their actions' fixed components."""
     spec = importlib.util.spec_from_file_location("bench_jobs", JOBS)
     jobs = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, jobs)  # dataclasses look their module up
@@ -120,15 +120,14 @@ def pool_models_and_components(monkeypatch):
             if flag in argv:
                 found.add(argv[argv.index(flag) + 1].removeprefix("builtin:"))
     components = [c for a in sorted(actions) for c in builtin_action(a).components]
-    models = [builtin(n) for n in sorted(names)] + [c.model for c in components]
-    return models, components
+    return [builtin(n) for n in sorted(names)] + [c.model for c in components]
 
 
-def test_models_and_components_of_the_pools_hash(monkeypatch):
-    models, components = pool_models_and_components(monkeypatch)
-    assert len(models) > 30 and len(components) > 15
-    for record in models + components:
-        assert hash(record) == hash(record._replace())
+def test_models_of_the_pools_hash(monkeypatch):
+    models = pool_models(monkeypatch)
+    assert len(models) > 30
+    for model in models:
+        assert hash(model) == hash(model._replace())
 
 
 def test_a_product_and_its_catalog_entry_are_equal_and_hash_alike():

@@ -2,12 +2,13 @@
 
 `index_density` (cusp-word densities) and `localization.normal_factor` divide two
 theta series with `genus.theta_quotient`.  `normal_factor` builds the factor
-of a = lam^w once, with s scaled by den(a) den(1/a) during the division, and
-derives the one of 1/a from it.  The oracle here is the infinite product
-itself, one q-level at a time with one polynomial inverse per level, written
-only with the public ring operations and test-local exponentials.  Both sides
-must agree exactly: the same ring, the same monomials, and for every
-coefficient the same q-series values, `lo` and `order`.
+of the first of {a, 1/a}, a = lam^w, in (re, im) order once, with s scaled by
+den(a) den(1/a) during the division, and derives the other one from it.  The
+oracle here is the infinite product itself, one q-level at a time with one
+polynomial inverse per level, written only with the public ring operations
+and test-local exponentials.  Both sides must agree exactly: the same ring,
+the same monomials, and for every coefficient the same q-series values, `lo`
+and `order`.
 """
 
 from fractions import Fraction
@@ -114,23 +115,29 @@ LAMBDAS = [Fraction(2), Fraction(-1, 3), I_UNIT, GaussianRational(1, 1)]
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Empty the N-factor cache and count the factors built anew, not derived."""
-    monkeypatch.setattr(localization, "_N_FACTOR_CACHE", {})
+    """Empty the N-factor cache and record the a of each factor N_a built anew, not derived."""
+    localization._n_factor.cache_clear()
     made = []
-    build = localization.theta_quotient
-    monkeypatch.setattr(localization, "theta_quotient", lambda *args: made.append(args) or build(*args))
+    terms = localization.theta_terms
+    monkeypatch.setattr(localization, "theta_terms", lambda S, a: made.append(a) or terms(S, a))
     return made
 
 
+def built_of_pair(a):
+    """The one of {a, 1/a} whose factor is built: the first in (re, im) order."""
+    return min(a, 1 / a, key=lambda x: (x.re, x.im) if isinstance(x, GaussianRational) else (x, 0))
+
+
+@pytest.mark.parametrize("signs", [(1, -1), (-1, 1)], ids=["w,-w", "-w,w"])
 @pytest.mark.parametrize("cap", [0, 1, 2, 3])
 @pytest.mark.parametrize("w", [1, 3])
 @pytest.mark.parametrize("lam", LAMBDAS, ids=["2", "-1/3", "i", "1+i"])
-def test_the_factor_at_minus_w_is_derived_exactly(builds, lam, w, cap):
-    # S order 26 is the rigidity pool's q-order 12
+def test_the_factor_at_minus_w_is_derived_exactly(builds, lam, w, cap, signs):
+    # S order 26 is the rigidity pool's q-order 12; either order of first use builds the same one factor
     S = SeriesRing(QI if isinstance(lam, GaussianRational) else QQ, 26)
-    for weight in (w, -w):
+    for weight in (signs[0] * w, signs[1] * w):
         assert exactly(normal_factor(S, cap, lam, weight)) == exactly(n_factor_oracle(S, cap, lam, weight))
-    assert len(builds) == 1
+    assert builds == [built_of_pair(lam ** w)]
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 3])
@@ -183,14 +190,15 @@ def test_gaussian_samples_off_the_unit_lattice_are_the_level_product(lam, w, cap
     assert exactly(normal_factor(S, cap, lam, w)) == exactly(n_factor_oracle(S, cap, lam, w))
 
 
+@pytest.mark.parametrize("samples", [(I_UNIT, -I_UNIT), (-I_UNIT, I_UNIT)], ids=["i,-i", "-i,i"])
 @pytest.mark.parametrize("cap", [0, 2])
 @pytest.mark.parametrize("w", [1, 2, 3, 5])
-def test_i_and_minus_i_share_one_build(builds, w, cap):
-    # (-i)^w = 1/i^w: the factor at -i is derived from the one at i
+def test_i_and_minus_i_share_one_build(builds, w, cap, samples):
+    # (-i)^w = 1/i^w: of the factors at i and -i, one is derived from the other
     S = SeriesRing(QI, 18)
-    for lam in (I_UNIT, -I_UNIT):
+    for lam in samples:
         assert exactly(normal_factor(S, cap, lam, w)) == exactly(n_factor_oracle(S, cap, lam, w))
-    assert len(builds) == 1
+    assert builds == [built_of_pair(I_UNIT ** w)]
 
 
 @pytest.mark.parametrize("lam", [Fraction(2), I_UNIT], ids=["2", "i"])
