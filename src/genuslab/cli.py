@@ -241,6 +241,8 @@ def cmd_rigidity(args) -> dict:
     samples = [parse_lambda(x) for x in args.samples.split(",") if x.strip()]
     if not samples:
         raise ValidationError("no sample values given", code="invalid")
+    for sample in samples:  # the report prints each sample: one that cannot print is refused before the work
+        format_fraction(sample)
     report = rigidity_check(action, samples, args.qorder)
     payload = {"command": "rigidity", **report.to_dict()}
     if report.spin and report.status == "FAIL":

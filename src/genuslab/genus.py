@@ -136,7 +136,7 @@ SIGNATURE_CUSP = "signature"
 AHAT_CUSP = "ahat"
 TANGENT = "tangent"                      # complexified real tangent bundle
 EXT2_PLUS_TANGENT = "ext2-plus-tangent"  # Lambda^2 TM + TM, complexified
-TANGENT_CHERN = "tangent-chern"          # virtual holomorphic tangent, ch = sum mult*e^form
+TANGENT_CHERN = "tangent-chern"          # T + C^delta, not T: ch = sum mult*e^form, no delta correction
 TRIVIAL = "trivial"
 
 _BUNDLES = {TANGENT, EXT2_PLUS_TANGENT, TANGENT_CHERN, TRIVIAL}
@@ -388,7 +388,11 @@ def pole_order(series: QSeries):
 
 
 def hypersurface_index_closed(n: int) -> Fraction:
-    """A-hat index of degree-n hypersurfaces twisted by the holomorphic tangent.
+    """A-hat index of degree-n hypersurfaces twisted by T + C, the holomorphic tangent plus a trivial line.
+
+    The twist is TANGENT_CHERN, whose character (n + 2) e^h - e^(n h) is that
+    of T + C on a hypersurface (delta 1), so the value is the index twisted
+    by T plus the A-hat genus.
 
     Three pipelines must agree: a residue computation in h, a coefficient
     extraction after the substitution w = e^h - 1, and the direct twisted

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -342,6 +344,83 @@ def test_other_errors_propagate_out_of_run_suite(monkeypatch, suite, target):
         suites.run_suite(suite, 2)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that os.fork makes in this process during the test."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("qorder", [2, 4, 6])
+def test_verify_all_with_a_forked_codes_suite_equals_the_sequential_run(monkeypatch, forks, qorder):
+    overlapped = suites.run_suite("all", qorder)
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    assert overlapped == suites.run_suite("all", qorder)
+
+
+def test_verify_all_leaves_no_child(forks):
+    suites.run_suite("all", 4)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_parent_suite_that_raises_leaves_no_child(monkeypatch, forks):
+    monkeypatch.setattr(suites, "generator_expansions", raise_(TypeError("a bug, not a disagreement")))
+    with pytest.raises(TypeError, match="a bug"):
+        suites.run_suite("all", 2)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_fail_made_in_the_codes_child_reaches_the_output(monkeypatch, forks):
+    audited = []  # filled only in the process that runs the audit
+
+    def failing_audit(matrix):
+        audited.append(matrix)
+        return SimpleNamespace(sublinearity_holds=False)
+
+    monkeypatch.setattr(suites, "code_audit", failing_audit)
+    checks = {c["name"]: c["status"] for c in suites.run_suite("all", 2)}
+    assert checks["code-sublinearity-1000-random"] == "FAIL"
+    assert audited == [] and len(forks) == 1  # the FAIL came from the child
+    assert main(["verify", "--suite", "all", "--qorder", "2"]) == 3
+    assert_no_child_left()
+
+
+def test_a_codes_child_that_fails_falls_back_to_the_parent(monkeypatch, forks):
+    monkeypatch.setitem(suites.SUITES, "codes", raise_(TypeError("a bug in codes")))
+    with pytest.raises(TypeError, match="a bug in codes"):
+        suites.run_suite("all", 2)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_codes_output_that_does_not_parse_falls_back_to_the_parent(monkeypatch, forks):
+    expected = suites.run_suite("codes", 2)
+    ran = []  # filled only in the process that runs the suite
+    codes = suites.SUITES["codes"]
+    monkeypatch.setitem(suites.SUITES, "codes", lambda q: ran.append(q) or codes(q))
+    monkeypatch.setattr(suites.json, "dumps", lambda obj: "not json")
+    checks = suites.run_suite("all", 2)
+    assert [c for c in checks if c["name"].startswith("code-")] == expected
+    assert ran == [2] and len(forks) == 1
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("suite", ["codes", "roundtrip"])
 def test_verify_suites_without_generators_run_at_qorder_1(suite):
     r = run_cli("verify", "--suite", suite, "--qorder", "1")
@@ -436,10 +515,18 @@ def test_fabricated_spin_action_exits_3(tmp_path):
     assert json.loads(r.stdout)["code"] == "internal-inconsistency"
 
 
-@pytest.mark.parametrize("sample", ["1e1000", "7" * 1001], ids=["1e1000", "1001-digit-integer"])
+@pytest.mark.parametrize(
+    "sample",
+    ["1e1000", "7" * 1001, "1e20000", "2,1e-20000"],
+    ids=["1e1000", "1001-digit-integer", "1e20000", "1e-20000"],
+)
 def test_a_value_too_long_to_print_is_a_resource_cap(sample):
-    # the run completes; its series has integers past Python's int-to-str digit limit
-    r = run_cli("rigidity", "--action", "builtin:CP2_linear(0,1,3)", "--lambda", sample, "--qorder", "2")
+    # a sample past Python's int-to-str digit limit is refused before the work, since the report
+    # prints it; below the limit the run completes, and its series has integers past the limit
+    t0 = time.perf_counter()
+    r = run_cli("rigidity", "--action", "builtin:CP2_linear(0,1,3)", "--lambda", sample, "--qorder", "2",
+                timeout=30)
+    assert time.perf_counter() - t0 < 5
     assert r.returncode == 4
     assert "Traceback" not in r.stderr
     assert json.loads(r.stdout)["code"] == "resource-cap"

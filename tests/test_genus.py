@@ -425,6 +425,13 @@ def test_hypersurface_degree_two_probe():
     assert hypersurface_index_closed(2) == 0  # 4 - C(4,3)
 
 
+def test_tangent_chern_is_tangent_plus_trivial_line():
+    # on K3 = V(2,4): chi(K3, T) = -20 plus A-hat(K3) = 2, the index twisted by the trivial line
+    k3 = builtin("V(2,4)")
+    assert genus_value(GenusSpec.ahat(), k3) == 2
+    assert twisted_index("ahat", k3, TANGENT_CHERN) == -18
+
+
 # -- pole orders -----------------------------------------------------------------------
 
 
