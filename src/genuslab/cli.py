@@ -187,7 +187,7 @@ def cmd_genus(args) -> dict:
         payload["value_text"] = poly_text(value)
     if args.spec == "signature" and model.dim_real % 4 == 0:
         # cross-check against the loop-series pipeline at q^0
-        q0 = cusp_series(model, SIGNATURE_CUSP, 1).series.q_coefficient(0)
+        q0 = cusp_series(model, SIGNATURE_CUSP, 1).series.coefficient(0)
         if q0 != value:
             raise InternalInconsistencyError(
                 f"signature pipelines disagree: genus {value}, loop q^0 {q0}"

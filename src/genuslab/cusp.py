@@ -43,14 +43,14 @@ def generator_expansions(cusp: str, qorder: int) -> CuspExpansion:
     delta = cusp_series(builtin("CP2"), cusp, qorder).series
     hp2 = cusp_series(builtin("HP2"), cusp, qorder)
     epsilon = hp2.series
-    if delta.q_coefficient(0) != (1 if cusp == SIGNATURE_CUSP else Fraction(-1, 8)):
-        raise InternalInconsistencyError(f"{cusp}-cusp delta has constant term {delta.q_coefficient(0)}")
-    if not normalized(hp2, cusp).same_to(epsilon.ring.one()):
+    if delta.coefficient(0) != (1 if cusp == SIGNATURE_CUSP else Fraction(-1, 8)):
+        raise InternalInconsistencyError(f"{cusp}-cusp delta has constant term {delta.coefficient(0)}")
+    if normalized(hp2, cusp) != epsilon.ring.one():
         raise InternalInconsistencyError(
             f"{cusp}-cusp epsilon is not exactly {'1' if cusp == SIGNATURE_CUSP else 'q'}"
         )
     cp4 = cusp_series(builtin("CP4"), cusp, qorder).series
-    if not epsilon.same_to(delta * delta * 3 - cp4 * 2):
+    if epsilon != delta * delta * 3 - cp4 * 2:
         raise InternalInconsistencyError(
             f"epsilon-consistency identity fails in the {cusp} cusp"
         )
@@ -78,7 +78,7 @@ def verify_modularity(model: ManifoldModel, cusp: str, qorder: int) -> bool:
         raise StructuralError("modularity verification needs dim divisible by 4")
     series = cusp_series(model, cusp, qorder).series
     substituted = substituted_series(model, cusp, qorder)
-    return series.same_to(substituted)
+    return series == substituted
 
 
 def normalized(ix: IndexSeries, cusp: str) -> QSeries:
@@ -95,4 +95,4 @@ def normalized_phi(model: ManifoldModel, cusp: str, qorder: int) -> QSeries:
 
 def self_intersection_compare(a: IndexSeries, b: IndexSeries, cusp: str) -> bool:
     """Weight-0 equality of two index series of possibly different dimensions."""
-    return normalized(a, cusp).same_to(normalized(b, cusp))
+    return normalized(a, cusp) == normalized(b, cusp)

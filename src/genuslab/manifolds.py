@@ -24,14 +24,12 @@ the generators.  Every model then passes `ManifoldModel.validate_dimensions`
 builtin catalog entries also `_self_check`: two independent classical
 identities (signature/Euler characteristic/A-hat vanishing).  A builtin that
 fails one is a bug, not bad input, so the failure is an
-`InternalInconsistencyError`.  `_self_check` sets the catalog-only `euler`,
-which equality ignores.
+`InternalInconsistencyError`.  `euler_characteristic` is the catalog's one
+Euler number: a model stores none.
 
 Models are hashable, so that `genus` and `euler_characteristic` can cache
 values per model.  A model hashes its name and dimension: equal models share
 both, and the tangent entries hold their forms as dicts, which do not hash.
-Two models that differ only in `euler` are equal and hash alike, as
-`product([builtin("CP2")] * 2)` and `builtin("product(CP2,CP2)")` do.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache
+from math import prod
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, StructuralError, ValidationError
@@ -70,19 +69,9 @@ class CohomologyModel(NamedTuple):
     def dim_real(self) -> int:
         return sum(g.degree * g.cap for g in self.generators)
 
-    def top_exponents(self) -> tuple[int, ...]:
-        return tuple(g.cap for g in self.generators)
-
-    def betti_count(self) -> int:
-        """Number of monomials in the truncated ring (all in even degree)."""
-        n = 1
-        for g in self.generators:
-            n *= g.cap + 1
-        return n
-
     def integrate(self, cls: TruncPoly, scalar=None):
         """Pair a cohomology class (times a base-ring scalar, if one is given) with the fundamental class."""
-        value = cls.coefficient(self.top_exponents()) * self.pairing
+        value = cls.coefficient(tuple(g.cap for g in self.generators)) * self.pairing
         return value if scalar is None else value * scalar
 
 
@@ -90,9 +79,6 @@ class TangentEntry(NamedTuple):
     form: dict          # {symbol: Fraction} linear form in the generators
     mult: int           # signed multiplicity; negative entries invert factors
     kind: str           # CHERN: degree-2 root; PONTRYAGIN: degree-4 squared root
-
-    def form_poly(self, ring: PolyRing) -> TruncPoly:
-        return ring.linear_form(self.form)
 
 
 class TangentData(NamedTuple):
@@ -115,14 +101,8 @@ class ManifoldModel(NamedTuple):
     tangent: TangentData
     spin: bool
     orientation_note: str
-    euler: Fraction | None = None
 
-    def __eq__(self, other):  # euler is derived from the rest and stays out of comparisons
-        return isinstance(other, ManifoldModel) and self[:-1] == other[:-1]
-
-    __ne__ = object.__ne__  # the negation of __eq__, where tuple's own != compares every field
-
-    def __hash__(self):  # consistent with __eq__; the tangent forms are dicts and do not hash
+    def __hash__(self):  # consistent with tuple equality; the tangent forms are dicts and do not hash
         return hash((self.name, self.dim_real))
 
     @property
@@ -167,13 +147,13 @@ def _root_values(model: ManifoldModel, f: TruncPoly):
     f_v = None
     for entry in model.tangent.entries:
         if entry.kind == CHERN:
-            yield f.compose(entry.form_poly(ring)), entry.mult
+            yield f.compose(ring.linear_form(entry.form)), entry.mult
         else:
             if f_v is None:
                 if any(e % 2 for (e,) in f.coeffs):
                     raise StructuralError(f"{model.name}: this class needs Chern-style tangent data")
                 f_v = even_part(f)
-            yield f_v.compose(entry.form_poly(ring)), entry.mult
+            yield f_v.compose(ring.linear_form(entry.form)), entry.mult
 
 
 def root_product(model: ManifoldModel, f: TruncPoly):
@@ -211,8 +191,7 @@ def euler_characteristic(model: ManifoldModel) -> Fraction:
     """Top Chern number; requires Chern-style tangent data.
 
     Cached per process, as `genus.genus_value` is: the catalog self-check of a
-    model computes it, and later callers with the built model (whose `euler`
-    equality ignores) reuse it.
+    model computes it, and later callers with an equal model reuse it.
     """
     return model.integrate(total_chern_class(model))
 
@@ -335,11 +314,10 @@ def _self_check(model: ManifoldModel, kind: str, factors=None) -> ManifoldModel:
 
     name = model.name
     chi = euler_characteristic(model) if model.tangent.style == CHERN else None
-    euler = chi if model.dim_real > 0 else None
     checks = []
     if kind == "cp":
         n = model.dim_real // 2
-        checks.append(("euler", euler, Fraction(n + 1)))
+        checks.append(("euler", chi, Fraction(n + 1)))
         if n % 2 == 0:
             checks.append(("signature", genus.genus_value(genus.GenusSpec.signature(), model), Fraction(1)))
         else:
@@ -349,7 +327,6 @@ def _self_check(model: ManifoldModel, kind: str, factors=None) -> ManifoldModel:
         sig = Fraction(1) if n % 2 == 0 else Fraction(0)
         checks.append(("signature", genus.genus_value(genus.GenusSpec.signature(), model), sig))
         checks.append(("ahat", genus.genus_value(genus.GenusSpec.ahat(), model), Fraction(0)))
-        euler = Fraction(model.cohomology.betti_count())
     elif kind == "v":
         n = model.dim_real // 2
         degree = model.cohomology.pairing
@@ -358,13 +335,10 @@ def _self_check(model: ManifoldModel, kind: str, factors=None) -> ManifoldModel:
         checks.append(("c1", c1, ring.gen("h") * (n + 2 - degree)))
         if degree == n and (n % 2 == 0 or n == 1):
             closed = Fraction((n - 1) ** (n + 2) - 1, n) + (n + 2)
-            checks.append(("euler-closed-form", euler, closed))
+            checks.append(("euler-closed-form", chi, closed))
     elif kind == "product":
-        euler = Fraction(1)
-        for factor in factors:
-            euler *= factor.euler
         if chi is not None:
-            checks.append(("euler-multiplicative", chi, euler))
+            checks.append(("euler-multiplicative", chi, prod(map(euler_characteristic, factors))))
         sig_product = Fraction(1)
         computable = all(f.dim_real % 4 == 0 for f in factors)
         if computable and model.dim_real % 4 == 0:
@@ -379,7 +353,7 @@ def _self_check(model: ManifoldModel, kind: str, factors=None) -> ManifoldModel:
             raise InternalInconsistencyError(
                 f"catalog self-check failed for {name}: {label} = {got}, expected {want}"
             )
-    return model._replace(euler=euler)
+    return model
 
 
 def builtin(name: str) -> ManifoldModel:
@@ -390,7 +364,7 @@ def builtin(name: str) -> ManifoldModel:
 @cache
 def _build(key: str) -> ManifoldModel:
     if key == "pt":
-        return point()._replace(euler=Fraction(1))
+        return point()
     if key.startswith("product(") and key.endswith(")"):
         factors = [builtin(p) for p in _split_args(key[len("product(") : -1]) if p]
         return _self_check(product(factors), "product", factors)

@@ -8,7 +8,8 @@ A ring object (`QQ` and `QI` here, `PolyRing` and `SeriesRing` in `series`)
 is a small descriptor: `zero`, `one`, the one constant constructor `const`,
 `is_zero` and, where an algorithm needs it, `invert`.  The elements are plain
 values combined with the usual operators; no abstract base class ties the
-four descriptors together.
+four descriptors together.  `QQ` and `QI` are the only instances of their
+classes, so they compare by identity.
 
 The four rings used throughout are Q, Q(i), the bigraded polynomial ring
 Q[delta, epsilon] (a `PolyRing`) and truncated Laurent q-series over Q or
@@ -204,12 +205,6 @@ class RationalField:
     def contains(self, x) -> bool:
         return isinstance(x, (int, Fraction))
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
 
 class GaussianField:
     """The field Q(i); its elements are GaussianRationals."""
@@ -235,12 +230,6 @@ class GaussianField:
 
     def contains(self, x) -> bool:
         return isinstance(x, (int, Fraction, GaussianRational))
-
-    def __eq__(self, other):
-        return isinstance(other, GaussianField)
-
-    def __hash__(self):
-        return hash("Q(i)")
 
 
 QQ = RationalField()

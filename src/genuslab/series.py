@@ -428,13 +428,6 @@ class QSeries:
             return self.ring.base.zero()
         return self._value(s_exp - self.lo)
 
-    def q_coefficient(self, q_exp):
-        """Coefficient of q^q_exp where q_exp may be a half-integer Fraction."""
-        s_exp = as_fraction(q_exp) * 2
-        if s_exp.denominator != 1:
-            raise StructuralError("q-exponent must be a half integer")
-        return self.coefficient(int(s_exp))
-
     def support(self):
         """Sorted s-exponents with nonzero stored coefficients."""
         return [self.lo + i for i, x in enumerate(_nonzero(self._re, self._im)) if x]
@@ -554,12 +547,6 @@ class QSeries:
         im = None if self._im is None else [x * y for x, y in zip(self._im, f)]
         return _series(self.ring, self.lo, self._den * v ** (self.lo + n), re, im, self.order)
 
-    def same_to(self, other) -> bool:
-        """Equality of coefficients below min(guarantees)."""
-        o = self._coerce(other)
-        hi, lo = min(self.order, o.order), min(self.lo, o.lo)
-        return self._window(lo, hi, o._den) == o._window(lo, hi, self._den)
-
     def _window(self, lo: int, hi: int, scale: int):
         """Numerators times `scale` for exponents lo..hi-1, zero-padded."""
         out = []
@@ -570,10 +557,12 @@ class QSeries:
         return out
 
     def __eq__(self, other):
+        """Equality of coefficients below the smaller guarantee."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.same_to(o)
+        hi, lo = min(self.order, o.order), min(self.lo, o.lo)
+        return self._window(lo, hi, o._den) == o._window(lo, hi, self._den)
 
     __hash__ = None
 

@@ -49,10 +49,15 @@ from .genus import (
     twisted_index,
 )
 from .localization import (
+    CircleActionData,
+    FixedComponent,
+    NormalSummand,
     builtin_action,
+    detect_parity,
     dump_action,
     equivariant_series,
     load_action,
+    odd_action_forces_zero,
     order4_local_identities,
     rigidity_check,
 )
@@ -114,12 +119,12 @@ def suite_normalization(qorder: int) -> list:
         )
     )
     n = normalized_phi(builtin("HP2"), SIGNATURE_CUSP, qorder)
-    out.append(_check("hp2-normalized-is-one", n.same_to(n.ring.one()), f"to q-order {qorder}"))
+    out.append(_check("hp2-normalized-is-one", n == n.ring.one(), f"to q-order {qorder}"))
     n2 = normalized_phi(builtin("product(HP2,HP2)"), SIGNATURE_CUSP, max(2, qorder - 1))
     out.append(
         _check(
             "hp2xhp2-normalized-is-one",
-            n2.same_to(n2.ring.one()),
+            n2 == n2.ring.one(),
             "normalized genus is multiplicative",
         )
     )
@@ -321,8 +326,6 @@ def suite_codes(qorder: int) -> list:
 
 
 def suite_selfintersection(qorder: int) -> list:
-    from .localization import CircleActionData, FixedComponent, NormalSummand, detect_parity, odd_action_forces_zero
-
     out = []
     q = min(qorder, 5)
     # involution on HP2 with fixed set HP1 u pt: the transversal self-intersection
@@ -377,7 +380,7 @@ def suite_roundtrip(qorder: int) -> list:
     redone = load_action(dump_action(action))
     s1 = equivariant_series(action, Fraction(2), 2)
     s2 = equivariant_series(redone, Fraction(2), 2)
-    out.append(_check("action-file-round-trip", s1.same_to(s2), "CP2_linear(0,0,1)"))
+    out.append(_check("action-file-round-trip", s1 == s2, "CP2_linear(0,0,1)"))
     return out
 
 

@@ -191,6 +191,27 @@ def test_obstruct_output_bytes_are_pinned(tmp_path, args, digest):
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--suite", "all", "--qorder", "4"),
+        ("rigidity", "--action", "builtin:HP2_diagonal(1,2,4)", "--lambda", "i,-i,2", "--qorder", "4"),
+        ("expand", "--manifold", "builtin:product(CP2,HP2)", "--cusp", "signature", "--qorder", "6"),
+        ("genus", "--manifold", "builtin:product(CP2,CP2)"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_output_bytes_do_not_depend_on_the_hash_seed(args):
+    # str hashes change with PYTHONHASHSEED and the scalar fields hash by identity,
+    # so no set or dict order may reach the output
+    runs = [
+        subprocess.run(CLI + list(args), capture_output=True, env=dict(os.environ, PYTHONHASHSEED=seed), timeout=60)
+        for seed in ("0", "1", "12345")
+    ]
+    assert runs[0].stdout
+    assert {(r.returncode, r.stdout) for r in runs} == {(0, runs[0].stdout)}
+
+
 NORMAL_FORM_SAMPLE = "[[1,0,1,1],[0,1,1,1]]"
 
 

@@ -279,7 +279,7 @@ def test_loop_series_q0_is_signature():
     for name in ("CP2", "CP4", "HP2", "HP3", "V(4,4)", "product(CP2,CP2)"):
         m = builtin(name)
         s = cusp_series(m, SIGNATURE_CUSP, 3)
-        assert s.series.q_coefficient(0) == genus_value(GenusSpec.signature(), m)
+        assert s.series.coefficient(0) == genus_value(GenusSpec.signature(), m)
 
 
 def test_phi0_lowest_coefficient_is_ahat():
@@ -344,7 +344,7 @@ def test_ext2_plus_tangent_matches_the_lambda_t_route(name):
 def test_loop_series_multiplicative_on_product():
     a = cusp_series(builtin("CP2"), SIGNATURE_CUSP, 4).series
     prod = cusp_series(builtin("product(CP2,CP2)"), SIGNATURE_CUSP, 4).series
-    assert prod.same_to(a * a)
+    assert prod == a * a
 
 
 def cp1_reduced():
@@ -372,7 +372,7 @@ def test_delta_correction_equivalence_on_cp1():
     for cusp in (SIGNATURE_CUSP, AHAT_CUSP):
         a = cusp_series(reduced, cusp, 4).series
         b = cusp_series(virtual, cusp, 4).series
-        assert a.same_to(b)
+        assert a == b
     assert twisted_index("ahat", reduced, TANGENT) == twisted_index("ahat", virtual, TANGENT)
 
 
@@ -380,7 +380,7 @@ def test_quadric_model_agrees_with_cp1_x_cp1():
     # V(2,2) and CP1 x CP1 are the same manifold through different models
     a = cusp_series(builtin("V(2,2)"), SIGNATURE_CUSP, 4).series
     b = cusp_series(builtin("product(CP1,CP1)"), SIGNATURE_CUSP, 4).series
-    assert a.same_to(b)
+    assert a == b
 
 
 def test_word_exponent_parity():

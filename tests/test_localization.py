@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from genuslab.errors import ValidationError
+from genuslab.errors import StructuralError, ValidationError
 from genuslab.genus import SIGNATURE_CUSP, cusp_series
 from genuslab.localization import (
     CircleActionData,
@@ -60,7 +60,8 @@ def test_admissibility_of_samples():
 def test_euler_fixed_point_counts():
     assert euler_fixed_check(builtin_action("CP2_linear(0,0,1)")) is True  # chi(CP^1) + chi(pt) = 3
     assert euler_fixed_check(builtin_action("CP4_linear(0,1,2,3,4)")) is True  # five points
-    assert euler_fixed_check(builtin_action("HP2_diagonal(1,2,4)")) is True  # three points vs Betti count 3
+    with pytest.raises(StructuralError, match="Chern-style"):  # HP2 has Pontryagin-style tangent data
+        euler_fixed_check(builtin_action("HP2_diagonal(1,2,4)"))
 
 
 def test_point_component_counts_its_pairing():
@@ -107,14 +108,14 @@ def test_hp2_sum_equals_loop_series():
     loop = cusp_series(builtin("HP2"), SIGNATURE_CUSP, 5).series
     for lam in (Fraction(2), Fraction(3), Fraction(5)):
         s = equivariant_series(a, lam, 5)
-        assert s.same_to(loop)
+        assert s == loop
 
 
 def test_trivial_action_is_loop_series():
     for name in ("CP2", "HP2"):
         m = builtin(name)
         s = local_term(FixedComponent(m, ()), Fraction(7), 4)
-        assert s.same_to(cusp_series(m, SIGNATURE_CUSP, 4).series)
+        assert s == cusp_series(m, SIGNATURE_CUSP, 4).series
 
 
 def test_rigidity_hp2_pass():
@@ -202,13 +203,13 @@ def test_isolated_point_term_at_i_is_plus_minus_one():
     )
     term = local_term(comp, I_UNIT, 5)
     assert term.support() == [0]
-    value = term.q_coefficient(0)
+    value = term.coefficient(0)
     assert value in (QI.one(), -QI.one())
     # with all weights +1 the value is ((1-i)/(1+i))^{2k} = (-1)^k
     comp2 = FixedComponent(builtin("pt"), tuple(NormalSummand({}, 1) for _ in range(4)))
     term2 = local_term(comp2, I_UNIT, 5)
     assert term2.support() == [0]
-    assert term2.q_coefficient(0) == QI.one()  # k = 2
+    assert term2.coefficient(0) == QI.one()  # k = 2
 
 
 def test_gaussian_sample_on_hp2_matches_rational_samples():
@@ -234,7 +235,7 @@ def test_action_file_round_trip(tmp_path):
     assert len(b.components) == len(a.components)
     s1 = equivariant_series(a, Fraction(2), 3)
     s2 = equivariant_series(b, Fraction(2), 3)
-    assert s1.same_to(s2)
+    assert s1 == s2
 
 
 def test_action_file_validation():
@@ -284,7 +285,7 @@ def test_rigidity_degree_bound_in_t_is_sharp():
     lams = [Fraction(n) for n in range(2, 3 * w_max + 5)] + [Fraction(5, 2), Fraction(7, 3)]
     series = {lam: equivariant_series(action, lam, qorder) for lam in lams}
     for n in range(qorder + 1):
-        points = [(lam + 1 / lam, series[lam].q_coefficient(n)) for lam in lams]
+        points = [(lam + 1 / lam, series[lam].coefficient(2 * n)) for lam in lams]
         d = n * w_max
         assert all(interpolate(points[: d + 1], t) == y for t, y in points[d + 1 :]), n
         if n:

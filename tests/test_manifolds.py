@@ -35,7 +35,7 @@ def test_hypersurface_total_chern_and_pairing():
 
 def test_euler_characteristics():
     assert euler_characteristic(builtin("CP2")) == 3
-    assert builtin("CP4").euler == 5
+    assert euler_characteristic(builtin("CP4")) == 5
     assert euler_characteristic(builtin("V(4,4)")) == 188  # (3^6-1)/4 + 6
     assert euler_characteristic(builtin("product(CP1,CP1)")) == 4  # multiplicative
 
@@ -185,12 +185,6 @@ def test_loader_pontryagin_hp3_euler_unsupported():
     assert m.tangent.style == "pontryagin"
     with pytest.raises(StructuralError):
         euler_characteristic(m)
-
-
-def test_betti_counts():
-    assert builtin("CP4").cohomology.betti_count() == 5
-    assert builtin("HP2").cohomology.betti_count() == 3
-    assert builtin("product(CP2,CP2)").cohomology.betti_count() == 9
 
 
 def test_the_euler_suite_reuses_the_catalog_values(empty_caches):

@@ -1,6 +1,6 @@
-"""Record contracts: every record is immutable, model equality skips the
-derived Euler characteristic, a zero rotation weight is rejected, and the
-reports serialize to fixed dicts."""
+"""Record contracts: every record is immutable, a model equals its file and
+product forms, a zero rotation weight is rejected, and the reports serialize
+to fixed dicts."""
 
 import importlib.util
 import sys
@@ -19,7 +19,7 @@ from genuslab.localization import (
     builtin_action,
     rigidity_check,
 )
-from genuslab.manifolds import builtin, dump_model, load_model, point, product
+from genuslab.manifolds import builtin, dump_model, euler_characteristic, load_model, point, product
 from genuslab.obstructions import code_audit, cross_check_prediction, lattice_normal_form
 from genuslab.rings import GaussianRational
 from genuslab.suites import CATALOG_FOR_EXPANSIONS, MODULARITY_SET, suite_roundtrip
@@ -59,10 +59,10 @@ def test_assigning_to_a_record_field_raises(record):
             setattr(record, name, None)
 
 
-def test_model_equality_ignores_euler():
+def test_a_loaded_model_equals_its_catalog_entry():
     cp2 = builtin("CP2")
     loaded = load_model(dump_model(cp2))
-    assert cp2.euler == 3 and loaded.euler is None
+    assert euler_characteristic(cp2) == euler_characteristic(loaded) == 3
     assert loaded == cp2 and cp2 == loaded and not loaded != cp2
     assert hash(point()) == hash(builtin("pt")) and point() == builtin("pt")
     assert loaded != cp2._replace(spin=True)
@@ -132,5 +132,5 @@ def test_models_of_the_pools_hash(monkeypatch):
 
 def test_a_product_and_its_catalog_entry_are_equal_and_hash_alike():
     built, catalog = product([builtin("CP2")] * 2), builtin("product(CP2,CP2)")
-    assert built.euler is None and catalog.euler == 9
+    assert euler_characteristic(built) == euler_characteristic(catalog) == 9
     assert built == catalog and hash(built) == hash(catalog)

@@ -115,7 +115,7 @@ class Dense:
     def shift(self, k):
         return Dense(self.ring, {e + k: c for e, c in self.terms.items()}, self.order + k)
 
-    def same_to(self, other, upto):
+    def equal_below(self, other, upto):
         return all(self.at(e) == other.at(e) for e in range(min(self.lo, other.lo), upto))
 
 
@@ -212,8 +212,7 @@ def test_shift_and_comparison(case, k):
     (a, da), (b, db) = case[0]
     assert agrees(a.shift(k), da.shift(k))
     hi = min(a.order, b.order)
-    assert a.same_to(b) == da.same_to(db, hi)
-    assert (a == b) == da.same_to(db, hi)
+    assert (a == b) == da.equal_below(db, hi)
 
 
 @PROPERTY

@@ -1,6 +1,8 @@
 """Source hygiene: every name imported in src/ and tests/ is used in its module,
 and every function, class or method of the package is named in the package
-outside its own definition, so that no entry point serves only the tests."""
+outside its own definition, so that no entry point serves only the tests.  No
+NamedTuple of the package writes its own equality, and the scalar fields `QQ`
+and `QI` are the only instances of their classes."""
 
 import ast
 from pathlib import Path
@@ -105,3 +107,64 @@ def test_every_private_definition_is_named_in_the_package():
 
 def test_every_public_definition_is_named_in_the_package():
     assert [name for name in package_unnamed() if not name.startswith("_")] == []
+
+
+def named_tuple_equality(source: str) -> list:
+    """(class, name) for each __eq__ or __ne__ that a NamedTuple class defines or assigns."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple" for base in node.bases
+        ):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                else:
+                    names = [t.id for t in getattr(item, "targets", []) if isinstance(t, ast.Name)]
+                found += [(node.name, name) for name in names if name in ("__eq__", "__ne__")]
+    return found
+
+
+def field_constructions(source: str) -> list:
+    """Each call of RationalField or GaussianField: the module-level name it is assigned to, else its line."""
+    tree = ast.parse(source)
+    bound = {
+        id(stmt.value): stmt.targets[0].id
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name)
+    }
+    return [
+        bound.get(id(node), node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("RationalField", "GaussianField")
+    ]
+
+
+def test_scan_flags_named_tuple_equality():
+    source = (
+        "import typing\n\n\nclass A(typing.NamedTuple):\n    x: int\n\n    def __eq__(self, o):\n"
+        "        return True\n\n    __ne__ = object.__ne__\n\n    def __hash__(self):\n        return 0\n\n\n"
+        "class B:\n    def __eq__(self, o):\n        return True\n"
+    )
+    assert named_tuple_equality(source) == [("A", "__eq__"), ("A", "__ne__")]
+
+
+def test_scan_finds_field_constructions():
+    source = "import rings\n\nQQ = RationalField()\n\n\ndef f():\n    return rings.GaussianField()\n"
+    assert field_constructions(source) == ["QQ", 7]
+
+
+def test_no_named_tuple_writes_its_own_equality():
+    # a NamedTuple compares as its tuple of fields; a second equality hides a field from it
+    assert [hit for path in PACKAGE for hit in named_tuple_equality(path.read_text(encoding="utf-8"))] == []
+
+
+def test_the_scalar_fields_have_one_instance_each():
+    # QQ and QI compare by identity, which holds only while no other instance exists
+    found = sorted(
+        (str(path.relative_to(ROOT)), str(hit))
+        for path in SOURCES
+        for hit in field_constructions(path.read_text(encoding="utf-8"))
+    )
+    assert found == [("src/genuslab/rings.py", "QI"), ("src/genuslab/rings.py", "QQ")]
