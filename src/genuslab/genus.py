@@ -91,7 +91,7 @@ from math import comb, factorial, gcd, isqrt
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, ResourceCapError, StructuralError
-from .manifolds import ManifoldModel, root_product, root_sum
+from .manifolds import ManifoldModel, builtin, root_product, root_sum
 from .rings import QQ, as_fraction
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _numerators, _series
 
@@ -170,14 +170,11 @@ def char_series(spec: GenusSpec, order: int) -> TruncPoly:
     return TruncPoly(PolyRing(("u",), (order,), spec.base_ring), {(n - 1,): c for n, c in a.items()}).inverse()
 
 
-def _divide_by_var(p: TruncPoly, new_cap: int) -> TruncPoly:
-    """p/x for univariate p with zero constant term."""
-    var = p.ring.variables[0]
-    base = p.ring.base
-    if not base.is_zero(p.constant_term()):
+def _divide_by_var(p: TruncPoly) -> TruncPoly:
+    """p/x for univariate p with zero constant term, in p's ring."""
+    if not p.ring.base.is_zero(p.constant_term()):
         raise StructuralError("cannot divide by the variable: nonzero constant term")
-    ring = PolyRing((var,), (new_cap,), base)
-    return TruncPoly(ring, {(e - 1,): c for (e,), c in p.coeffs.items() if e >= 1})
+    return TruncPoly(p.ring, {(e - 1,): c for (e,), c in p.coeffs.items() if e >= 1})
 
 
 # -- genus values --------------------------------------------------------------
@@ -192,8 +189,6 @@ def genus_value(spec: GenusSpec, model: ManifoldModel):
     """
     if model.dim_real % 4:
         return spec.base_ring.zero()
-    if model.dim_real == 0:
-        return spec.base_ring.one()
     weight_cap = min(GENERIC_RING.caps[0], 2 * GENERIC_RING.caps[1])  # delta^k, epsilon^(k/2)
     if isinstance(spec.delta, TruncPoly) and model.dim_real // 4 > weight_cap:
         raise ResourceCapError(
@@ -225,8 +220,6 @@ def legendre_coefficient(spec: GenusSpec, k: int):
 
 def cp_generating_check(spec: GenusSpec, kmax: int) -> bool:
     """Genus of CP^{2k} against the t^{2k} coefficient of the defining series."""
-    from .manifolds import builtin
-
     for k in range(0, kmax + 1):
         model = builtin("pt") if k == 0 else builtin(f"CP{2 * k}")
         if genus_value(spec, model) != legendre_coefficient(spec, k):
@@ -398,24 +391,21 @@ def hypersurface_index_closed(n: int) -> Fraction:
     extraction after the substitution w = e^h - 1, and the direct twisted
     index on the catalog model; returns the common value.
     """
-    from .manifolds import builtin
-
     if n < 2 or n % 2:
         raise StructuralError("closed form applies to even n >= 2")
-    l = n
-    # (a) residue of l*B/h^{n+1}: the h^n coefficient of B, times l
+    # (a) residue of n*B/h^{n+1}: the h^n coefficient of B, times n
     H = PolyRing(("h",), (n + 2,), QQ)
     half_diff = _exp_x(H, Fraction(1, 2)) - _exp_x(H, Fraction(-1, 2))
-    ahat_factor = _divide_by_var(half_diff, n + 2).inverse() ** (n + 2)
-    l_diff = _exp_x(H, Fraction(l, 2)) - _exp_x(H, Fraction(-l, 2))
-    mid = _divide_by_var(l_diff, n + 2) * Fraction(1, l)
-    tail = _exp_x(H, 1) * (n + 2) - _exp_x(H, l)
+    ahat_factor = _divide_by_var(half_diff).inverse() ** (n + 2)
+    n_diff = _exp_x(H, Fraction(n, 2)) - _exp_x(H, Fraction(-n, 2))
+    mid = _divide_by_var(n_diff) * Fraction(1, n)
+    tail = _exp_x(H, 1) * (n + 2) - _exp_x(H, n)
     B = ahat_factor * mid * tail
-    residue = B.coefficient((n,)) * l
-    # (b) coefficient of w^{n+1} in (1+w)^{(n-l)/2}((1+w)^l - 1)((n+2)(1+w) - (1+w)^l)
+    residue = B.coefficient((n,)) * n
+    # (b) coefficient of w^{n+1} in ((1+w)^n - 1)((n+2)(1+w) - (1+w)^n)
     W = PolyRing(("w",), (n + 1,), QQ)
     w1 = W.one() + W.gen("w")
-    poly = (w1 ** ((n - l) // 2)) * (w1 ** l - 1) * (w1 * (n + 2) - w1 ** l)
+    poly = (w1 ** n - 1) * (w1 * (n + 2) - w1 ** n)
     wcoeff = poly.coefficient((n + 1,))
     # (c) direct twisted index on the catalog hypersurface
     direct = twisted_index("ahat", builtin(f"V({n},{n})"), TANGENT_CHERN)

@@ -19,10 +19,12 @@ The records check nothing themselves.  A model reads its real dimension from
 its generators' degrees and caps.  `load_model` validates a model file:
 generator degrees and caps, distinct symbols, nonzero multiplicities, each
 form's degree against its entry's kind, and the declared `dim_real` against
-the generators.  Every model then passes `ManifoldModel.validate_dimensions`
-(tangent rank, nonzero pairing), and
-builtin catalog entries also `_self_check`: two independent classical
-identities (signature/Euler characteristic/A-hat vanishing).  A builtin that
+the generators; it ignores the keys it does not read, such as the orientation
+note that older model files carry.  Every model then passes
+`ManifoldModel.validate_dimensions` (tangent rank, nonzero pairing, real
+dimension <= MAX_DIM_REAL, a ResourceCapError above it), and builtin catalog
+entries also `_self_check`: two independent classical identities
+(signature/Euler characteristic/A-hat vanishing).  A builtin that
 fails one is a bug, not bad input, so the failure is an
 `InternalInconsistencyError`.  `euler_characteristic` is the catalog's one
 Euler number: a model stores none.
@@ -40,12 +42,13 @@ from functools import cache
 from math import prod
 from typing import NamedTuple
 
-from .errors import InternalInconsistencyError, StructuralError, ValidationError
+from .errors import InternalInconsistencyError, ResourceCapError, StructuralError, ValidationError
 from .rings import QQ, as_fraction, format_fraction, parse_fraction
 from .series import PolyRing, TruncPoly
 
 CHERN = "chern"
 PONTRYAGIN = "pontryagin"
+MAX_DIM_REAL = 400  # the real dimension of every model; the genus work grows steeply with it
 
 
 class Generator(NamedTuple):
@@ -100,7 +103,6 @@ class ManifoldModel(NamedTuple):
     cohomology: CohomologyModel
     tangent: TangentData
     spin: bool
-    orientation_note: str
 
     def __hash__(self):  # consistent with tuple equality; the tangent forms are dicts and do not hash
         return hash((self.name, self.dim_real))
@@ -127,6 +129,8 @@ class ManifoldModel(NamedTuple):
             raise ValidationError(
                 f"{self.name}: fundamental-class pairing is zero", code="zero-pairing"
             )
+        if self.dim_real > MAX_DIM_REAL:
+            raise ResourceCapError(f"{self.name}: real dimension {self.dim_real} > {MAX_DIM_REAL}")
         return self
 
 
@@ -205,18 +209,21 @@ def first_chern_class(model: ManifoldModel) -> TruncPoly:
 
 
 def point() -> ManifoldModel:
+    """The positively oriented point."""
     model = ManifoldModel(
         name="pt",
         cohomology=CohomologyModel((), Fraction(1)),
         tangent=TangentData((), 0),
         spin=True,
-        orientation_note="positively oriented point",
     )
     return model.validate_dimensions()
 
 
 def complex_projective_space(n: int) -> ManifoldModel:
-    """CP^n: generator h of degree 2, pairing 1, virtual roots (n+1)h, delta 1."""
+    """CP^n: generator h of degree 2, pairing 1, virtual roots (n+1)h, delta 1.
+
+    Complex orientation, so sign(CP^{2m}) = +1.
+    """
     if n < 1:
         raise ValidationError("CP^n needs n >= 1", code="invalid")
     coh = CohomologyModel((Generator("h", 2, n),), Fraction(1))
@@ -226,13 +233,12 @@ def complex_projective_space(n: int) -> ManifoldModel:
         cohomology=coh,
         tangent=tangent,
         spin=(n % 2 == 1),
-        orientation_note="complex orientation; sign(CP^{2m}) = +1",
     )
     return model.validate_dimensions()
 
 
 def quaternionic_projective_space(n: int) -> ManifoldModel:
-    """HP^n: generator u of degree 4, Pontryagin class (1+u)^{2n+2}(1+4u)^{-1}."""
+    """HP^n: generator u of degree 4, Pontryagin class (1+u)^{2n+2}(1+4u)^{-1}; sign(HP^n) = +1 for even n."""
     if n < 1:
         raise ValidationError("HP^n needs n >= 1", code="invalid")
     coh = CohomologyModel((Generator("u", 4, n),), Fraction(1))
@@ -248,13 +254,12 @@ def quaternionic_projective_space(n: int) -> ManifoldModel:
         cohomology=coh,
         tangent=tangent,
         spin=True,
-        orientation_note="orientation with sign(HP^n) = +1 for even n",
     )
     return model.validate_dimensions()
 
 
 def hypersurface(n: int, degree: int) -> ManifoldModel:
-    """Degree-l hypersurface in CP^{n+1}: c = (1+h)^{n+2} (1+l h)^{-1}, <h^n> = l."""
+    """Degree-l hypersurface in CP^{n+1}: c = (1+h)^{n+2} (1+l h)^{-1}; complex orientation, <h^n,[V]> = l."""
     if n < 1 or degree < 1:
         raise ValidationError("V(n,l) needs n >= 1 and l >= 1", code="invalid")
     coh = CohomologyModel((Generator("h", 2, n),), Fraction(degree))
@@ -270,13 +275,12 @@ def hypersurface(n: int, degree: int) -> ManifoldModel:
         cohomology=coh,
         tangent=tangent,
         spin=((n + 2 - degree) % 2 == 0),
-        orientation_note="complex orientation; <h^n,[V]> = degree",
     )
     return model.validate_dimensions()
 
 
 def product(factors) -> ManifoldModel:
-    """Product model: disjoint generators, pairing and tangent data combined."""
+    """Product model: disjoint generators, pairing and tangent data combined; product orientation."""
     factors = list(factors)
     if not 1 <= len(factors) <= 3:
         raise ValidationError("products support 1 to 3 factors", code="invalid")
@@ -303,7 +307,6 @@ def product(factors) -> ManifoldModel:
         cohomology=CohomologyModel(tuple(gens), pairing),
         tangent=TangentData(tuple(entries), delta),
         spin=all(m.spin for m in factors),
-        orientation_note="product orientation",
     )
     return model.validate_dimensions()
 
@@ -471,7 +474,6 @@ def load_model(source) -> ManifoldModel:
         cohomology=cohomology,
         tangent=TangentData(tuple(entries), t["delta"]),
         spin=doc["spin"],
-        orientation_note=str(doc.get("orientation_note", "")),
     )
     return model.validate_dimensions()
 
@@ -501,7 +503,6 @@ def dump_model(model: ManifoldModel) -> dict:
                 for e in model.tangent.entries
             ],
         },
-        "orientation_note": model.orientation_note,
     }
 
 

@@ -7,12 +7,14 @@ Three independent layers:
     - involution, codim c:            c > 4r       holds iff r <= ceil(c/4)-1
     - cyclic order o via m_o:         m_o > r      holds iff r <= ceil(m_o)-1
     - cyclic order o via codim c:     c > 2*o*r    holds iff r <= ceil(c/(2o))-1
-  so the number of leading coefficients forced to vanish is the ceiling.
+  so the number of leading coefficients forced to vanish is one ceiling rule,
+  max(0, ceil(m)), at m = c/4, m_o or c/(2o): `vanish_count_from_m`.
 
 * integer weight-matrix normal form: restricted row operations
   b_i <- alpha*b_i + beta*b_j (i < j, alpha coprime to p, beta = 0 mod p)
   after a unimodular preconditioning with column permutation, producing an
-  exactly diagonal left block with unit diagonal mod p.
+  exactly diagonal left block with unit diagonal mod p.  The transform T
+  rides as the right block of the rows (A | I): one row operation moves both.
 
 * binary-code audit: exhaustive enumeration of all 2^(2r) words of the mod-2
   row code, with the weight/co-weight dichotomy, closure of the small-weight
@@ -28,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, compress, repeat
-from math import gcd
+from math import ceil, gcd
 from operator import and_, le, xor
 from typing import NamedTuple
 
@@ -38,11 +40,6 @@ from .manifolds import _is_int
 
 CODE_ENUM_CAP = 12  # hard cap on 2r for exhaustive word enumeration; the audit time grows ~4x per row
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # the bytes 0 and 1 as the digits of a binary string
-
-
-def _ceil(x: Fraction) -> int:
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
 
 
 # -- reduced weights and m_o -----------------------------------------------------
@@ -76,25 +73,19 @@ def codim_fixed(weights, order: int) -> int:
 # -- vanishing predictions ---------------------------------------------------------
 
 
-def vanish_count_involution(codim: int) -> int:
-    if codim <= 0:
-        return 0
-    return _ceil(Fraction(codim, 4))
-
-
 def vanish_count_from_m(m) -> int:
-    m = Fraction(m)
-    if m <= 0:
-        return 0
-    return _ceil(m)
+    """The number of r >= 0 with m > r; `ceil` of a Fraction is exact."""
+    return max(0, ceil(Fraction(m)))
+
+
+def vanish_count_involution(codim: int) -> int:
+    return vanish_count_from_m(Fraction(codim, 4))
 
 
 def vanish_count_cyclic_codim(codim: int, order: int) -> int:
     if order < 2:
         raise StructuralError("order must be >= 2")
-    if codim <= 0:
-        return 0
-    return _ceil(Fraction(codim, 2 * order))
+    return vanish_count_from_m(Fraction(codim, 2 * order))
 
 
 class PredictionReport(NamedTuple):
@@ -244,17 +235,11 @@ def lattice_normal_form(matrix, p: int) -> NormalFormResult:
     nrows, ncols = len(A), len(A[0])
     if nrows > ncols:
         raise ValidationError("more rows than columns", code="invalid")
-    T = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    A = [row + [int(i == j) for j in range(nrows)] for i, row in enumerate(A)]  # A | I: T rides on the right
     pivots: list[int] = []
 
     def row_add(dst, src, factor):
         A[dst] = [a + factor * b for a, b in zip(A[dst], A[src])]
-        T[dst] = [a + factor * b for a, b in zip(T[dst], T[src])]
-
-    def row_swap(i, j):
-        if i != j:
-            A[i], A[j] = A[j], A[i]
-            T[i], T[j] = T[j], T[i]
 
     # phase 1: unimodular preconditioning
     for i in range(nrows):
@@ -268,17 +253,16 @@ def lattice_normal_form(matrix, p: int) -> NormalFormResult:
         if pivot_col is None:  # rows i.. vanish mod p, rows 0..i-1 are independent mod p
             raise ValidationError(f"rows are not independent mod {p}: effectiveness violated", code="rank")
         t = next(t for t in range(i, nrows) if A[t][pivot_col] % p)
-        row_swap(i, t)
+        A[i], A[t] = A[t], A[i]
         pivots.append(pivot_col)
         # exact clearing below the pivot (Euclid on rows; all unimodular)
         for t in range(i + 1, nrows):
             while A[t][pivot_col] != 0:
                 q = A[i][pivot_col] // A[t][pivot_col]
                 row_add(i, t, -q)
-                row_swap(i, t)
+                A[i], A[t] = A[t], A[i]
             if A[i][pivot_col] < 0:
                 A[i] = [-x for x in A[i]]
-                T[i] = [-x for x in T[i]]
         # clearing above mod p
         for u in range(i):
             rem = A[u][pivot_col] % p
@@ -297,14 +281,13 @@ def lattice_normal_form(matrix, p: int) -> NormalFormResult:
             if beta % p:
                 raise StructuralError("phase-1 postcondition violated (beta not 0 mod p)")
             A[i] = [alpha * a + beta * b for a, b in zip(A[i], A[j])]
-            T[i] = [alpha * a + beta * b for a, b in zip(T[i], T[j])]
             degree *= abs(alpha)
     order = pivots + [c for c in range(ncols) if c not in pivots]
     permuted = [[row[c] for c in order] for row in A]
     result = NormalFormResult(
         matrix=permuted,
         column_order=order,
-        transform=T,
+        transform=[row[ncols:] for row in A],
         covering_degree=degree,
     )
     # postconditions: exact diagonal left block, units mod p

@@ -52,6 +52,16 @@ def test_generic_genus_above_the_ring_caps_exits_4():
     assert json.loads(r.stdout)["value"]["delta^12"] == "676039/1024"
 
 
+def test_a_catalog_dimension_above_the_cap_exits_4_before_any_work():
+    start = time.perf_counter()
+    r = run_cli("genus", "--manifold", "builtin:CP800", "--spec", "ahat")
+    assert r.returncode == 4 and time.perf_counter() - start < 5
+    assert json.loads(r.stdout)["code"] == "resource-cap"
+    assert "Traceback" not in r.stderr
+    assert run_cli("genus", "--manifold", "builtin:product(HP60,HP60)", "--spec", "signature").returncode == 4
+    assert run_cli("genus", "--manifold", "builtin:CP200", "--spec", "ahat").returncode == 0
+
+
 def test_genus_cp3_ahat_is_zero():
     r = run_cli("genus", "--manifold", "builtin:CP3", "--spec", "ahat")
     assert r.returncode == 0
@@ -810,6 +820,16 @@ def test_malformed_tangent_data_exits_2(tmp_path, model, mutate):
     r = run_cli("genus", "--manifold", f"file:{write_json(tmp_path, doc)}", "--spec", "signature")
     assert_validation_exit(r)
     assert json.loads(r.stdout)["code"] == "schema"
+
+
+def test_a_model_file_above_the_dimension_cap_exits_4(tmp_path):
+    doc = cp1_model()  # CP1000: one degree-2 generator of cap 1000, real dimension 2000
+    doc.update(name="CP1000", dim_real=2000, spin=False)
+    doc["generators"][0]["cap"] = 1000
+    doc["tangent"]["entries"][0]["mult"] = 1001
+    r = run_cli("genus", "--manifold", f"file:{write_json(tmp_path, doc)}", "--spec", "signature")
+    assert r.returncode == 4
+    assert json.loads(r.stdout)["code"] == "resource-cap"
 
 
 # -- argv grammar ---------------------------------------------------------------------

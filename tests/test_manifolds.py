@@ -7,9 +7,11 @@ from math import comb
 import pytest
 
 from genuslab import suites
-from genuslab.errors import StructuralError, ValidationError
+from genuslab.errors import ResourceCapError, StructuralError, ValidationError
 from genuslab.manifolds import (
+    MAX_DIM_REAL,
     builtin,
+    complex_projective_space,
     dump_model,
     euler_characteristic,
     first_chern_class,
@@ -118,6 +120,18 @@ def test_loader_round_trip(tmp_path):
     assert loaded.dim_real == 4 and loaded.spin is False
     # round-trip again through dump
     assert dump_model(loaded) == doc
+
+
+def test_loader_ignores_an_orientation_note():
+    # model files written before models dropped the note still load, to the same model
+    doc = dump_model(builtin("CP2")) | {"orientation_note": "complex orientation; sign(CP^{2m}) = +1"}
+    assert load_model(doc) == builtin("CP2")
+
+
+def test_a_real_dimension_above_the_cap_is_a_resource_cap():
+    assert complex_projective_space(MAX_DIM_REAL // 2).dim_real == MAX_DIM_REAL
+    with pytest.raises(ResourceCapError):
+        complex_projective_space(MAX_DIM_REAL // 2 + 1)
 
 
 @pytest.mark.parametrize(

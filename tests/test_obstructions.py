@@ -80,13 +80,13 @@ def test_vanish_counts():
 
 def test_vanish_counts_against_inequality_oracle():
     # count = number of r >= 0 satisfying the strict inequality, i.e. max r+1
-    for c in range(0, 30):
+    for c in range(-8, 30):
         expected = len([r for r in range(40) if c > 4 * r])
         assert vanish_count_involution(c) == expected
         for o in range(2, 7):
             expected_o = len([r for r in range(40) if c > 2 * o * r])
             assert vanish_count_cyclic_codim(c, o) == expected_o
-    for num in range(0, 25):
+    for num in range(-8, 25):
         for den in (1, 2, 3, 4):
             m = Fraction(num, den)
             expected = len([r for r in range(40) if m > r])
@@ -207,7 +207,8 @@ def test_normal_form_rejects_rank_deficiency():
         lattice_normal_form([[1, 1, 0, 0], [1, 1, 2, 2]], 2)  # rows equal mod 2
 
 
-def test_normal_form_random_matrices_audit():
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_normal_form_random_matrices_audit(p):
     rng = random.Random(77)
     checked = 0
     for _ in range(200):
@@ -215,20 +216,20 @@ def test_normal_form_random_matrices_audit():
         nrows, ncols = rows
         A = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
         try:
-            res = lattice_normal_form(A, 2)
+            res = lattice_normal_form(A, p)
         except ValidationError:
             continue  # rank-deficient sample
         checked += 1
-        # shape: exact diagonal left block with odd diagonal
+        # shape: exact diagonal left block with diagonal prime to p
         for i in range(nrows):
             for j in range(nrows):
                 if i == j:
-                    assert res.matrix[i][i] % 2 == 1
+                    assert res.matrix[i][i] % p != 0
                 else:
                     assert res.matrix[i][j] == 0
-        # covering degree odd: it is the product of the phase-2 alphas, so every alpha is odd
+        # covering degree prime to p: it is the product of the phase-2 alphas, so every alpha is prime to p
         # (lattice_normal_form itself raises on a beta that is not 0 mod p)
-        assert res.covering_degree % 2 == 1
+        assert res.covering_degree % p != 0
         # row space over Q is preserved (columns permuted consistently)
         permuted_input = [[row[c] for c in res.column_order] for row in A]
         assert rref_over_q(permuted_input) == rref_over_q(res.matrix)
