@@ -7,7 +7,7 @@ identical configuration yields byte-identical bytes.  Rationals serialize as
 no floats anywhere.
 
 Exit codes: 0 success, 2 input validation, 3 internal inconsistency
-(including FAILed verification checks), 4 resource cap.
+(including a printed report whose status is FAIL), 4 resource cap.
 
 Argv: genuslab [GLOBAL ...] COMMAND [OPTION ...], read by `parse_args` from
 the COMMANDS table.  GLOBAL is --format or --out, which may also stand among
@@ -445,11 +445,7 @@ def main(argv=None) -> int:
         emit({"error": str(exc), "code": "invalid"}, args.format, args.out)
         return 2
     emit(payload, args.format, args.out)
-    if args.command == "verify" and payload.get("status") != "PASS":
-        return 3
-    if args.command == "rigidity" and payload.get("status") == "FAIL":
-        return 3
-    return 0
+    return 3 if payload.get("status") == "FAIL" else 0
 
 
 if __name__ == "__main__":

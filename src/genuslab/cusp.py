@@ -1,6 +1,7 @@
-"""Internally derived q-expansions of the modular generators, and the
-verification that every index series equals the substitution of the manifold's
-generic genus — the computational form of modularity.
+"""Internally derived q-expansions of the modular generators, and
+`verify_modularity`: every index series equals the substitution of the
+manifold's generic genus at delta(q), epsilon(q) — the computational form of
+modularity.
 
 Every index series comes from `genus.cusp_series(model, cusp, qorder)`, the
 raw weight-2k series phi(M) at the cusp: the loop-space signature series at
@@ -57,28 +58,14 @@ def generator_expansions(cusp: str, qorder: int) -> CuspExpansion:
     return CuspExpansion(delta_series=delta, epsilon_series=epsilon)
 
 
-def substituted_series(model: ManifoldModel, cusp: str, qorder: int) -> QSeries:
-    """The generic genus of the model with delta, epsilon replaced by q-series."""
-    expansion = generator_expansions(cusp, qorder)
-    value = genus_value(GenusSpec.generic(), model)  # a polynomial in delta, epsilon
-    ring = expansion.delta_series.ring
-    if value.is_zero():  # e.g. HP3: signature and A-hat both vanish in weight 6
-        return ring.zero()
-    result = value.evaluate(
-        {"delta": expansion.delta_series, "epsilon": expansion.epsilon_series}
-    )
-    if isinstance(result, (int, Fraction)):
-        result = ring.const(result)
-    return result
-
-
 def verify_modularity(model: ManifoldModel, cusp: str, qorder: int) -> bool:
-    """Index-series pipeline == modular-substitution pipeline, exactly to order."""
+    """Index series == the generic genus, a polynomial in delta and epsilon, at their q-series; exact to order."""
     if model.dim_real % 4:
         raise StructuralError("modularity verification needs dim divisible by 4")
     series = cusp_series(model, cusp, qorder).series
-    substituted = substituted_series(model, cusp, qorder)
-    return series == substituted
+    e = generator_expansions(cusp, qorder)
+    values = {"delta": e.delta_series, "epsilon": e.epsilon_series}
+    return series == genus_value(GenusSpec.generic(), model).evaluate(values, e.delta_series.ring.zero())
 
 
 def normalized(ix: IndexSeries, cusp: str) -> QSeries:

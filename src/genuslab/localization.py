@@ -40,12 +40,13 @@ Euler characteristic of CP^n; a builtin that fails it is a bug, not bad input,
 so the failure is an `InternalInconsistencyError`.
 
 Sample points are admissible when no lam^w = 1 for an occurring weight w.
-Rigidity compares exact samples, which certifies less than their number
-suggests.  The bundles are real, so each q^N coefficient of the equivariant
-series is a Laurent polynomial P_N with P_N(1/lam) = P_N(lam): a sample
-counts only through t = lam + 1/lam (lam and 1/lam, or i and -i, are one).
-log N_a carries a^m at q^N only for m <= N, the q-free factor stays bounded
-as lam -> 0 or infinity and the tangent word is free of lam, so
+Rigidity compares the series of exact samples of either field directly, by
+value across Q ⊂ Q(i) (`QSeries` equality), which certifies less than their
+number suggests.  The bundles are real, so each q^N coefficient of the
+equivariant series is a Laurent polynomial P_N with P_N(1/lam) = P_N(lam): a
+sample counts only through t = lam + 1/lam (lam and 1/lam, or i and -i, are
+one).  log N_a carries a^m at q^N only for m <= N, the q-free factor stays
+bounded as lam -> 0 or infinity and the tangent word is free of lam, so
 deg P_N <= N w_max for the largest |weight| w_max: certifying q^0..q^Q needs
 Q w_max + 1 samples with distinct t.
 """
@@ -186,11 +187,6 @@ def equivariant_series(action: CircleActionData, lam, qorder: int) -> QSeries:
     return sum(terms[1:], terms[0])
 
 
-def _promote_to_gaussian(series: QSeries) -> QSeries:
-    ring = SeriesRing(QI, series.ring.order)
-    return QSeries(ring, series.lo, series.coeffs, series.order)
-
-
 # -- rigidity -------------------------------------------------------------------
 
 
@@ -220,19 +216,13 @@ def rigidity_check(action: CircleActionData, samples, qorder: int) -> RigidityRe
     samples = tuple(samples)
     if not samples:
         raise ValidationError("rigidity check needs at least one sample", code="invalid")
-    gaussian = any(isinstance(s, GaussianRational) for s in samples)
-    values = []
-    for s in samples:
-        v = equivariant_series(action, s, qorder)
-        values.append(_promote_to_gaussian(v) if gaussian and v.ring.base == QQ else v)
+    values = [equivariant_series(action, s, qorder) for s in samples]
     all_equal = all(values[0] == v for v in values[1:])
     q0s = [v.coefficient(0) for v in values]
     q0_constant = all(c == q0s[0] for c in q0s)
     matches = None
     if action.ambient_model.dim_real % 4 == 0:
         loop = cusp_series(action.ambient_model, SIGNATURE_CUSP, qorder).series
-        if gaussian:
-            loop = _promote_to_gaussian(loop)
         matches = all(v == loop for v in values)
         q0_constant = q0_constant and q0s[0] == loop.coefficient(0)
     if action.ambient_model.spin:

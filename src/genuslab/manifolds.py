@@ -24,10 +24,10 @@ note that older model files carry.  Every model then passes
 `ManifoldModel.validate_dimensions` (tangent rank, nonzero pairing, real
 dimension <= MAX_DIM_REAL, a ResourceCapError above it), and builtin catalog
 entries also `_self_check`: two independent classical identities
-(signature/Euler characteristic/A-hat vanishing).  A builtin that
-fails one is a bug, not bad input, so the failure is an
-`InternalInconsistencyError`.  `euler_characteristic` is the catalog's one
-Euler number: a model stores none.
+(signature/Euler characteristic/A-hat vanishing); a builtin that fails one is
+a bug, not bad input, so the failure is an `InternalInconsistencyError`.  A
+catalog product past the cap is refused before its factors' self-checks.
+`euler_characteristic` is the catalog's one Euler number: a model stores none.
 
 Models are hashable, so that `genus` and `euler_characteristic` can cache
 values per model.  A model hashes its name and dimension: equal models share
@@ -311,7 +311,7 @@ def product(factors) -> ManifoldModel:
     return model.validate_dimensions()
 
 
-def _self_check(model: ManifoldModel, kind: str, factors=None) -> ManifoldModel:
+def _self_check(model: ManifoldModel, kind: str, factors: list) -> ManifoldModel:
     """Two independent classical identities per catalog entry, plus chi."""
     from . import genus  # local import: genus consumes models, catalog checks use genus
 
@@ -366,23 +366,32 @@ def builtin(name: str) -> ManifoldModel:
 
 @cache
 def _build(key: str) -> ManifoldModel:
+    model, kind, names = _construct(key)
+    return model if kind is None else _self_check(model, kind, [builtin(n) for n in names])
+
+
+def _construct(key: str):
+    """(model, self-check kind, factor names) of a catalog key, unchecked; pt has no kind.
+
+    A product is built from unchecked factors, so that its dimension cap refuses
+    it before `_build` self-checks any factor.
+    """
     if key == "pt":
-        return point()
+        return point(), None, ()
     if key.startswith("product(") and key.endswith(")"):
-        factors = [builtin(p) for p in _split_args(key[len("product(") : -1]) if p]
-        return _self_check(product(factors), "product", factors)
-    if len(parts := _split_args(key, "x")) > 1:  # a product's name: its factors' names joined by x
-        factors = [builtin(p) for p in parts]
-        return _self_check(product(factors), "product", factors)
+        names = [p for p in _split_args(key[len("product(") : -1]) if p]
+        return product(_construct(n)[0] for n in names), "product", names
+    if len(names := _split_args(key, "x")) > 1:  # a product's name: its factors' names joined by x
+        return product(_construct(n)[0] for n in names), "product", names
     if key.startswith("CP"):
-        return _self_check(complex_projective_space(_int_arg(key[2:], key)), "cp")
+        return complex_projective_space(_int_arg(key[2:], key)), "cp", ()
     if key.startswith("HP"):
-        return _self_check(quaternionic_projective_space(_int_arg(key[2:], key)), "hp")
+        return quaternionic_projective_space(_int_arg(key[2:], key)), "hp", ()
     if key.startswith("V(") and key.endswith(")"):
         args = [a for a in _split_args(key[2:-1]) if a]
         if len(args) != 2:
             raise ValidationError(f"V takes two arguments, got {key!r}", code="invalid")
-        return _self_check(hypersurface(_int_arg(args[0], key), _int_arg(args[1], key)), "v")
+        return hypersurface(_int_arg(args[0], key), _int_arg(args[1], key)), "v", ()
     raise ValidationError(f"unknown builtin manifold {key!r}", code="invalid")
 
 

@@ -30,7 +30,8 @@ whose `const` is the one way to make a constant:
   min(a.order + lo_b, b.order + lo_a), inverse order = a.order - 2 lo_a, where
   a known-zero series has lo = order) and coefficient extraction beyond the
   guarantee raises.  `a ** n` is `rings.power` on a, or on its one inverse
-  for n < 0; a series computes its inverse once and keeps it.
+  for n < 0; a series computes its inverse once and keeps it.  Equality
+  compares values across Q ⊂ Q(i), but `+`, `-` and `*` never mix the bases.
 
 A `QSeries` stores Python-int numerators over one positive common
 denominator, in lowest terms: one numerator list over Q, a real and an
@@ -306,18 +307,17 @@ class TruncPoly:
             out = out * value + c
         return out
 
-    def evaluate(self, assignments: dict):
-        """Evaluate at ring elements, one per variable.
+    def evaluate(self, assignments: dict, zero):
+        """Evaluate at ring elements, one per variable: a sum from `zero`, the zero of their ring.
 
         Coefficients are pushed into the value domain with multiplication,
-        so they must be scalars the value domain understands (Fractions for
-        generic-genus polynomials).  Returns a value in the domain of the
-        assignment elements.
+        so they must be scalars it understands (Fractions for generic-genus
+        polynomials).
         """
         missing = [v for v in self.ring.variables if v not in assignments]
         if missing:
             raise StructuralError(f"no value given for variables {missing}")
-        result = None
+        result = zero
         for exps, c in sorted(self.coeffs.items()):
             term = None
             for v, e in zip(self.ring.variables, exps):
@@ -325,10 +325,7 @@ class TruncPoly:
                     continue
                 f = assignments[v] ** e
                 term = f if term is None else term * f
-            contrib = c if term is None else term * c
-            result = contrib if result is None else result + contrib
-        if result is None:
-            raise StructuralError("cannot evaluate the zero polynomial: its value ring is unknown")
+            result = result + (c if term is None else term * c)
         return result
 
     def terms(self) -> list:
@@ -550,15 +547,15 @@ class QSeries:
     def _window(self, lo: int, hi: int, scale: int):
         """Numerators times `scale` for exponents lo..hi-1, zero-padded."""
         out = []
-        for part in (self._re,) if self._im is None else (self._re, self._im):
+        for part in (self._re, self._im or ()):  # a series over Q has zero imaginary numerators
             for e in range(lo, hi):
                 i = e - self.lo
                 out.append(part[i] * scale if 0 <= i < len(part) else 0)
         return out
 
     def __eq__(self, other):
-        """Equality of coefficients below the smaller guarantee."""
-        o = self._coerce(other)
+        """Equality of coefficient values below the smaller guarantee, over either base."""
+        o = other if isinstance(other, QSeries) else self._coerce(other)
         if o is None:
             return NotImplemented
         hi, lo = min(self.order, o.order), min(self.lo, o.lo)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from genuslab import genus, localization, suites
+from genuslab import genus, localization, manifolds, suites
 from genuslab.cli import COMMANDS, GLOBAL_OPTIONS, main
 from genuslab.errors import InternalInconsistencyError
 
@@ -60,6 +60,16 @@ def test_a_catalog_dimension_above_the_cap_exits_4_before_any_work():
     assert "Traceback" not in r.stderr
     assert run_cli("genus", "--manifold", "builtin:product(HP60,HP60)", "--spec", "signature").returncode == 4
     assert run_cli("genus", "--manifold", "builtin:CP200", "--spec", "ahat").returncode == 0
+
+
+def test_a_product_above_the_cap_exits_4_before_any_factor_self_check(capsys, empty_caches):
+    # each factor's self-check computes genera and Euler numbers; the product's dimension is refused first
+    empty_caches()
+    code, out = run_main(capsys, "genus", "--manifold", "builtin:product(HP100,HP100,HP100)", "--spec", "ahat")
+    assert (code, json.loads(out)["code"]) == (4, "resource-cap")
+    assert genus.genus_value.cache_info().currsize == 0
+    assert manifolds.euler_characteristic.cache_info().currsize == 0
+    empty_caches()
 
 
 def test_genus_cp3_ahat_is_zero():
@@ -709,6 +719,20 @@ def cp2_linear_action():
             {"model": "point", "normal": [{"chern": {}, "weight": -1}, {"chern": {}, "weight": -1}]},
         ],
     }
+
+
+def test_a_printed_fail_report_exits_3(capsys, tmp_path):
+    # CP2_linear(0,1,2) with its first weight flipped: the q^0 coefficient moves with the sample
+    weights = [(-1, 2), (-1, 1), (-2, -1)]
+    doc = {
+        "ambient": "builtin:CP2",
+        "components": [{"model": "point", "normal": [{"chern": {}, "weight": w} for w in ws]} for ws in weights],
+    }
+    args = ("--lambda", "2,3", "--qorder", "2")
+    code, out = run_main(capsys, "rigidity", "--action", f"file:{write_json(tmp_path, doc)}", *args)
+    assert (code, json.loads(out)["status"]) == (3, "FAIL")
+    code, out = run_main(capsys, "rigidity", "--action", "builtin:CP2_linear(0,1,2)", *args)
+    assert (code, json.loads(out)["status"]) == (0, "OBSERVATIONAL")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Byte pins for the command lines that no bench pool replays: `obstruct`, `genus` and two `expand` lines.
+"""Byte pins for the command lines that no bench pool replays: `obstruct`, `genus`, two `expand` lines,
+two `rigidity` lines with a rational sample before a Gaussian one, and `verify --suite modularity`.
 
 Each line runs in-process through `cli.main`.  The SHA-256 of its stdout and
 its exit code must equal the entry under the line in `command_digests.json`.
@@ -39,6 +40,10 @@ LINES = [
       for m in ("pt", "CP3", "CP4", "HP2", "product(CP2,HP2)") for spec in ("generic", "signature", "ahat")),
     "expand --manifold builtin:CP3 --cusp ahat",
     "expand --manifold builtin:pt --qorder 0",
+    # a rational sample before a Gaussian one: rigidity compares series over Q and over Q(i)
+    "rigidity --action builtin:CP2_linear(0,1,3) --lambda 2,i --qorder 3",
+    "rigidity --action builtin:HP2_diagonal(1,2,4) --lambda 3,-i --qorder 3",
+    "verify --suite modularity --qorder 2",
 ]
 
 DIGESTS = pathlib.Path(__file__).with_name("command_digests.json")

@@ -68,6 +68,14 @@ def test_modularity_catalog_both_cusps():
         assert verify_modularity(m, AHAT_CUSP, 6), name
 
 
+@pytest.mark.parametrize("qorder", [2, 3, 4])
+@pytest.mark.parametrize("cusp", [SIGNATURE_CUSP, AHAT_CUSP])
+def test_modularity_of_a_constant_and_of_a_zero_generic_genus(cusp, qorder):
+    # pt's generic genus is the constant 1 and HP3's is 0: the substitution sums from the ring's zero
+    assert verify_modularity(builtin("pt"), cusp, qorder)
+    assert verify_modularity(builtin("HP3"), cusp, qorder)
+
+
 def test_cp4_substitution_is_half_3d2_minus_e():
     e = generator_expansions(SIGNATURE_CUSP, 6)
     lhs = cusp_series(builtin("CP4"), SIGNATURE_CUSP, 6).series

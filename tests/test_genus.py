@@ -247,11 +247,11 @@ def test_specialization_commutes():
     for name in ("CP2", "CP4", "HP2", "V(4,4)"):
         m = builtin(name)
         generic = genus_value(GenusSpec.generic(), m)
-        assert generic.evaluate({"delta": Fraction(1), "epsilon": Fraction(1)}) == genus_value(
+        assert generic.evaluate({"delta": Fraction(1), "epsilon": Fraction(1)}, Fraction(0)) == genus_value(
             GenusSpec.signature(), m
         )
         assert generic.evaluate(
-            {"delta": Fraction(-1, 8), "epsilon": Fraction(0)}
+            {"delta": Fraction(-1, 8), "epsilon": Fraction(0)}, Fraction(0)
         ) == genus_value(GenusSpec.ahat(), m)
 
 

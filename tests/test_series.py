@@ -220,6 +220,18 @@ def test_coefficient_extraction():
     assert ((1 + q) ** 3).coefficient((2,)) == 3
 
 
+def test_evaluate_sums_from_the_given_zero():
+    R = PolyRing(("delta", "epsilon"), (2, 1), QQ)
+    S = series_ring(6)
+    values = {"delta": monomial(S, 2), "epsilon": S.one()}
+    zero = S.zero()
+    assert R.zero().evaluate(values, zero) is zero
+    assert R.zero().evaluate(values, Fraction(0)) == 0
+    constant = R.const(Fraction(3, 2)).evaluate(values, zero)
+    assert isinstance(constant, QSeries) and constant == S.const(Fraction(3, 2))
+    assert (R.gen("delta") * 2 + R.gen("epsilon")).evaluate(values, zero) == monomial(S, 2, 2) + 1
+
+
 # -- q-series -----------------------------------------------------------------
 
 

@@ -18,7 +18,10 @@ only, following the guarantees of the `series` module docstring:
 
 Each case builds series through the public constructor from lists that may
 carry leading and trailing zeros, may start at a negative exponent, and may
-be zero, over Q and over Q(i).
+be zero, over Q and over Q(i).  Equality is by value across Q ⊂ Q(i): each
+series is also compared with the same values built over the other base (a
+series over Q copied to Q(i), the real part of a series over Q(i)), while
+`+`, `-` and `*` across the two bases must raise StructuralError.
 
 `TruncPoly` is checked the same way against {exponent vector: Fraction}
 dicts: monomials past a cap are dropped after the full product, powers are
@@ -159,6 +162,15 @@ def cases(draw):
     return pairs, scalar(base, *draw(SCALAR))
 
 
+def over_other_base(s: QSeries):
+    """The series with its oracle over the other base: a Q series copied to Q(i), or a Q(i) series's real part."""
+    if s.ring.base == QQ:
+        ring, coeffs = SeriesRing(QI, s.ring.order), list(s.coeffs)
+    else:
+        ring, coeffs = SeriesRing(QQ, s.ring.order), [c.re for c in s.coeffs]
+    return QSeries(ring, s.lo, coeffs, s.order), Dense(ring, {s.lo + i: c for i, c in enumerate(coeffs)}, s.order)
+
+
 @PROPERTY
 @given(cases())
 def test_construction_is_canonical(case):
@@ -213,6 +225,15 @@ def test_shift_and_comparison(case, k):
     assert agrees(a.shift(k), da.shift(k))
     hi = min(a.order, b.order)
     assert (a == b) == da.equal_below(db, hi)
+    other, dother = over_other_base(b)
+    assert (a == other) == (other == a) == da.equal_below(dother, hi)
+    copy, _ = over_other_base(a)  # a Q series equals its Q(i) copy; a Q(i) one with an imaginary part no Q series
+    assert (a == copy) == (a.ring.base == QQ or all(c.im == 0 for c in a.coeffs))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(StructuralError):
+            op(a, other)
+        with pytest.raises(StructuralError):
+            op(other, a)
 
 
 @PROPERTY
