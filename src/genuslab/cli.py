@@ -2,9 +2,10 @@
 
 Subcommands: genus, expand, verify, rigidity, obstruct.  Output is
 machine-readable (json by default, csv or text on request) and deterministic:
-identical configuration yields byte-identical bytes.  Rationals serialize as
-"p/q" strings and q-series as {"lowest_s_exponent", "coefficients", ...};
-no floats anywhere.
+identical configuration yields byte-identical bytes.  Each command returns
+raw values and records, which carry no output form of their own; `encode` is
+the one serializer, applied to every payload: rationals become "p/q" strings,
+q-series {"lowest_s_exponent", "coefficients", ...}; no floats anywhere.
 
 Exit codes: 0 success, 2 input validation, 3 internal inconsistency
 (including a printed report whose status is FAIL), 4 resource cap.
@@ -62,27 +63,23 @@ DESCRIPTION = ("Exact workbench for level-2 elliptic genera, twisted indices, lo
 # -- serialization ----------------------------------------------------------------
 
 
-def encode_value(value):
-    """A genus value or coefficient: "p/q" for a rational, {monomial: "p/q"} for a polynomial."""
+def encode(value):
+    """The JSON data of a command result: every exact value becomes output here and nowhere else."""
+    if isinstance(value, (Fraction, GaussianRational)):
+        return format_fraction(value)
     if isinstance(value, TruncPoly):
-        return encode_poly(value)
-    return format_fraction(value)
-
-
-def encode_series(series: QSeries) -> dict:
-    lo = series.lowest_exponent()
-    coeffs = []
-    if lo is not None:
-        coeffs = [encode_value(series.coefficient(e)) for e in range(lo, series.order)]
-    return {
-        "lowest_s_exponent": lo,
-        "coefficients": coeffs,
-        "known_below_s": series.order,
-    }
-
-
-def encode_poly(poly: TruncPoly) -> dict:
-    return {mono or "1": encode_value(c) for mono, c in poly.terms()}
+        return {mono or "1": encode(c) for mono, c in value.terms()}
+    if isinstance(value, QSeries):
+        lo = value.lowest_exponent()
+        coeffs = [] if lo is None else [encode(value.coefficient(e)) for e in range(lo, value.order)]
+        return {"lowest_s_exponent": lo, "coefficients": coeffs, "known_below_s": value.order}
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):  # a NamedTuple record
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {str(key): encode(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [encode(item) for item in value]
+    return value
 
 
 def poly_text(poly: TruncPoly) -> str:
@@ -181,7 +178,7 @@ def cmd_genus(args) -> dict:
         "command": "genus",
         "manifold": model.name,
         "spec": args.spec,
-        "value": encode_value(value),
+        "value": value,
     }
     if isinstance(value, TruncPoly):
         payload["value_text"] = poly_text(value)
@@ -208,8 +205,8 @@ def cmd_expand(args) -> dict:
         "cusp": args.cusp,
         "qorder": qorder,
         "k": raw.k,
-        "series": encode_series(series),
-        "pole_order_q": None if pole is None else format_fraction(pole),
+        "series": series,
+        "pole_order_q": pole,
         "pole_indeterminate": pole is None,
     }
     if args.cusp == AHAT_CUSP:
@@ -243,13 +240,7 @@ def cmd_rigidity(args) -> dict:
         raise ValidationError("no sample values given", code="invalid")
     for sample in samples:  # the report prints each sample: one that cannot print is refused before the work
         format_fraction(sample)
-    report = rigidity_check(action, samples, args.qorder)
-    payload = {"command": "rigidity", **report.to_dict()}
-    if report.spin and report.status == "FAIL":
-        raise InternalInconsistencyError(
-            "rigidity failed on a spin action: " + json.dumps(payload, sort_keys=True)
-        )
-    return payload
+    return {"command": "rigidity", **rigidity_check(action, samples, args.qorder)._asdict()}
 
 
 OBSTRUCT_MODES = {  # flag: dest
@@ -281,7 +272,7 @@ def cmd_obstruct(args) -> dict:
         if args.order is None:
             raise ValidationError("--order is required with --weights", code="invalid")
         m = m_invariant(weights, args.order)
-        payload.update({"weights": weights, "order": args.order, "m": format_fraction(m),
+        payload.update({"weights": weights, "order": args.order, "m": m,
                         "vanish_count": vanish_count_from_m(m)})
         return payload
     if args.codim is not None:
@@ -301,8 +292,8 @@ def cmd_obstruct(args) -> dict:
         except (OSError, ValueError) as exc:  # unreadable file, bad encoding or bad JSON
             raise ValidationError(f"cannot read matrix file: {exc}", code="invalid") from exc
         p = 2 if args.p is None else args.p
-        normal_form = lattice_normal_form(matrix, p).to_dict()  # before the audit's code-word cap
-        payload.update({"normal_form": normal_form, "code_audit": code_audit(matrix).to_dict(), "p": p})
+        normal_form = lattice_normal_form(matrix, p)  # before the audit's code-word cap
+        payload.update({"normal_form": normal_form, "code_audit": code_audit(matrix), "p": p})
         return payload
     try:
         table = json.loads(args.fixdim)
@@ -431,7 +422,7 @@ def main(argv=None) -> int:
         minimum = 0 if args.command == "expand" else 1  # a bare constant term is a valid expansion
         if getattr(args, "qorder", 1) < minimum:
             raise ValidationError(f"q-order must be >= {minimum}", code="invalid")
-        payload = COMMANDS[args.command][0](args)
+        payload = encode(COMMANDS[args.command][0](args))  # an unprintable value is a resource cap
     except ValidationError as exc:
         emit({"error": str(exc), "code": exc.code}, args.format, args.out)
         return 2

@@ -61,7 +61,7 @@ from typing import NamedTuple
 from .errors import InternalInconsistencyError, ValidationError
 from .genus import SIGNATURE_CUSP, cusp_series, theta_quotient, theta_terms, word_factor_product
 from .manifolds import ManifoldModel, _is_int, _read_json, builtin, euler_characteristic, load_model, parse_form
-from .rings import I_UNIT, QI, QQ, GaussianRational, format_fraction
+from .rings import I_UNIT, QI, QQ, GaussianRational
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly
 
 
@@ -200,9 +200,6 @@ class RigidityReport(NamedTuple):
     q0_constant: bool
     status: str  # PASS / FAIL / OBSERVATIONAL
     series: str  # repr of the first sample's series
-
-    def to_dict(self) -> dict:
-        return self._asdict() | {"samples": [format_fraction(s) for s in self.samples]}
 
 
 def rigidity_check(action: CircleActionData, samples, qorder: int) -> RigidityReport:

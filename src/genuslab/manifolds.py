@@ -26,7 +26,9 @@ dimension <= MAX_DIM_REAL, a ResourceCapError above it), and builtin catalog
 entries also `_self_check`: two independent classical identities
 (signature/Euler characteristic/A-hat vanishing); a builtin that fails one is
 a bug, not bad input, so the failure is an `InternalInconsistencyError`.  A
-catalog product past the cap is refused before its factors' self-checks.
+catalog product past the cap is refused before its factors' self-checks, and
+so is one of more than three leaves: the factor limit counts the catalog
+manifolds inside nested `product(...)` and x-joined names, not one level.
 `euler_characteristic` is the catalog's one Euler number: a model stores none.
 
 Models are hashable, so that `genus` and `euler_characteristic` can cache
@@ -282,8 +284,6 @@ def hypersurface(n: int, degree: int) -> ManifoldModel:
 def product(factors) -> ManifoldModel:
     """Product model: disjoint generators, pairing and tangent data combined; product orientation."""
     factors = list(factors)
-    if not 1 <= len(factors) <= 3:
-        raise ValidationError("products support 1 to 3 factors", code="invalid")
     if len(factors) == 1:
         return factors[0]
     gens = []
@@ -380,9 +380,13 @@ def _construct(key: str):
         return point(), None, ()
     if key.startswith("product(") and key.endswith(")"):
         names = [p for p in _split_args(key[len("product(") : -1]) if p]
-        return product(_construct(n)[0] for n in names), "product", names
-    if len(names := _split_args(key, "x")) > 1:  # a product's name: its factors' names joined by x
-        return product(_construct(n)[0] for n in names), "product", names
+    elif len(names := _split_args(key, "x")) == 1:  # else a product's name: its factors' names joined by x
+        names = None
+    if names is not None:
+        factors = [_construct(n)[0] for n in names]  # a factor's name joins its leaves' names with x
+        if not 1 <= sum(len(_split_args(f.name, "x")) for f in factors) <= 3:
+            raise ValidationError("products support 1 to 3 factors", code="invalid")
+        return product(factors), "product", names
     if key.startswith("CP"):
         return complex_projective_space(_int_arg(key[2:], key)), "cp", ()
     if key.startswith("HP"):

@@ -169,9 +169,6 @@ class NormalFormResult(NamedTuple):
     transform: list           # integer row-transformation T with A' = (T A) permuted
     covering_degree: int      # |det T|, coprime to p
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 def _integer_matrix(matrix) -> list:
     """A copy of a non-empty rectangular matrix of integers; anything else is a ValidationError.
@@ -366,10 +363,6 @@ class CodeAuditReport(NamedTuple):
     tail_nonzero_columns: int
     tail_nonzero_le_r: bool
     sublinearity_holds: bool
-
-    def to_dict(self) -> dict:
-        dist = {str(wt): n for wt, n in sorted(self.weight_distribution.items())}
-        return self._asdict() | {"weight_distribution": dist}
 
 
 def code_audit(matrix) -> CodeAuditReport:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -69,6 +70,22 @@ def test_a_product_above_the_cap_exits_4_before_any_factor_self_check(capsys, em
     assert (code, json.loads(out)["code"]) == (4, "resource-cap")
     assert genus.genus_value.cache_info().currsize == 0
     assert manifolds.euler_characteristic.cache_info().currsize == 0
+    empty_caches()
+
+
+def test_a_nested_product_of_more_than_three_leaves_exits_2_before_any_self_check(capsys, empty_caches):
+    # the factor limit counts catalog leaves: 16 CP1s, nested two levels deep, once ran 0.8 s to exit 0
+    empty_caches()
+    nest = "product(CP1xCP1xCP1,CP1xCP1xCP1,CP1xCP1)"
+    start = time.perf_counter()
+    code, out = run_main(capsys, "genus", "--manifold", f"builtin:product({nest},{nest})", "--spec", "signature")
+    assert time.perf_counter() - start < 1
+    assert (code, json.loads(out)) == (2, {"code": "invalid", "error": "products support 1 to 3 factors"})
+    assert genus.genus_value.cache_info().currsize == 0
+    for name in ("product(CP1xCP1,CP1xCP1)", "CP1xCP1xCP1xCP1", "product(product(CP1,CP1),CP1xCP1)"):
+        assert run_main(capsys, "genus", "--manifold", f"builtin:{name}", "--spec", "signature")[0] == 2
+    for name in ("product(CP1xCP1,CP2)", "product(HP2,HP2)"):
+        assert run_main(capsys, "genus", "--manifold", f"builtin:{name}", "--spec", "signature")[0] == 0
     empty_caches()
 
 
@@ -553,7 +570,18 @@ def test_fabricated_spin_action_exits_3(tmp_path):
     path.write_text(json.dumps(doc))
     r = run_cli("rigidity", "--action", f"file:{path}", "--lambda", "2,3", "--qorder", "3")
     assert r.returncode == 3
-    assert json.loads(r.stdout)["code"] == "internal-inconsistency"
+    report = json.loads(r.stdout)  # the report itself, through the one status rule of main
+    assert (report["status"], report["spin"]) == ("FAIL", True)
+
+
+def test_a_payload_value_too_long_to_print_exits_4(capsys, monkeypatch):
+    # main encodes the payload inside its error handling: an unprintable value is a resource cap, not a traceback
+    def huge(args):
+        return {"command": "genus", "value": Fraction(10**5000)}
+
+    monkeypatch.setitem(COMMANDS, "genus", (huge, *COMMANDS["genus"][1:]))
+    code, out = run_main(capsys, "genus", "--manifold", "builtin:CP2")
+    assert (code, json.loads(out)["code"]) == (4, "resource-cap")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Byte pins for the command lines that no bench pool replays: `obstruct`, `genus`, two `expand` lines,
-two `rigidity` lines with a rational sample before a Gaussian one, and `verify --suite modularity`.
+two `rigidity` lines with a rational sample before a Gaussian one, `verify --suite modularity`, and six
+lines in the csv and text formats.
 
 Each line runs in-process through `cli.main`.  The SHA-256 of its stdout and
 its exit code must equal the entry under the line in `command_digests.json`.
@@ -44,6 +45,13 @@ LINES = [
     "rigidity --action builtin:CP2_linear(0,1,3) --lambda 2,i --qorder 3",
     "rigidity --action builtin:HP2_diagonal(1,2,4) --lambda 3,-i --qorder 3",
     "verify --suite modularity --qorder 2",
+    # csv and text flatten the encoded payload: records, series and polynomials all reach _flatten
+    "obstruct --matrix-file m2x4a.json --p 3 --format csv",
+    "obstruct --matrix-file m2x4a.json --p 3 --format text",
+    "obstruct --weights [1,3,4,5] --order 4 --format text",
+    "rigidity --action builtin:CP2_linear(0,1,3) --lambda 2,i --qorder 3 --format csv",
+    "genus --manifold builtin:CP4 --spec generic --format text",
+    "expand --manifold builtin:HP2 --cusp ahat --qorder 3 --format csv",
 ]
 
 DIGESTS = pathlib.Path(__file__).with_name("command_digests.json")

@@ -10,6 +10,7 @@ from math import gcd
 import pytest
 
 from genuslab import suites
+from genuslab.cli import encode
 from genuslab.errors import ResourceCapError, ValidationError
 from genuslab.genus import cusp_series
 from genuslab.localization import builtin_action
@@ -356,7 +357,7 @@ def test_closure_by_rank_is_closure_by_pairs():
 
 
 def reference_audit(rows) -> dict:
-    """The 14 audit fields as `CodeAuditReport.to_dict` gives them, from subset sums, pairs of distinct
+    """The 14 audit fields as `cli.encode` gives a `CodeAuditReport`, from subset sums, pairs of distinct
     words and per-column sums of the entries mod 2."""
     r, k = len(rows) // 2, len(rows[0]) // 2
     words = oracle_words(rows)
@@ -403,7 +404,7 @@ def test_code_audit_matches_the_reference_on_every_field():
         for _ in range(rng.randint(0, 2 * r - 1)):
             a, b = rng.choice(rows), rng.choice(rows)
             rows[rng.randrange(2 * r)] = rng.choice([[0] * (2 * k), list(a), [x + y for x, y in zip(a, b)]])
-        report = code_audit(rows).to_dict()
+        report = encode(code_audit(rows))
         expected = reference_audit(rows)
         assert list(report) == list(expected)
         assert report == expected, rows

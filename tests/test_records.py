@@ -1,6 +1,6 @@
 """Record contracts: every record is immutable, a model equals its file and
-product forms, a zero rotation weight is rejected, and the reports serialize
-to fixed dicts."""
+product forms, a zero rotation weight is rejected, and `cli.encode` turns the
+reports into fixed dicts."""
 
 import importlib.util
 import sys
@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from genuslab.cli import encode
 from genuslab.cusp import generator_expansions
 from genuslab.errors import ValidationError
 from genuslab.genus import GenusSpec, cusp_series
@@ -79,25 +80,25 @@ def test_validate_rejects_a_zero_rotation_weight():
 def test_report_dicts_are_unchanged():
     # recorded when the records were dataclasses: rigidity and obstruct JSON must not change
     action = builtin_action("CP2_linear(0,1,3)")
-    assert rigidity_check(action, [Fraction(2), Fraction(-1, 3)], 2).to_dict() == {
+    assert encode(rigidity_check(action, [Fraction(2), Fraction(-1, 3)], 2)) == {
         "action": "CP2_linear(0,1,3)", "samples": ["2", "-1/3"], "qorder": 2, "spin": False,
         "all_samples_equal": False, "matches_loop_series": False, "q0_constant": True,
         "status": "OBSERVATIONAL", "series": "(1) + (135/2)*q + (18225/16)*q^2 + O(s^6)",
     }
     action = builtin_action("HP2_diagonal(1,2,4)")
-    assert rigidity_check(action, [GaussianRational(0, 1), Fraction(3)], 1).to_dict() == {
+    assert encode(rigidity_check(action, [GaussianRational(0, 1), Fraction(3)], 1)) == {
         "action": "HP2_diagonal(1,2,4)", "samples": ["1*i", "3"], "qorder": 1, "spin": True,
         "all_samples_equal": True, "matches_loop_series": True, "q0_constant": True,
         "status": "PASS", "series": "(1) + O(s^4)",
     }
-    assert code_audit([[1, 1, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0]]).to_dict() == {
+    assert encode(code_audit([[1, 1, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0]])) == {
         "r": 1, "k": 3, "weight_distribution": {"0": 1, "2": 1, "4": 2}, "dichotomy_holds": False,
         "closure_applicable": True, "small_weight_closed": True, "closure_inference_consistent": True,
         "row_odd_counts": [4, 2], "rows_have_two_odd_entries": False, "tail_column_odd_counts": [1, 0, 1, 1],
         "tail_columns_even_parity": False, "tail_nonzero_columns": 3, "tail_nonzero_le_r": False,
         "sublinearity_holds": True,
     }
-    assert lattice_normal_form([[1, 2, 3], [0, 1, 1]], 3).to_dict() == {
+    assert encode(lattice_normal_form([[1, 2, 3], [0, 1, 1]], 3)) == {
         "matrix": [[1, 0, 1], [0, 1, 1]], "column_order": [0, 1, 2], "transform": [[1, -2], [0, 1]],
         "covering_degree": 1,
     }
