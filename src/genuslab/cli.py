@@ -263,10 +263,7 @@ def cmd_obstruct(args) -> dict:
         if value is not None and given[0] not in modes:  # an option the mode never reads, before any work
             raise ValidationError(f"{given[0]} does not take {flag}", code="invalid")
     if args.weights is not None:
-        try:
-            weights = json.loads(args.weights)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad weights list: {exc}", code="invalid") from exc
+        weights = _json_input("bad weights list", text=args.weights)
         if not isinstance(weights, list) or not all(_is_int(w) and w != 0 for w in weights):
             raise ValidationError("weights must be a JSON list of nonzero integers", code="invalid")
         if args.order is None:
@@ -286,21 +283,39 @@ def cmd_obstruct(args) -> dict:
                             "vanish_count": vanish_count_cyclic_codim(args.codim, args.order)})
         return payload
     if args.matrix_file is not None:
-        try:
-            with open(args.matrix_file, "r", encoding="utf-8") as fh:
-                matrix = json.load(fh)
-        except (OSError, ValueError) as exc:  # unreadable file, bad encoding or bad JSON
-            raise ValidationError(f"cannot read matrix file: {exc}", code="invalid") from exc
+        matrix = _json_input("cannot read matrix file", path=args.matrix_file)
         p = 2 if args.p is None else args.p
         normal_form = lattice_normal_form(matrix, p)  # before the audit's code-word cap
         payload.update({"normal_form": normal_form, "code_audit": code_audit(matrix), "p": p})
         return payload
-    try:
-        table = json.loads(args.fixdim)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad fixdim table: {exc}", code="invalid") from exc
+    table = _json_input("bad fixdim table", text=args.fixdim)
     payload.update({"fixdim": table, "restricted": rfpd_check(table)})
     return payload
+
+
+def _json_input(what: str, text: str | None = None, path: str | None = None):
+    """The JSON value of `text`, or of the file at `path`.
+
+    An unreadable file, a bad encoding or bad JSON is a ValidationError; an
+    integer literal past the int-to-str digit limit is a ResourceCapError,
+    refused before it is converted.
+    """
+    try:
+        if path is None:
+            return json.loads(text, parse_int=_bounded_int)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_int=_bounded_int)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{what}: {exc}", code="invalid") from exc
+
+
+def _bounded_int(literal: str) -> int:
+    """int(literal) for a JSON integer literal; its digits are counted before it is converted."""
+    limit = sys.get_int_max_str_digits()
+    digits = len(literal.lstrip("-"))
+    if limit and digits > limit:
+        raise ResourceCapError(f"an integer literal of {digits} digits is past the limit of {limit}")
+    return int(literal)
 
 
 # -- entry point --------------------------------------------------------------------------

@@ -61,16 +61,32 @@ terms carry a^n and a^(-n-1) at s^(n(n+1)), and a_0 grows like
 C = den(a) den(1/a), where only the s^0 terms 1 +- 1/a keep a denominator, the
 one den = den(1/a): with a = (p + qi)/d and 1/a = (u + vi)/d', each term times
 d' is (p + qi)^n d^(e-n) d'^(e+1) or (u + vi)^(n+1) d^e d'^(e-n) at e = n(n+1),
-a Gaussian integer.  `QSeries.rescale` scales back exactly.  Genus values, word
-densities and bundle characters all reach the tangent roots through
-`manifolds.root_product` and `root_sum`.
+a Gaussian integer.  `QSeries.rescale` scales back exactly.
 
-`char_series`, `genus_value`, `index_density` and `cusp_series` here, and
-`manifolds.euler_characteristic`, are `functools.cache`d for the life of the
-process, keyed by genus specs, models (hashable as the `manifolds` docstring
-states), cusps, orders and base rings.  A spec holds rationals or the generic
-generators, so equal specs share one base ring.  The values are immutable, so
-every caller may share them.  The suites of `verify --suite all` ask for the
+Densities reach the tangent roots in log form: `log_density` gives (L, c0)
+with density = c0 exp(L) and no constant term in L, and `manifolds.root_product`
+takes the whole tangent product as one exponential of `root_sum(model, L)`.
+Over Q, L is `TruncPoly.log` of the q-free density.  Over q-series the log
+of the word is a sum over its factors, by log(1 + y) - log(1 - y) =
+2 sum_(m odd) y^m / m and log(1 - y) = -sum_m y^m / m at y = q^n e^(+-x);
+so for k >= 1 the x^(2k) coefficient of L is that of the q-free log plus
+
+    signature cusp:  (4 / (2k)!) sum_N q^N sum_(m | N, m odd) m^(2k-1),
+    A-hat cusp:     -(2 / (2k)!) sum_N q^N sum_(m | N) eps(N/m) m^(2k-1),
+
+with eps(d) = +1 for odd d and -1 for even d: Eisenstein series with integer
+divisor-sum coefficients (Zagier 1988; Hirzebruch-Berger-Jung ch. 6), built
+with no series product.  c0 is the x^0 column of the theta quotient.  Genus
+values take the log of the characteristic series (`log_char_series`), and
+bundle characters go through `root_sum` alone.
+
+`char_series`, `log_char_series`, `genus_value`, `index_density`,
+`log_density` and `cusp_series` here, and `manifolds.euler_characteristic`,
+are `functools.cache`d for the life of the process, keyed by genus specs,
+models (hashable as the `manifolds` docstring states), cusps, orders and
+base rings, so each log is taken once per cache entry.  A spec holds
+rationals or the generic generators, so equal specs share one base ring.
+The values are immutable, so every caller may share them.  The suites of `verify --suite all` ask for the
 same values again and again: the catalog self-checks and the A-hat-vanishing
 and expansion suites evaluate the same A-hat genera, the generating and
 modularity suites the same generic genera, the catalog self-checks and the
@@ -79,7 +95,8 @@ modularity, rigidity and expansion checks take the same cusp series, the
 expansion checks at the job's q-order.  One process computes each of them once.
 
 These and the package's other process caches are all `functools` caches: the
-others are `manifolds._build` (the catalog), `cusp.generator_expansions`, and
+others are `manifolds._build` (the catalog), `manifolds._root_weights` (the
+rational weights of `root_sum`), `cusp.generator_expansions`, and
 `localization.sample_power` and `localization._n_factor` (the N-factors).
 """
 
@@ -91,7 +108,7 @@ from math import comb, factorial, gcd, isqrt
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, ResourceCapError, StructuralError
-from .manifolds import ManifoldModel, builtin, root_product, root_sum
+from .manifolds import ManifoldModel, builtin, root_degree, root_product, root_sum
 from .rings import QQ, as_fraction
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly, _numerators, _series
 
@@ -195,8 +212,14 @@ def genus_value(spec: GenusSpec, model: ManifoldModel):
             f"the generic genus of {model.name} has weight {model.dim_real // 4}; the "
             f"delta/epsilon ring holds weight <= {weight_cap} (real dimension <= {4 * weight_cap})"
         )
-    Q = char_series(spec, _density_limits(model))
-    return model.integrate(*root_product(model, Q))
+    return model.integrate(*root_product(model, *log_char_series(spec, root_degree(model))))
+
+
+@cache
+def log_char_series(spec: GenusSpec, order: int) -> tuple:
+    """(log(Q / Q(0)), Q(0)) for Q = `char_series(spec, order)`, the pair `root_product` takes."""
+    Q = char_series(spec, order)
+    return Q.log(), Q.constant_term()
 
 
 def legendre_coefficient(spec: GenusSpec, k: int):
@@ -305,18 +328,38 @@ def index_density(cusp: str, xmax: int, base) -> TruncPoly:
     return TruncPoly(PolyRing(("x",), dens.ring.caps, base), {e: c.coefficient(0) for e, c in dens.coeffs.items()})
 
 
-def _density_limits(model: ManifoldModel) -> int:
-    """x-order needed so every root substitution is exact under the caps."""
-    xc = sum(g.cap for g in model.cohomology.generators if g.degree == 2)
-    vc = sum(g.cap for g in model.cohomology.generators if g.degree == 4)
-    return max(1, xc, 2 * vc)
+@cache
+def log_density(cusp: str, xmax: int, base) -> tuple:
+    """(L, c0) with c0 * exp(L) = index_density(cusp, xmax, base), L without constant term.
+
+    Over Q, L is the log of the q-free density.  Over a SeriesRing the x^(2k)
+    coefficient of L is the q-free one plus the divisor sums of the module
+    docstring, and c0 is the x^0 coefficient of `index_density(cusp, 0, base)`.
+    """
+    if not isinstance(base, SeriesRing):
+        dens = index_density(cusp, xmax, base)
+        return dens.log(), dens.constant_term()
+    free, _ = log_density(cusp, xmax, QQ)
+
+    def divisor_sum(n, k):  # (2k)! times the q^n x^(2k) coefficient of the word's log
+        if cusp == SIGNATURE_CUSP:
+            return 4 * sum(m ** (2 * k - 1) for m in range(1, n + 1, 2) if n % m == 0)
+        return -2 * sum(m ** (2 * k - 1) * (1 if n // m % 2 else -1) for m in range(1, n + 1) if n % m == 0)
+
+    coeffs = {}
+    for k in range(1, free.ring.caps[0] // 2 + 1):  # L is even in x
+        column = [free.coefficient((2 * k,))] + [0] * (base.order - 1)
+        for n in range(1, (base.order + 1) // 2):  # q^n = s^(2n)
+            column[2 * n] = Fraction(divisor_sum(n, k), factorial(2 * k))
+        coeffs[(2 * k,)] = QSeries(base, 0, column, base.order)
+    return TruncPoly(PolyRing(("x",), free.ring.caps, base), coeffs), index_density(cusp, 0, base).constant_term()
 
 
 def word_factor_product(model: ManifoldModel, cusp: str, base):
     """Tangent product of the `cusp` density over `base`, as the pair `root_product` returns."""
     if not model.tangent.entries and not model.tangent.delta:  # no tangent roots: 1, and no density
         return model.poly_ring(base).one(), None
-    return root_product(model, index_density(cusp, _density_limits(model), base))
+    return root_product(model, *log_density(cusp, root_degree(model), base))
 
 
 # -- twisted indices -----------------------------------------------------------
@@ -340,7 +383,7 @@ def _bundle_character(model: ManifoldModel, word: str):
     """
     if word == TRIVIAL:
         return 1
-    X = PolyRing(("x",), (_density_limits(model),), QQ)
+    X = PolyRing(("x",), (root_degree(model),), QQ)
     if word == TANGENT_CHERN:
         return root_sum(model, _exp_x(X, 1))
 

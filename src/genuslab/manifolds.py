@@ -10,10 +10,15 @@ A model is the minimal exact data needed to evaluate characteristic numbers:
   = (virtual rank) - (actual rank in root pairs).
 
 `root_product` and `root_sum` are the one place where tangent entries become
-characteristic classes.  They put every root into a univariate series f
-(Pontryagin entries through f rewritten in v = x^2), and `root_product`
-divides by delta copies of f(0), so a virtual description and the actual
-bundle give the same characteristic numbers.
+characteristic classes.  `root_sum` puts every root into a univariate series
+f (Pontryagin entries through the even powers of f, in v = x^2): each
+monomial alpha of a power form^k takes f's coefficient at half the degree of
+alpha, times a rational weight, the sum of mult * [alpha] form^k over the
+entries (`_root_weights`).  `root_product` takes f in log form, f = f0
+exp(log f) with log f(0) = 0, so the whole tangent product is one
+exponential, exp(root_sum(log f)), and one scalar f0^rank, rank = sum mult -
+delta: it divides by delta copies of f(0), so a virtual description and the
+actual bundle give the same characteristic numbers.
 
 The records check nothing themselves.  A model reads its real dimension from
 its generators' degrees and caps.  `load_model` validates a model file:
@@ -31,9 +36,10 @@ so is one of more than three leaves: the factor limit counts the catalog
 manifolds inside nested `product(...)` and x-joined names, not one level.
 `euler_characteristic` is the catalog's one Euler number: a model stores none.
 
-Models are hashable, so that `genus` and `euler_characteristic` can cache
-values per model.  A model hashes its name and dimension: equal models share
-both, and the tangent entries hold their forms as dicts, which do not hash.
+Models are hashable, so that `genus`, `euler_characteristic` and
+`_root_weights` can cache values per model.  A model hashes its name and
+dimension: equal models share both, and the tangent entries hold their forms
+as dicts, which do not hash.
 """
 
 from __future__ import annotations
@@ -136,60 +142,62 @@ class ManifoldModel(NamedTuple):
         return self
 
 
-def even_part(p: TruncPoly) -> TruncPoly:
-    """Rewrite an even univariate series in the squared variable."""
-    coeffs = {(e // 2,): c for (e,), c in p.coeffs.items()}
-    return TruncPoly(PolyRing(("v",), (p.ring.caps[0] // 2,), p.ring.base), coeffs)
+def root_degree(model: ManifoldModel) -> int:
+    """The x-order that a series f needs, so that f(root) of every tangent root is exact under the caps."""
+    xc = sum(g.cap for g in model.cohomology.generators if g.degree == 2)
+    vc = sum(g.cap for g in model.cohomology.generators if g.degree == 4)
+    return max(1, xc, 2 * vc)
 
 
-def _root_values(model: ManifoldModel, f: TruncPoly):
-    """(f(root), mult) per tangent entry, in the cohomology ring over f's base.
+@cache
+def _root_weights(model: ManifoldModel) -> tuple:
+    """(alpha, d, w) per monomial: w = sum over the entries of mult * [alpha] form^k, for k >= 0.
 
-    Chern entries substitute their root into f; Pontryagin entries know only
-    the squared root, so they substitute into f rewritten in v = x^2; an f
-    with odd terms needs Chern-style data.
+    A monomial alpha of form^k has cohomological degree 2k for a Chern root
+    and 4k for a Pontryagin squared root, which is x^(2k); either way it
+    takes the x^d coefficient of f, with d half its degree.
     """
-    ring = model.poly_ring(f.ring.base)
-    f_v = None
+    ring = model.poly_ring(QQ)
+    halves = [g.degree // 2 for g in model.cohomology.generators]
+    weights = {}
     for entry in model.tangent.entries:
-        if entry.kind == CHERN:
-            yield f.compose(ring.linear_form(entry.form)), entry.mult
-        else:
-            if f_v is None:
-                if any(e % 2 for (e,) in f.coeffs):
-                    raise StructuralError(f"{model.name}: this class needs Chern-style tangent data")
-                f_v = even_part(f)
-            yield f_v.compose(ring.linear_form(entry.form)), entry.mult
-
-
-def root_product(model: ManifoldModel, f: TruncPoly):
-    """(prod f(root)^mult over the tangent entries, f(0)^-delta or None when it is 1).
-
-    `integrate` takes the pair and scales only the paired value by f(0)^-delta,
-    where a division of the product would scale every coefficient.
-    """
-    total = None
-    for value, mult in _root_values(model, f):
-        total = value ** mult if total is None else total * value ** mult
-    if total is None:
-        total = model.poly_ring(f.ring.base).one()
-    c0 = f.constant_term()
-    scalar = c0 ** -model.tangent.delta if model.tangent.delta and c0 != f.ring.base.one() else None
-    return total, scalar
+        form, power = ring.linear_form(entry.form), ring.one()
+        while power:
+            for exps, c in power.coeffs.items():
+                weights[exps] = weights.get(exps, 0) + entry.mult * c
+            power = power * form
+    return tuple((exps, sum(e * h for e, h in zip(exps, halves)), w) for exps, w in weights.items() if w)
 
 
 def root_sum(model: ManifoldModel, f: TruncPoly) -> TruncPoly:
-    """sum mult * f(root) over the tangent entries; no delta correction."""
-    zero = model.poly_ring(f.ring.base).zero()
-    return sum((value * mult for value, mult in _root_values(model, f)), zero)
+    """sum mult * f(root) over the tangent entries, in the cohomology ring over f's base; no delta correction.
+
+    Each monomial takes one coefficient of f times a rational weight
+    (`_root_weights`).  Pontryagin entries know only the squared root, so an
+    f with odd terms needs Chern-style data.
+    """
+    if any(e % 2 for (e,) in f.coeffs) and any(entry.kind == PONTRYAGIN for entry in model.tangent.entries):
+        raise StructuralError(f"{model.name}: this class needs Chern-style tangent data")
+    terms = {exps: f.coeffs[(d,)] * w for exps, d, w in _root_weights(model) if (d,) in f.coeffs}
+    return TruncPoly(model.poly_ring(f.ring.base), terms, _clean=True)
 
 
-_X = PolyRing(("x",), (1,), QQ)  # holds f = x and f = 1 + x
+def root_product(model: ManifoldModel, log_f: TruncPoly, f0):
+    """(exp(root_sum(model, log_f)), f0^rank or None when it is 1), rank = sum mult - delta.
+
+    For f = f0 exp(log_f) the two multiply to prod f(root)^mult over the
+    tangent entries, divided by f(0)^delta: one exponential, and no power
+    per entry.  `integrate` takes the pair and scales only the paired value
+    by f0^rank, where a product with it would scale every coefficient.
+    """
+    rank = sum(e.mult for e in model.tangent.entries) - model.tangent.delta
+    return root_sum(model, log_f).exp(), f0 ** rank if rank and f0 != 1 else None
 
 
 def total_chern_class(model: ManifoldModel) -> TruncPoly:
     """prod (1 + root)^mult over Chern entries; trivial summands contribute 1, so no scalar."""
-    return root_product(model, 1 + _X.gen("x"))[0]
+    x = PolyRing(("x",), (root_degree(model),), QQ).gen("x")
+    return root_product(model, (1 + x).log(), 1)[0]
 
 
 @cache
@@ -204,7 +212,7 @@ def euler_characteristic(model: ManifoldModel) -> Fraction:
 
 def first_chern_class(model: ManifoldModel) -> TruncPoly:
     """sum mult * root over Chern entries; requires Chern-style tangent data."""
-    return root_sum(model, _X.gen("x"))
+    return root_sum(model, PolyRing(("x",), (1,), QQ).gen("x"))
 
 
 # -- builtin catalog ----------------------------------------------------------
@@ -473,8 +481,8 @@ def load_model(source) -> ManifoldModel:
             raise ValidationError("entry mult must be a nonzero integer", code="schema")
         if not form:
             raise ValidationError("entry form must be a non-empty mapping", code="schema")
-        root_degree = 2 if t["style"] == CHERN else 4  # a root, or a squared root
-        entries.append(TangentEntry(parse_form(form, gens, root_degree), mult, t["style"]))
+        form_degree = 2 if t["style"] == CHERN else 4  # a root, or a squared root
+        entries.append(TangentEntry(parse_form(form, gens, form_degree), mult, t["style"]))
     cohomology = CohomologyModel(tuple(gens), pairing)
     if cohomology.dim_real != doc["dim_real"]:
         raise ValidationError(

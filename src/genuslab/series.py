@@ -20,7 +20,9 @@ whose `const` is the one way to make a constant:
   once for any n.  Over a `SeriesRing` a positive power takes it only when
   c0 starts at s^0 and every coefficient is known to the ring order, since
   dividing by c0 can lower an `order`; other positive powers, and those of
-  a nilpotent p, are `rings.power`'s square-and-multiply.
+  a nilpotent p, are `rings.power`'s square-and-multiply.  `exp` and `log`
+  are the same recurrence for D(exp W) = D(W) exp W: the exponential of a
+  p without constant term, and log(p / c0) for a unit c0.
 
 * `QSeries` — truncated Laurent series in s, where s^2 = q, so half-integer
   q-exponents are integer s-exponents, with coefficients in Q or Q(i) (a
@@ -30,8 +32,8 @@ whose `const` is the one way to make a constant:
   min(a.order + lo_b, b.order + lo_a), inverse order = a.order - 2 lo_a, where
   a known-zero series has lo = order) and coefficient extraction beyond the
   guarantee raises.  `a ** n` is `rings.power` on a, or on its one inverse
-  for n < 0; a series computes its inverse once and keeps it.  Equality
-  compares values across Q ⊂ Q(i), but `+`, `-` and `*` never mix the bases.
+  for n < 0.  Equality compares values across Q ⊂ Q(i), but `+`, `-` and
+  `*` never mix the bases.
 
 A `QSeries` stores Python-int numerators over one positive common
 denominator, in lowest terms: one numerator list over Q, a real and an
@@ -240,22 +242,64 @@ class TruncPoly:
     def _miller(self, n: int, c0, inv) -> "TruncPoly":
         """self ** n from g_k = sum_j ((n+1) j - k) p_j g_(k-j) / (k c0), p_j and g_k of total degree j and k."""
         ring = self.ring
-        is_zero = ring.base.is_zero
-        parts: dict = {}
-        for exps, c in self.coeffs.items():
-            parts.setdefault(sum(exps), {})[exps] = c
+        parts = self._degree_parts()
         g = [{(0,) * len(ring.caps): c0 ** n if n > 0 else inv ** -n}]
         for k in range(1, sum(ring.caps) + 1):
             acc: dict = {}
             for j in range(1, k + 1):
                 w = (n + 1) * j - k
                 if w and j in parts and g[k - j]:
-                    for exps, c in _mul_terms(parts[j], g[k - j], ring).items():
-                        s = acc.get(exps)
-                        acc[exps] = c * w if s is None else s + c * w
-            scale = inv * Fraction(1, k)
-            g.append({exps: x for exps, c in acc.items() if not is_zero(x := c * scale)})
+                    _add_into(acc, _mul_terms(parts[j], g[k - j], ring), w)
+            g.append(_scaled(acc, inv * Fraction(1, k), ring.base.is_zero))
         return TruncPoly(ring, {exps: c for part in g for exps, c in part.items()}, _clean=True)
+
+    def exp(self) -> "TruncPoly":
+        """exp(self) for a zero constant term: E_0 = 1 and k E_k = sum_(j=1..k) j W_j E_(k-j).
+
+        W_j and E_k are the parts of total degree j and k of self and its
+        exponential; as in `_miller`, D = sum x_i d/dx_i keeps the cap ideal,
+        and D(E) = D(W) E.
+        """
+        ring = self.ring
+        if not ring.base.is_zero(self.constant_term()):
+            raise StructuralError("exp needs a zero constant term")
+        dw = {j: {exps: c * j for exps, c in part.items()} for j, part in self._degree_parts().items()}  # D(W)
+        e = [{(0,) * len(ring.caps): ring.base.one()}]
+        for k in range(1, sum(ring.caps) + 1):
+            acc: dict = {}
+            for j, part in dw.items():
+                if j <= k and e[k - j]:
+                    _add_into(acc, _mul_terms(part, e[k - j], ring))
+            e.append(_scaled(acc, Fraction(1, k), ring.base.is_zero))
+        return TruncPoly(ring, {exps: c for part in e for exps, c in part.items()}, _clean=True)
+
+    def log(self) -> "TruncPoly":
+        """log(self / c0) for a unit constant term c0, the inverse of `exp`.
+
+        With p_k and L_k the parts of total degree k of self and the log,
+        D(L) p = D(p) gives k L_k = c0^-1 (k p_k - sum_(j=1..k-1) j L_j p_(k-j)).
+        """
+        ring = self.ring
+        inv = ring.base.invert(self.constant_term())
+        p = self._degree_parts()
+        dl: dict = {}  # k -> k L_k
+        for k in range(1, sum(ring.caps) + 1):
+            acc = _scaled(p.get(k, {}), k, ring.base.is_zero)
+            for j, part in dl.items():
+                if k - j in p:
+                    _add_into(acc, _mul_terms(part, p[k - j], ring), -1)
+            if scaled := _scaled(acc, inv, ring.base.is_zero):
+                dl[k] = scaled
+        return TruncPoly(ring, {exps: c * Fraction(1, k) for k, part in dl.items() for exps, c in part.items()},
+                         _clean=True)
+
+    def _degree_parts(self) -> dict:
+        """{j: the part of total degree j >= 1}."""
+        parts: dict = {}
+        for exps, c in self.coeffs.items():
+            if j := sum(exps):
+                parts.setdefault(j, {})[exps] = c
+        return parts
 
     def __eq__(self, other):
         if isinstance(other, TruncPoly) and other.ring.base == self.ring:
@@ -394,7 +438,7 @@ class QSeries:
     over Q(i); `_im` is None over Q).  `coeffs` is the read-only exact view.
     """
 
-    __slots__ = ("ring", "lo", "order", "_den", "_re", "_im", "_inverse")
+    __slots__ = ("ring", "lo", "order", "_den", "_re", "_im")
 
     def __init__(self, ring: SeriesRing, lo: int, coeffs, order: int):
         _store(self, ring, lo, *_numerators(ring, coeffs), order)
@@ -510,16 +554,7 @@ class QSeries:
         return power(self.inverse() if n < 0 else self, abs(n))
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse; the leading coefficient must be nonzero.
-
-        The series keeps it, as values are immutable: a constant term that
-        `TruncPoly` powers and `root_product`'s scalar both invert is inverted once.
-        """
-        if self._inverse is None:
-            self._inverse = self._invert()
-        return self._inverse
-
-    def _invert(self) -> "QSeries":
+        """Multiplicative inverse; the leading coefficient must be nonzero."""
         if self.is_zero():
             raise NotInvertibleError("cannot invert a series with no known nonzero term")
         n = self.order - self.lo  # known unit-part length
@@ -621,6 +656,20 @@ def _mul_terms(a: dict, b: dict, ring: PolyRing) -> dict:
     return out
 
 
+def _add_into(acc: dict, terms: dict, w=1) -> None:
+    """acc += w * terms on coefficient maps; sums that cancel stay for `_scaled` to drop."""
+    for exps, c in terms.items():
+        if w != 1:
+            c = c * w
+        s = acc.get(exps)
+        acc[exps] = c if s is None else s + c
+
+
+def _scaled(terms: dict, w, is_zero) -> dict:
+    """The nonzero coefficients of w * terms."""
+    return {exps: x for exps, c in terms.items() if not is_zero(x := c * w)}
+
+
 def _store(s: QSeries, ring, lo, den, re, im, order) -> QSeries:
     """Fill `s` with the canonical form of the numerators re (+ i*im) over den > 0.
 
@@ -645,7 +694,7 @@ def _store(s: QSeries, ring, lo, den, re, im, order) -> QSeries:
             den //= g
             re = [x // g for x in re]
             im = None if im is None else [x // g for x in im]
-    s.ring, s.lo, s.order, s._den, s._re, s._im, s._inverse = ring, lo, order, den, re, im, None
+    s.ring, s.lo, s.order, s._den, s._re, s._im = ring, lo, order, den, re, im
     return s
 
 

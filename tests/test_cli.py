@@ -601,6 +601,24 @@ def test_a_value_too_long_to_print_is_a_resource_cap(sample):
     assert json.loads(r.stdout)["code"] == "resource-cap"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("--weights", f"[{'7' * 5000}]", "--order", "3"), ("--fixdim", f"[[{'7' * 5000},[0]]]"),
+     ("--matrix-file", "m.json")],
+    ids=["weights", "fixdim", "matrix-file"],
+)
+def test_an_obstruct_integer_past_the_digit_limit_is_a_resource_cap(tmp_path, args):
+    # json.loads refuses such a literal with a plain ValueError; it is refused before any int()
+    path = tmp_path / "m.json"
+    path.write_text(f"[[{'7' * 5000},1]]")
+    t0 = time.perf_counter()
+    r = run_cli("obstruct", *(str(path) if a == "m.json" else a for a in args), timeout=30)
+    assert time.perf_counter() - t0 < 1
+    assert r.returncode == 4
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["code"] == "resource-cap"
+
+
 def assert_validation_exit(r):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr

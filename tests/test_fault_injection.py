@@ -6,7 +6,7 @@ runs in-process (its forked `codes` child inherits the fault).  A control
 fault asserts the exact set of FAIL names.  A blind spot is a fault that no
 check sees yet: it is a strict xfail that asserts at least one FAIL, so the
 check that closes it turns the xfail into a failure to be moved to the
-controls (ROADMAP item 5).
+controls.  Each blind spot names the ROADMAP item that is to close it.
 """
 
 import sys
@@ -54,16 +54,16 @@ CONTROLS = {
 
 BLIND_SPOTS = {
     "code-audit-column-0-flipped": (
-        code_audit, lambda matrix: code_audit([[row[0] ^ 1, *row[1:]] for row in matrix]),
+        code_audit, lambda matrix: code_audit([[row[0] ^ 1, *row[1:]] for row in matrix]), 4,
         "the seeded 4x12 matrices make both audited predicates False whatever the audit says",
     ),
     "normalized-is-constant-one": (
-        normalized, lambda ix, cusp: ix.series.ring.one(),
+        normalized, lambda ix, cusp: ix.series.ring.one(), 3,
         "hp2-normalized-is-one and the cusp bootstrap compare the normalized series with 1; "
         "only the golden expand digests see it",
     ),
     "signature-cusp-rescaled": (
-        cusp_series, rescaled_at_signature_cusp,
+        cusp_series, rescaled_at_signature_cusp, 2,
         "no check fixes a signature-cusp coefficient beyond q^0",
     ),
 }
@@ -94,9 +94,10 @@ def test_a_control_fault_fails_exactly_its_checks(name, monkeypatch, empty_cache
 
 @pytest.mark.parametrize(
     "name",
-    [pytest.param(name, marks=pytest.mark.xfail(raises=AssertionError, strict=True, reason=f"ROADMAP item 5: {why}"))
-     for name, (_, _, why) in BLIND_SPOTS.items()],
+    [pytest.param(name, marks=pytest.mark.xfail(raises=AssertionError, strict=True,
+                                                reason=f"ROADMAP item {item}: {why}"))
+     for name, (_, _, item, why) in BLIND_SPOTS.items()],
 )
 def test_a_blind_spot_fault_fails_some_check(name, monkeypatch, empty_caches):
-    original, fault, _ = BLIND_SPOTS[name]
+    original, fault, *_ = BLIND_SPOTS[name]
     assert failed_checks(monkeypatch, empty_caches, original, fault)

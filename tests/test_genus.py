@@ -326,8 +326,9 @@ def lambda_t_ext2_plus_tangent(model):
     def exp(sign):
         return TruncPoly(XT, {(j,): T.const(Fraction(sign ** j, factorial(j))) for j in range(XT.caps[0] + 1)})
 
-    total, scalar = root_product(model, (exp(1) * t + 1) * (exp(-1) * t + 1))
-    lam = total if scalar is None else total * scalar  # (1 + t)^(-2 delta) for the trivial roots
+    f = (exp(1) * t + 1) * (exp(-1) * t + 1)
+    total, scalar = root_product(model, f.log(), f.constant_term())
+    lam = total if scalar is None else total * scalar  # f(0)^rank = (1 + t)^(2 rank), rank = sum mult - delta
     return TruncPoly(model.poly_ring(), {e: c.coefficient((1,)) + c.coefficient((2,)) for e, c in lam.coeffs.items()})
 
 

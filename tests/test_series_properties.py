@@ -38,7 +38,8 @@ inverse.  Every coefficient must match in `lo`, `order`, denominator and
 numerators, so the kernel may not lose a guaranteed term anywhere.
 `rings.power`, the one square-and-multiply, must equal repeated
 multiplication in the same sense, and a negative power must invert its
-constant term once.
+constant term once.  `TruncPoly.log` and `exp` must give back f as
+exp(log f) f(0) in the same sense, over Q, Q(i) and q-series.
 """
 
 import operator
@@ -51,7 +52,7 @@ from hypothesis import strategies as st
 
 from genuslab import manifolds
 from genuslab.errors import NotInvertibleError, StructuralError
-from genuslab.genus import AHAT_CUSP, index_density
+from genuslab.genus import AHAT_CUSP, log_density
 from genuslab.rings import QI, QQ, GaussianRational, power
 from genuslab.series import PolyRing, QSeries, SeriesRing, TruncPoly
 
@@ -513,11 +514,34 @@ def test_nilpotent_powers_and_their_inverse(base):
             op()
 
 
+@CAPS
+@pytest.mark.parametrize("kind", ["Q", "Q(i)", "q-series"])
+@PROPERTY
+@given(data=st.data())
+def test_exp_of_log_times_the_constant_term_is_the_polynomial(caps, kind, data):
+    if kind == "q-series":
+        f = data.draw(series_polys(caps, st.just(0), truncated=False))
+    else:
+        base = QQ if kind == "Q" else QI
+        monomials = list(product(*(range(c + 1) for c in caps)))
+        chosen = data.draw(st.lists(st.sampled_from(monomials), max_size=6, unique=True))
+        terms = {m: scalar(base, *data.draw(SCALAR)) for m in chosen}
+        terms[(0,) * len(caps)] = scalar(base, *data.draw(SCALAR)) or base.one()
+        f = TruncPoly(PolyRing(("x", "y")[: len(caps)], caps, base), terms)
+    log_f = f.log()
+    assert log_f.constant_term() == 0
+    exact = numerators if kind == "q-series" else (lambda p: p.coeffs)
+    assert exact(log_f.exp() * f.constant_term()) == exact(f)
+    with pytest.raises(StructuralError, match="zero constant term"):
+        f.exp()
+
+
 def test_cp8_ahat_product_takes_a_bounded_number_of_series_products(monkeypatch):
     # CP8 has one tangent entry of multiplicity 9 and delta 1; at q-order 12 the A-hat-cusp
-    # density is a series over SeriesRing(Q, 26).  Square and multiply took 111 products.
+    # density is a series over SeriesRing(Q, 26).  Square and multiply took 111 products, and the
+    # Horner substitution, Miller power and product per tangent entry 62; one exponential takes 25.
     S = SeriesRing(QQ, 26)
-    f = index_density(AHAT_CUSP, 8, S)
+    log_f, f0 = log_density(AHAT_CUSP, 8, S)
     model = manifolds.builtin("CP8")
     made = []
     mul = QSeries.__mul__
@@ -528,8 +552,8 @@ def test_cp8_ahat_product_takes_a_bounded_number_of_series_products(monkeypatch)
 
     monkeypatch.setattr(QSeries, "__mul__", counted)
     monkeypatch.setattr(QSeries, "__rmul__", counted)
-    manifolds.root_product(model, f)
-    assert len(made) <= 62
+    manifolds.root_product(model, log_f, f0)
+    assert len(made) <= 25
 
 
 def repeated(x, n):

@@ -8,7 +8,8 @@ oracle here is the infinite product itself, one q-level at a time with one
 polynomial inverse per level, written only with the public ring operations
 and test-local exponentials.  Both sides must agree exactly: the same ring,
 the same monomials, and for every coefficient the same q-series values, `lo`
-and `order`.
+and `order`.  `genus.log_density`, the word densities in log form, must give
+them back as c0 exp(L) in the same sense, over Q and over Q(i).
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from math import factorial
 import pytest
 
 from genuslab import localization
-from genuslab.genus import index_density
+from genuslab.genus import index_density, log_density
 from genuslab.localization import builtin_action, equivariant_series, normal_factor
 from genuslab.rings import I_UNIT, QI, QQ, GaussianRational
 from genuslab.series import PolyRing, QSeries, SeriesRing, TruncPoly
@@ -92,6 +93,14 @@ def exactly(p):
 def test_word_density_is_the_level_product(kind, xmax, qorder):
     S = SeriesRing(QQ, 2 * qorder + 2)
     assert exactly(index_density(kind, xmax, S)) == exactly(density_oracle(kind, xmax, S))
+    # in log form: the log's q-terms are divisor sums, the log of the level product term by term
+    for base in (QQ, QI):
+        S = SeriesRing(base, 2 * qorder + 2)
+        log_f, c0 = log_density(kind, xmax, S)
+        assert log_f.constant_term() == 0
+        assert exactly(log_f.exp() * c0) == exactly(index_density(kind, xmax, S))
+    free, c0 = log_density(kind, xmax, QQ)
+    assert (free.exp() * c0).coeffs == index_density(kind, xmax, QQ).coeffs
 
 
 @pytest.mark.parametrize("cap", [0, 3])
