@@ -8,7 +8,14 @@ the one serializer, applied to every payload: rationals become "p/q" strings,
 q-series {"lowest_s_exponent", "coefficients", ...}; no floats anywhere.
 
 Exit codes: 0 success, 2 input validation, 3 internal inconsistency
-(including a printed report whose status is FAIL), 4 resource cap.
+(including a printed report whose status is FAIL), 4 resource cap.  Every
+number read after argv (`--lambda`, $GENUSLAB_QORDER, the JSON of `obstruct`,
+model and action files, the integers of builtin names) goes through the
+readers of `rings`, so one past the int-to-str digit limit exits 4, refused
+before it is converted.  The integer options of argv (`--qorder`, `--order`,
+`--codim`, `--p`) are the exception: such a literal is a bad integer, exit 2,
+since `parse_args` refuses argv misuse before it knows the output format
+(`--format` may come last), and `int()` refuses it at once.
 
 Argv: genuslab [GLOBAL ...] COMMAND [OPTION ...], read by `parse_args` from
 the COMMANDS table.  GLOBAL is --format or --out, which may also stand among
@@ -50,7 +57,7 @@ from .obstructions import (
     vanish_count_from_m,
     vanish_count_involution,
 )
-from .rings import GaussianRational, format_fraction
+from .rings import I_UNIT, GaussianRational, format_fraction, read_fraction, read_int, read_json
 from .series import QSeries, TruncPoly
 from .suites import run_suite
 
@@ -83,7 +90,8 @@ def encode(value):
 
 
 def poly_text(poly: TruncPoly) -> str:
-    parts = [(mono if c == 1 else f"{c}*{mono}") if mono else str(c) for mono, c in poly.terms()]
+    parts = [(mono if c == 1 else f"{format_fraction(c)}*{mono}") if mono else format_fraction(c)
+             for mono, c in poly.terms()]
     return " + ".join(parts) or "0"
 
 
@@ -140,31 +148,6 @@ def resolve(ref: str, what: str, from_builtin, from_file):
         if ref.startswith(prefix):
             return load(ref[len(prefix):])
     raise ValidationError(f"{what} reference must be builtin:NAME or file:PATH, got {ref!r}", code="invalid")
-
-
-def parse_lambda(text: str):
-    text = text.strip()
-    if text == "i":
-        return GaussianRational(0, 1)
-    if text == "-i":
-        return GaussianRational(0, -1)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"bad sample value {text!r}", code="invalid") from None
-
-
-def default_qorder() -> int:
-    raw = os.environ.get(QORDER_ENV)
-    if raw is None:
-        return DEFAULT_QORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"{QORDER_ENV} must be an integer, got {raw!r}", code="invalid")
-    if value < 1:
-        raise ValidationError(f"{QORDER_ENV} must be >= 1", code="invalid")
-    return value
 
 
 # -- subcommands -----------------------------------------------------------------------
@@ -235,7 +218,12 @@ def cmd_verify(args) -> dict:
 
 def cmd_rigidity(args) -> dict:
     action = resolve(args.action, "action", builtin_action, load_action)
-    samples = [parse_lambda(x) for x in args.samples.split(",") if x.strip()]
+    samples = []
+    for text in filter(None, map(str.strip, args.samples.split(","))):
+        try:
+            samples.append({"i": I_UNIT, "-i": -I_UNIT}.get(text) or read_fraction(text))
+        except ValueError:
+            raise ValidationError(f"bad sample value {text!r}", code="invalid") from None
     if not samples:
         raise ValidationError("no sample values given", code="invalid")
     for sample in samples:  # the report prints each sample: one that cannot print is refused before the work
@@ -262,16 +250,6 @@ def cmd_obstruct(args) -> dict:
                                ("--order", args.order, ("--weights", "--codim"))):
         if value is not None and given[0] not in modes:  # an option the mode never reads, before any work
             raise ValidationError(f"{given[0]} does not take {flag}", code="invalid")
-    if args.weights is not None:
-        weights = _json_input("bad weights list", text=args.weights)
-        if not isinstance(weights, list) or not all(_is_int(w) and w != 0 for w in weights):
-            raise ValidationError("weights must be a JSON list of nonzero integers", code="invalid")
-        if args.order is None:
-            raise ValidationError("--order is required with --weights", code="invalid")
-        m = m_invariant(weights, args.order)
-        payload.update({"weights": weights, "order": args.order, "m": m,
-                        "vanish_count": vanish_count_from_m(m)})
-        return payload
     if args.codim is not None:
         if args.codim < 0:
             raise ValidationError("--codim must be >= 0", code="invalid")
@@ -282,40 +260,27 @@ def cmd_obstruct(args) -> dict:
             payload.update({"order": args.order, "source": "cyclic-codim",
                             "vanish_count": vanish_count_cyclic_codim(args.codim, args.order)})
         return payload
-    if args.matrix_file is not None:
-        matrix = _json_input("cannot read matrix file", path=args.matrix_file)
-        p = 2 if args.p is None else args.p
-        normal_form = lattice_normal_form(matrix, p)  # before the audit's code-word cap
-        payload.update({"normal_form": normal_form, "code_audit": code_audit(matrix), "p": p})
-        return payload
-    table = _json_input("bad fixdim table", text=args.fixdim)
-    payload.update({"fixdim": table, "restricted": rfpd_check(table)})
-    return payload
-
-
-def _json_input(what: str, text: str | None = None, path: str | None = None):
-    """The JSON value of `text`, or of the file at `path`.
-
-    An unreadable file, a bad encoding or bad JSON is a ValidationError; an
-    integer literal past the int-to-str digit limit is a ResourceCapError,
-    refused before it is converted.
-    """
-    try:
-        if path is None:
-            return json.loads(text, parse_int=_bounded_int)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_bounded_int)
+    try:  # the other modes' one JSON input: the text of --weights or --fixdim, or the file at --matrix-file
+        data = read_json(args.fixdim if args.weights is None else args.weights, args.matrix_file)
     except (OSError, ValueError) as exc:
+        what = {"--weights": "bad weights list", "--matrix-file": "cannot read matrix file",
+                "--fixdim": "bad fixdim table"}[given[0]]
         raise ValidationError(f"{what}: {exc}", code="invalid") from exc
-
-
-def _bounded_int(literal: str) -> int:
-    """int(literal) for a JSON integer literal; its digits are counted before it is converted."""
-    limit = sys.get_int_max_str_digits()
-    digits = len(literal.lstrip("-"))
-    if limit and digits > limit:
-        raise ResourceCapError(f"an integer literal of {digits} digits is past the limit of {limit}")
-    return int(literal)
+    if args.weights is not None:
+        if not isinstance(data, list) or not all(_is_int(w) and w != 0 for w in data):
+            raise ValidationError("weights must be a JSON list of nonzero integers", code="invalid")
+        if args.order is None:
+            raise ValidationError("--order is required with --weights", code="invalid")
+        m = m_invariant(data, args.order)
+        payload.update({"weights": data, "order": args.order, "m": m, "vanish_count": vanish_count_from_m(m)})
+        return payload
+    if args.matrix_file is not None:
+        p = 2 if args.p is None else args.p
+        normal_form = lattice_normal_form(data, p)  # before the audit's code-word cap
+        payload.update({"normal_form": normal_form, "code_audit": code_audit(data), "p": p})
+        return payload
+    payload.update({"fixdim": data, "restricted": rfpd_check(data)})
+    return payload
 
 
 # -- entry point --------------------------------------------------------------------------
@@ -432,8 +397,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         usage_error(f"argument --out: can't open {args.out!r}: {exc.strerror}", args.command)
     try:
-        if hasattr(args, "qorder") and args.qorder is None:
-            args.qorder = default_qorder()
+        if getattr(args, "qorder", 1) is None:
+            raw = os.environ.get(QORDER_ENV, str(DEFAULT_QORDER))
+            try:
+                args.qorder = read_int(raw)
+            except ValueError:
+                raise ValidationError(f"{QORDER_ENV} must be an integer, got {raw!r}", code="invalid") from None
+            if args.qorder < 1:
+                raise ValidationError(f"{QORDER_ENV} must be >= 1", code="invalid")
         minimum = 0 if args.command == "expand" else 1  # a bare constant term is a valid expansion
         if getattr(args, "qorder", 1) < minimum:
             raise ValidationError(f"q-order must be >= {minimum}", code="invalid")

@@ -60,8 +60,8 @@ from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, ValidationError
 from .genus import SIGNATURE_CUSP, cusp_series, theta_quotient, theta_terms, word_factor_product
-from .manifolds import ManifoldModel, _is_int, _read_json, builtin, euler_characteristic, load_model, parse_form
-from .rings import I_UNIT, QI, QQ, GaussianRational
+from .manifolds import ManifoldModel, _is_int, _json_object, builtin, euler_characteristic, load_model, parse_form
+from .rings import I_UNIT, QI, QQ, GaussianRational, read_int
 from .series import PolyRing, QSeries, SeriesRing, TruncPoly
 
 
@@ -282,8 +282,8 @@ def builtin_action(name: str) -> CircleActionData:
     m = _ACTION_RE.match(name.strip())
     if not m:
         raise ValidationError(f"unknown builtin action {name!r}", code="invalid")
-    family, n, kind, arglist = m.group(1), int(m.group(2)), m.group(3), m.group(4)
-    weights = [int(a) for a in arglist.split(",")]
+    family, n, kind, arglist = m.group(1), read_int(m.group(2)), m.group(3), m.group(4)
+    weights = [read_int(a) for a in arglist.split(",")]
     if len(weights) != n + 1:
         raise ValidationError(
             f"{family}{n} action needs {n + 1} weights, got {len(weights)}", code="invalid"
@@ -382,7 +382,7 @@ def _resolve_model_ref(ref):
 
 def load_action(source) -> CircleActionData:
     """Load an action description from a JSON path or dict."""
-    doc = _read_json(source)
+    doc = _json_object(source)
     for field_name in ("ambient", "components"):
         if field_name not in doc:
             raise ValidationError(f"missing field {field_name!r}", code="schema")

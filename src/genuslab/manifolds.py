@@ -25,7 +25,9 @@ its generators' degrees and caps.  `load_model` validates a model file:
 generator degrees and caps, distinct symbols, nonzero multiplicities, each
 form's degree against its entry's kind, and the declared `dim_real` against
 the generators; it ignores the keys it does not read, such as the orientation
-note that older model files carry.  Every model then passes
+note that older model files carry.  It reads numbers with the readers of
+`rings`, so a literal past the int-to-str digit limit is a ResourceCapError.
+Every model then passes
 `ManifoldModel.validate_dimensions` (tangent rank, nonzero pairing, real
 dimension <= MAX_DIM_REAL, a ResourceCapError above it), and builtin catalog
 entries also `_self_check`: two independent classical identities
@@ -44,14 +46,13 @@ as dicts, which do not hash.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cache
 from math import prod
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, ResourceCapError, StructuralError, ValidationError
-from .rings import QQ, as_fraction, format_fraction, parse_fraction
+from .rings import QQ, as_fraction, format_fraction, read_fraction, read_int, read_json
 from .series import PolyRing, TruncPoly
 
 CHERN = "chern"
@@ -410,7 +411,7 @@ def _construct(key: str):
 def _int_arg(text: str, key: str) -> int:
     """An integer argument of the builtin name `key`."""
     try:
-        return int(text)
+        return read_int(text)
     except ValueError:
         raise ValidationError(f"malformed builtin name {key!r}", code="invalid") from None
 
@@ -437,7 +438,7 @@ def _split_args(text: str, sep: str = ","):
 
 def load_model(source) -> ManifoldModel:
     """Load and validate a model from a JSON file path or dict."""
-    doc = _read_json(source)
+    doc = _json_object(source)
     for field_name in ("name", "dim_real", "spin", "generators", "pairing", "tangent"):
         if field_name not in doc:
             raise ValidationError(f"missing field {field_name!r}", code="schema")
@@ -460,10 +461,7 @@ def load_model(source) -> ManifoldModel:
         gens.append(Generator(str(sym), deg, cap))
     if len({g.symbol for g in gens}) != len(gens):
         raise ValidationError("duplicate generator symbols", code="schema")
-    try:
-        pairing = parse_fraction(doc["pairing"])
-    except StructuralError as exc:
-        raise ValidationError(str(exc), code="schema") from exc
+    pairing = _rational(doc["pairing"])
     t = doc["tangent"]
     if not isinstance(t, dict) or t.get("style") not in (CHERN, PONTRYAGIN):
         raise ValidationError('tangent.style must be "chern" or "pontryagin"', code="schema")
@@ -535,11 +533,16 @@ def parse_form(form, generators, degree: int) -> dict:
     for sym, c in form.items():
         if (sym, degree) not in {(g.symbol, g.degree) for g in generators}:
             raise ValidationError(f"form uses {sym!r}, not a degree-{degree} generator", code="schema")
-        try:
-            parsed[sym] = parse_fraction(c)
-        except StructuralError as exc:
-            raise ValidationError(str(exc), code="schema") from exc
+        parsed[sym] = _rational(c)
     return parsed
+
+
+def _rational(value) -> Fraction:
+    """A rational of a model or action file: a "p/q" string or a JSON number."""
+    try:
+        return read_fraction(str(value))
+    except ValueError:
+        raise ValidationError(f"not a rational literal: {value!r}", code="schema") from None
 
 
 def _is_int(value) -> bool:
@@ -547,18 +550,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _read_json(source):
-    """The JSON object of a file path, or a dict as it is."""
+def _json_object(source) -> dict:
+    """The JSON object of a model or action file path, or a dict as it is."""
     if isinstance(source, dict):
         return source
     try:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        doc = read_json(path=source)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {source}: {exc}", code="invalid") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValidationError(f"not valid JSON: {exc}", code="schema") from exc
     if not isinstance(doc, dict):
         raise ValidationError("top-level JSON value must be an object", code="schema")

@@ -18,14 +18,23 @@ coefficients as integer numerators over a common denominator and convert to
 these scalar types only at their boundary, where `contains` tells them which
 scalars a field accepts.
 
-`power` is the one square-and-multiply.  `GaussianRational` and `QSeries`
-raise to a power n < 0 by one inverse and then `power` to -n; `TruncPoly`
-calls it for the positive powers that Miller's recurrence must not take
-(see `series`).
+`power` is the one square-and-multiply.  `GaussianRational`, `TruncPoly`
+and `QSeries` all raise to a power n < 0 by one inverse and then `power` to
+-n.
+
+Exact values enter and leave here.  `format_fraction` is the one writer.
+`read_int`, `read_fraction` and `read_json` read every number that the CLI
+takes after argv: each counts a literal's size (its decimal digits, plus
+|exponent| for a rational) before it converts it, and past the int-to-str
+digit limit raises a ResourceCapError that gives the count, not the literal.
+Below it, `int`, `Fraction` and `json` decide what is valid and raise as
+they do, and each caller words its own error.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from fractions import Fraction
 
 from .errors import NotInvertibleError, ResourceCapError, StructuralError
@@ -40,20 +49,46 @@ def as_fraction(value) -> Fraction:
     raise StructuralError(f"expected an exact rational, got {value!r}")
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Parse the canonical "p/q" (or "p") string form."""
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise StructuralError(f"not a rational literal: {text!r}") from exc
-
-
 def format_fraction(a) -> str:
     """Canonical "p/q" (or "p") of an exact scalar; past the int-to-str digit limit, a ResourceCapError."""
     try:
         return str(a)
     except ValueError as exc:
         raise ResourceCapError(f"an exact value is too long to print: {exc}") from None
+
+
+def _within_limit(size: int) -> None:
+    limit = sys.get_int_max_str_digits()
+    if limit and size > limit:
+        raise ResourceCapError(f"a number of {size} digits is past the limit of {limit}")
+
+
+def read_int(text: str) -> int:
+    """int(text), its decimal digits counted first; also the integer literals of `read_json`."""
+    _within_limit(sum(map(str.isdecimal, text)))
+    return int(text)
+
+
+def read_fraction(text: str) -> Fraction:
+    """Fraction(text), its digits plus |exponent| counted first; a zero denominator is a ValueError too."""
+    mantissa, _, exponent = text.replace("E", "e").partition("e")
+    exponent = exponent.strip().lstrip("+-").lstrip("0_") or "0"  # |exponent|, its significant digits
+    limit, digits = sys.get_int_max_str_digits(), sum(map(str.isdecimal, exponent))
+    if limit and digits > len(str(limit)):  # the exponent alone is past the limit
+        raise ResourceCapError(f"a number with an exponent of {digits} digits is past the limit of {limit}")
+    _within_limit(sum(map(str.isdecimal, mantissa)) + int(exponent))
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def read_json(text: str | None = None, path: str | None = None):
+    """The JSON value of `text`, or of the UTF-8 file at `path`, with every integer literal through `read_int`."""
+    if text is None:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    return json.loads(text, parse_int=read_int)
 
 
 def power(x, n: int):

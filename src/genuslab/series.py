@@ -12,17 +12,14 @@ whose `const` is the one way to make a constant:
   `PolyRing` base, an element of the base acts as a constant only as the
   right operand (or through `const`): as the left operand its own operator
   meets a foreign ring and raises.
-  `p ** n` is the one power and inverse (`inverse()` is `p ** -1`).  For a
-  unit constant term c0 it is J.C.P. Miller's recurrence (Knuth, TAOCP 2,
-  4.7): D = sum x_i d/dx_i keeps the cap ideal, so p D(g) = n D(p) g for
-  g = p^n under the caps, and with p_j, g_k the parts of total degree j, k,
-  g_k = sum_(j=1..k) ((n+1) j - k) p_j g_(k-j) / (k c0), which inverts c0
-  once for any n.  Over a `SeriesRing` a positive power takes it only when
-  c0 starts at s^0 and every coefficient is known to the ring order, since
-  dividing by c0 can lower an `order`; other positive powers, and those of
-  a nilpotent p, are `rings.power`'s square-and-multiply.  `exp` and `log`
-  are the same recurrence for D(exp W) = D(W) exp W: the exponential of a
-  p without constant term, and log(p / c0) for a unit c0.
+  `p ** n` is `rings.power` on p, or on its one inverse for n < 0, as for
+  `QSeries`.  `inverse()` needs a unit constant term c0 and is J.C.P.
+  Miller's recurrence (Knuth, TAOCP 2, 4.7) at n = -1: D = sum x_i d/dx_i
+  keeps the cap ideal, so p D(g) = -D(p) g for g = p^-1 under the caps, and
+  with p_j, g_k the parts of total degree j, k, g_0 = c0^-1 and
+  g_k = -c0^-1 sum_(j=1..k) p_j g_(k-j), which inverts c0 once.  `exp` and
+  `log` are the same recurrence for D(exp W) = D(W) exp W: the exponential
+  of a p without constant term, and log(p / c0) for a unit c0.
 
 * `QSeries` — truncated Laurent series in s, where s^2 = q, so half-integer
   q-exponents are integer s-exponents, with coefficients in Q or Q(i) (a
@@ -220,44 +217,35 @@ class TruncPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """self ** n for every integer n: Miller's recurrence or `rings.power` (module docstring)."""
         if not isinstance(n, int):
             return NotImplemented
         if n == 0:
             return self.ring.one()
-        base = self.ring.base
-        c0 = self.constant_term()
-        if n > 0 and isinstance(base, SeriesRing) and (
-            c0.lo != 0 or any(c.order < base.order for c in self.coeffs.values())
-        ):
-            return power(self, n)
-        try:
-            inv = base.invert(c0)
-        except NotInvertibleError as exc:
-            if n < 0:
-                raise NotInvertibleError(f"constant term {c0!r} is not a unit; cannot invert series") from exc
-            return power(self, n)
-        return self._miller(n, c0, inv)
+        return power(self.inverse() if n < 0 else self, abs(n))
 
-    def _miller(self, n: int, c0, inv) -> "TruncPoly":
-        """self ** n from g_k = sum_j ((n+1) j - k) p_j g_(k-j) / (k c0), p_j and g_k of total degree j and k."""
+    def inverse(self) -> "TruncPoly":
+        """g = self^-1 from g_0 = c0^-1, g_k = -c0^-1 sum_j p_j g_(k-j), p_j and g_k of total degree j and k."""
         ring = self.ring
+        c0 = self.constant_term()
+        try:
+            inv = ring.base.invert(c0)
+        except NotInvertibleError as exc:
+            raise NotInvertibleError(f"constant term {c0!r} is not a unit; cannot invert series") from exc
         parts = self._degree_parts()
-        g = [{(0,) * len(ring.caps): c0 ** n if n > 0 else inv ** -n}]
+        g = [{(0,) * len(ring.caps): inv}]
         for k in range(1, sum(ring.caps) + 1):
             acc: dict = {}
             for j in range(1, k + 1):
-                w = (n + 1) * j - k
-                if w and j in parts and g[k - j]:
-                    _add_into(acc, _mul_terms(parts[j], g[k - j], ring), w)
-            g.append(_scaled(acc, inv * Fraction(1, k), ring.base.is_zero))
+                if j in parts and g[k - j]:
+                    _add_into(acc, _mul_terms(parts[j], g[k - j], ring))
+            g.append(_scaled(acc, -inv, ring.base.is_zero))
         return TruncPoly(ring, {exps: c for part in g for exps, c in part.items()}, _clean=True)
 
     def exp(self) -> "TruncPoly":
         """exp(self) for a zero constant term: E_0 = 1 and k E_k = sum_(j=1..k) j W_j E_(k-j).
 
         W_j and E_k are the parts of total degree j and k of self and its
-        exponential; as in `_miller`, D = sum x_i d/dx_i keeps the cap ideal,
+        exponential; as in `inverse`, D = sum x_i d/dx_i keeps the cap ideal,
         and D(E) = D(W) E.
         """
         ring = self.ring
@@ -316,12 +304,6 @@ class TruncPoly:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    # -- series operations ------------------------------------------------
-
-    def inverse(self) -> "TruncPoly":
-        """Multiplicative inverse, the power -1; requires an invertible constant term."""
-        return self ** -1
 
     # -- univariate operations ---------------------------------------------
 

@@ -619,6 +619,39 @@ def test_an_obstruct_integer_past_the_digit_limit_is_a_resource_cap(tmp_path, ar
     assert json.loads(r.stdout)["code"] == "resource-cap"
 
 
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (("rigidity", "--action", "builtin:CP2_linear(0,1,3)", "--lambda", "1e10000000"), {}),
+        (("rigidity", "--action", "builtin:CP2_linear(0,1,3)", "--lambda", "7" * 5000), {}),
+        (("rigidity", "--action", "builtin:CP2_linear(0,1,3)", "--lambda", "2,1e-10000000"), {}),
+        (("expand", "--manifold", "builtin:CP2"), {"GENUSLAB_QORDER": "7" * 5000}),
+        (("rigidity", "--action", f"builtin:CP2_linear(0,1,{'7' * 5000})", "--lambda", "2"), {}),
+        (("genus", "--manifold", f"builtin:CP{'7' * 5000}"), {}),
+    ],
+    ids=["lambda-1e10000000", "lambda-5000-digits", "lambda-1e-10000000", "qorder-env-5000-digits",
+         "builtin-action-weight", "builtin-manifold-index"],
+)
+def test_a_number_past_the_digit_limit_is_a_resource_cap_before_it_is_converted(args, env):
+    # 1e10000000 built 10^10^7 for 14 s; the others exited 2 echoing 5000 digits, or 1 with a traceback
+    t0 = time.perf_counter()
+    r = run_cli(*args, env_extra=env, timeout=30)
+    assert time.perf_counter() - t0 < 1
+    assert (r.returncode, json.loads(r.stdout)["code"]) == (4, "resource-cap")
+    assert "Traceback" not in r.stderr
+    assert "7" * 100 not in r.stdout  # the message gives the digit count, not the literal
+
+
+@pytest.mark.parametrize("spec", ["generic", "signature"])
+def test_a_genus_value_too_long_to_print_exits_4(tmp_path, spec):
+    # CP4's tangent with the root 10^1500 h: the generic value_text printed its coefficients with str()
+    doc = {"name": "X", "dim_real": 8, "spin": False, "generators": [{"symbol": "h", "degree": 2, "cap": 4}],
+           "pairing": "1", "tangent": {"style": "chern", "delta": 1, "entries": [{"form": {"h": "1e1500"}, "mult": 5}]}}
+    r = run_cli("genus", "--manifold", f"file:{write_json(tmp_path, doc)}", "--spec", spec)
+    assert (r.returncode, json.loads(r.stdout)["code"]) == (4, "resource-cap")
+    assert "Traceback" not in r.stderr
+
+
 def assert_validation_exit(r):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr

@@ -5,7 +5,9 @@ rename a key, or replace a value with one of another type) to a valid
 document and runs it through `cli.main`: `genus` for a model file,
 `rigidity --qorder 2` for an action file.  The exit code must be one of the
 contract's 0, 2, 3 or 4.  The documents stay small (caps <= 3), so every
-run is short.
+run is short.  Apart from the seeded mutations, each numeric slot of the
+unmutated documents takes a literal past the int-to-str digit limit, which
+must exit 4 within a second.
 """
 
 import contextlib
@@ -13,8 +15,10 @@ import copy
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,9 +100,13 @@ def mutated(draw, doc):
 
 def exit_code(argv, doc, flag):
     """`cli.main` on `doc` written to a file; stdout is discarded."""
+    return exit_code_of_text(argv, json.dumps(doc), flag)
+
+
+def exit_code_of_text(argv, text, flag):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
         with contextlib.redirect_stdout(io.StringIO()):
             return cli.main([*argv, flag, f"file:{path}"])
 
@@ -119,3 +127,40 @@ def test_mutated_model_files_exit_by_contract(doc):
 @given(mutated(ACTION))
 def test_mutated_action_files_exit_by_contract(doc):
     assert exit_code(["rigidity", "--lambda", "2,3", "--qorder", "2"], doc, "--action") in (0, 2, 3, 4)
+
+
+MODEL_RUN = (["genus"], "--manifold")
+ACTION_RUN = (["rigidity", "--lambda", "2,3", "--qorder", "2"], "--action")
+BIG_INT = "7" * 5000
+BIG_RATIONAL = '"1e10000000"'  # Fraction would build 10^(10^7) from it
+
+
+@pytest.mark.parametrize(
+    "doc, run, path, literal",
+    [
+        (CP1, MODEL_RUN, ("dim_real",), BIG_INT),
+        (CP1, MODEL_RUN, ("generators", 0, "degree"), BIG_INT),
+        (CP1, MODEL_RUN, ("generators", 0, "cap"), BIG_INT),
+        (CP1, MODEL_RUN, ("tangent", "delta"), BIG_INT),
+        (CP1, MODEL_RUN, ("tangent", "entries", 0, "mult"), BIG_INT),
+        (ACTION, ACTION_RUN, ("components", 1, "normal", 0, "weight"), BIG_INT),
+        (ACTION, ACTION_RUN, ("components", 0, "model", "generators", 0, "cap"), BIG_INT),
+        (CP1, MODEL_RUN, ("pairing",), BIG_RATIONAL),
+        (CP1, MODEL_RUN, ("tangent", "entries", 0, "form", "h"), BIG_RATIONAL),
+        (HP1, MODEL_RUN, ("tangent", "entries", 1, "form", "u"), BIG_RATIONAL),
+        (ACTION, ACTION_RUN, ("components", 0, "normal", 0, "chern", "h"), BIG_RATIONAL),
+        (ACTION, ACTION_RUN, ("components", 0, "model", "pairing"), BIG_RATIONAL),
+    ],
+    ids=["dim_real", "degree", "cap", "delta", "mult", "weight", "inline-model-cap", "pairing", "form",
+         "pontryagin-form", "chern", "inline-model-pairing"],
+)
+def test_a_literal_past_the_digit_limit_exits_4_at_once(doc, run, path, literal):
+    # a 5000-digit integer ended in a traceback and 1e10000000 ran 13 s to one: both are refused before int()
+    doc = mutate(copy.deepcopy(doc), path, "replace", "OVERSIZED")
+    text = json.dumps(doc).replace('"OVERSIZED"', literal)
+    argv, flag = run
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert exit_code_of_text(argv, text, flag) == 4
+    assert time.perf_counter() - start < 1
+    assert "Traceback" not in err.getvalue()
